@@ -3,11 +3,15 @@
 Everything here works in arbitrary-precision rationals (``fractions.Fraction``)
 and is meant for desk-scale indices; the O(p) modular engine in
 ``wilsonlab.modular`` owns large primes. Sign convention: B_1 = -1/2.
+
+The table is built from the tangent numbers T_k, computed in integers by the
+in-place recurrence of Brent and Harvey ("Fast computation of Bernoulli,
+Tangent and Secant numbers", 2011), and
+B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -17,8 +21,6 @@ from .padic import is_prime, ord_p, primes_up_to
 # Exact values above this index are refused rather than silently thrashing:
 # numerators grow like n log n digits and the modular engine owns that range.
 DESK_CAP = 2400
-
-TABLE_CACHE_ENV = "WILSONLAB_TABLE_CACHE"
 
 
 class IndexOutOfTable(Exception):
@@ -30,7 +32,7 @@ class BadTableFile(Exception):
 
 
 class BernoulliTable:
-    """Cached exact Bernoulli numbers B_0..B_N."""
+    """Exact Bernoulli numbers B_0..B_N."""
 
     def __init__(self, values: list[Fraction]):
         self._values = list(values)
@@ -38,25 +40,33 @@ class BernoulliTable:
 
     @classmethod
     def build(cls, n_max: int) -> "BernoulliTable":
-        """Build B_0..B_n_max with the recurrence sum(C(n+1,k) B_k, k=0..n) = 0."""
+        """Build B_0..B_n_max from the tangent numbers T_1..T_m, m = n_max // 2.
+
+        T_1 = 1 and T_k = (k-1) T_{k-1}; then for k = 2..m and j = k..m,
+        T_j <- (j-k) T_{j-1} + (j-k+2) T_j, all in integers. Each even entry
+        is B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), one Fraction apiece.
+        """
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         if n_max > DESK_CAP:
             raise IndexOutOfTable(
                 f"exact table capped at index {DESK_CAP}; use the modular engine"
             )
-        values = [Fraction(1)]
+        m = n_max // 2
+        t = [0, 1] + [0] * (m - 1)  # t[k] = T_k; t[0] is unused
+        for k in range(2, m + 1):
+            t[k] = (k - 1) * t[k - 1]
+        for k in range(2, m + 1):
+            for j in range(k, m + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        values = [Fraction(0)] * (n_max + 1)
+        values[0] = Fraction(1)
         if n_max >= 1:
-            values.append(Fraction(-1, 2))
-        for n in range(2, n_max + 1):
-            if n % 2:
-                values.append(Fraction(0))
-                continue
-            # odd-index terms vanish except k = 1
-            s = Fraction(comb(n + 1, 1), -2)
-            for k in range(0, n, 2):
-                s += comb(n + 1, k) * values[k]
-            values.append(-s / (n + 1))
+            values[1] = Fraction(-1, 2)
+        for k in range(1, m + 1):
+            four_k = 4 ** k
+            sign = 1 if k % 2 else -1
+            values[2 * k] = Fraction(sign * 2 * k * t[k], four_k * (four_k - 1))
         return cls(values)
 
     def _validate_basics(self):
@@ -187,6 +197,8 @@ def dn_product(n: int) -> int:
     Equals the coefficient denominator of B_n(x) - B_n. Primes above n never
     qualify (their digit sum is n itself, below p), so the product is finite.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     out = 1
     for p in primes_up_to(n):
         if digit_sum(n, p) >= p:
@@ -249,46 +261,3 @@ def divided_bernoulli(kind: str, index: int, p: int, table: BernoulliTable) -> F
     if kind == "bar2":
         return bar2_value(index, p, table)
     raise ValueError(f"unknown kind {kind!r}")
-
-
-# -- cache file: one value per line, "index<TAB>numerator/denominator" ----
-
-
-def save_table(table: BernoulliTable, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for n in range(table.max_index + 1):
-            b = table.bernoulli(n)
-            fh.write(f"{n}\t{b.numerator}/{b.denominator}\n")
-
-
-def load_table(path: str) -> BernoulliTable:
-    """Load a cache file and revalidate the table invariants.
-
-    Checks on load: the fixed initial values, vanishing odd indices, and the
-    von Staudt-Clausen denominator of every even entry. A forged or truncated
-    file fails loudly instead of poisoning the oracle.
-    """
-    values: list[Fraction] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                idx_s, frac_s = line.split("\t")
-                num_s, den_s = frac_s.split("/")
-                idx, num, den = int(idx_s), int(num_s), int(den_s)
-            except ValueError as exc:
-                raise BadTableFile(f"{path}:{lineno + 1}: malformed line") from exc
-            if idx != len(values):
-                raise BadTableFile(f"{path}:{lineno + 1}: expected index {len(values)}")
-            values.append(Fraction(num, den))
-    table = BernoulliTable(values)  # checks initial values and odd zeros
-    for n in range(2, table.max_index + 1, 2):
-        if table.bernoulli(n).denominator != vsc_denominator(n):
-            raise BadTableFile(f"B_{n} violates the von Staudt-Clausen denominator")
-    return table
-
-
-def default_cache_path() -> str | None:
-    return os.environ.get(TABLE_CACHE_ENV)

@@ -1,7 +1,7 @@
 """Command-line harness.
 
 Subcommands: verify (suite runs over a prime range), wilson and qsum
-(single values by any method), bernoulli (exact table, optionally cached),
+(single values by any method), bernoulli (exact table),
 scan (prime classes), dn (polynomial denominator product). Exit codes:
 0 success, 1 at least one check failed, 2 usage error.
 """
@@ -9,18 +9,9 @@ scan (prime classes), dn (polynomial denominator product). Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .bernoulli import (
-    DESK_CAP,
-    BernoulliTable,
-    IndexOutOfTable,
-    default_cache_path,
-    dn_product,
-    load_table,
-    save_table,
-)
+from .bernoulli import BernoulliTable, IndexOutOfTable, dn_product
 from .congruences import InadmissibleTier, q_sum_via_bernoulli, wilson_via_bernoulli
 from .modular import HypothesisViolated, InadmissibleCase, bundle
 from .quotients import q_sum, wilson_quotient, wilson_via_psi
@@ -37,18 +28,6 @@ from .suite import (
 )
 
 USAGE_ERROR = 2
-
-
-def _load_or_build_table(n_max: int, cache: str | None) -> BernoulliTable:
-    path = cache or default_cache_path()
-    if path and os.path.exists(path):
-        table = load_table(path)
-        if table.max_index >= n_max:
-            return table
-    table = BernoulliTable.build(n_max)
-    if path:
-        save_table(table, path)
-    return table
 
 
 def cmd_verify(args) -> int:
@@ -81,7 +60,7 @@ def cmd_wilson(args) -> int:
             value = wilson_via_psi(p, r)
         else:
             engine = "modular" if p >= 5 else "exact"
-            table = _load_or_build_table(4 * (p - 1), None) if engine == "exact" else None
+            table = BernoulliTable.build(4 * (p - 1)) if engine == "exact" else None
             value = wilson_via_bernoulli(p, r, bundle(p, r, engine, table))
     except (HypothesisViolated, InadmissibleCase, InadmissibleTier) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -100,7 +79,7 @@ def cmd_qsum(args) -> int:
             engine = "modular" if p >= 7 else "exact"
             table = None
             if engine == "exact":
-                table = _load_or_build_table(max(4, tier) * (p - 1), None)
+                table = BernoulliTable.build(max(4, tier) * (p - 1))
             value = q_sum_via_bernoulli(p, n, tier, bundle(p, tier, engine, table))
     except (HypothesisViolated, InadmissibleCase, InadmissibleTier) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -110,10 +89,11 @@ def cmd_qsum(args) -> int:
 
 
 def cmd_bernoulli(args) -> int:
-    if args.max_index > DESK_CAP:
-        print(f"error: exact table capped at index {DESK_CAP}", file=sys.stderr)
+    try:
+        table = BernoulliTable.build(args.max_index)
+    except (ValueError, IndexOutOfTable) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    table = _load_or_build_table(args.max_index, args.cache)
     for i in range(args.max_index + 1):
         b = table.bernoulli(i)
         print(f"{i}\t{b.numerator}/{b.denominator}")
@@ -132,7 +112,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_dn(args) -> int:
-    print(dn_product(args.n))
+    try:
+        value = dn_product(args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    print(value)
     return 0
 
 
@@ -172,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bernoulli", help="exact Bernoulli numbers up to an index")
     b.add_argument("--max-index", type=int, required=True)
-    b.add_argument("--cache", default=None,
-                   help="cache file (default: $WILSONLAB_TABLE_CACHE)")
     b.set_defaults(fn=cmd_bernoulli)
 
     s = sub.add_parser("scan", help="scan for a prime class")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wilsonlab.bernoulli import (
-    BadTableFile,
     BernoulliTable,
     DESK_CAP,
     IndexOutOfTable,
@@ -17,9 +16,7 @@ from wilsonlab.bernoulli import (
     digit_sum,
     divided_bernoulli,
     dn_product,
-    load_table,
     power_sum_polynomial,
-    save_table,
     vsc_denominator,
 )
 
@@ -37,6 +34,27 @@ def bernoulli_reference(n: int) -> Fraction:
     return total
 
 
+def bernoulli_recurrence(n_max: int) -> list[Fraction]:
+    """Second oracle: B_0..B_n_max from sum(C(n+1,k) B_k, k=0..n) = 0 in Fractions.
+
+    Shares no arithmetic with the tangent-number builder, and is fast enough
+    to cover every index the workloads build.
+    """
+    values = [Fraction(1)]
+    if n_max >= 1:
+        values.append(Fraction(-1, 2))
+    for n in range(2, n_max + 1):
+        if n % 2:
+            values.append(Fraction(0))
+            continue
+        # odd-index terms vanish except k = 1
+        s = Fraction(comb(n + 1, 1), -2)
+        for k in range(0, n, 2):
+            s += comb(n + 1, k) * values[k]
+        values.append(-s / (n + 1))
+    return values
+
+
 def brute_power_sum(n: int, m: int) -> int:
     return sum(a ** n for a in range(1, m))
 
@@ -52,6 +70,17 @@ def test_first_values(small_table):
 @pytest.mark.parametrize("n", list(range(0, 41)))
 def test_table_matches_independent_oracle(small_table, n):
     assert small_table.bernoulli(n) == bernoulli_reference(n)
+
+
+def test_table_matches_recurrence_oracle_to_700():
+    """700 covers the largest table any benchmark workload builds (697)."""
+    table = BernoulliTable.build(700)
+    expected = bernoulli_recurrence(700)
+    assert table.max_index == 700
+    for n in range(701):
+        assert table.bernoulli(n) == expected[n], n
+    for n in range(2, 701, 2):
+        assert table.bernoulli(n).denominator == vsc_denominator(n), n
 
 
 def test_table_bounds(small_table):
@@ -109,6 +138,8 @@ def test_digit_sum_and_dn(small_table):
     assert dn_product(6) == 2
     assert power_sum_polynomial(5, small_table).denominator() == 6 * dn_product(6)
     assert dn_product(1) == 1
+    with pytest.raises(ValueError):
+        dn_product(-3)
 
 
 def test_adjusted_bernoulli_examples(small_table):
@@ -148,29 +179,3 @@ def test_tilde_denominator_is_dn(small_table, n, p):
     assert tilde.denominator() == dn_product(n)
     o = tilde.min_ord(p)
     assert o == (-1 if digit_sum(n, p) >= p else 0)
-
-
-def test_cache_round_trip(tmp_path, small_table):
-    path = tmp_path / "bernoulli.tsv"
-    save_table(small_table, str(path))
-    loaded = load_table(str(path))
-    assert loaded.max_index == small_table.max_index
-    for n in range(loaded.max_index + 1):
-        assert loaded.bernoulli(n) == small_table.bernoulli(n)
-
-
-def test_cache_rejects_forged_values(tmp_path, small_table):
-    path = tmp_path / "bad.tsv"
-    save_table(small_table, str(path))
-    lines = path.read_text().splitlines()
-    lines[4] = "4\t-1/31"  # wrong denominator: violates von Staudt-Clausen
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(BadTableFile):
-        load_table(str(path))
-
-
-def test_cache_rejects_malformed(tmp_path):
-    path = tmp_path / "garbled.tsv"
-    path.write_text("0\t1/1\nnot a line\n")
-    with pytest.raises(BadTableFile):
-        load_table(str(path))

@@ -175,17 +175,28 @@ def test_cli_scan_and_dn(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
-def test_cli_bernoulli_with_cache(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "table.tsv"
-    assert main(["bernoulli", "--max-index", "10", "--cache", str(cache)]) == 0
-    out1 = capsys.readouterr().out
-    assert "4\t-1/30" in out1
-    assert cache.exists()
-    # second run loads the cache instead of rebuilding
-    assert main(["bernoulli", "--max-index", "8", "--cache", str(cache)]) == 0
-    monkeypatch.setenv("WILSONLAB_TABLE_CACHE", str(cache))
-    assert main(["bernoulli", "--max-index", "6"]) == 0
-    assert "6\t1/42" in capsys.readouterr().out
+def test_cli_bernoulli_table(capsys):
+    assert main(["bernoulli", "--max-index", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    assert lines[4] == "4\t-1/30"
+    assert lines[6] == "6\t1/42"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bernoulli", "--max-index", "-1"],
+        ["bernoulli", "--max-index", "2401"],
+        ["dn", "--n", "-3"],
+    ],
+)
+def test_cli_bad_bernoulli_input_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_usage_exit_code():
