@@ -250,14 +250,3 @@ def bar2_value(d: int, p: int, table: BernoulliTable) -> Fraction:
         raise ValueError("defined for p >= 5")
     m = d * (p - 1) - 2
     return table.bernoulli(m) / m
-
-
-def divided_bernoulli(kind: str, index: int, p: int, table: BernoulliTable) -> Fraction:
-    """Dispatch: kind 'beta' takes a raw even index, 'bar'/'bar2' take the multiplier d."""
-    if kind == "beta":
-        return beta_value(index, p, table)
-    if kind == "bar":
-        return bar_value(index, p, table)
-    if kind == "bar2":
-        return bar2_value(index, p, table)
-    raise ValueError(f"unknown kind {kind!r}")

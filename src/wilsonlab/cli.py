@@ -14,6 +14,7 @@ import sys
 from .bernoulli import BernoulliTable, IndexOutOfTable, dn_product
 from .congruences import InadmissibleTier, q_sum_via_bernoulli, wilson_via_bernoulli
 from .modular import HypothesisViolated, InadmissibleCase, bundle
+from .padic import NotPrime
 from .quotients import q_sum, wilson_quotient, wilson_via_psi
 from .registry import ALL_CHECK_IDS
 from .suite import (
@@ -28,14 +29,22 @@ from .suite import (
 )
 
 USAGE_ERROR = 2
+# what a single-value command raises on bad arguments
+_BAD_VALUE = (HypothesisViolated, InadmissibleCase, InadmissibleTier, NotPrime, ValueError)
+
+
+def _usage_error(msg) -> int:
+    print(f"error: {msg}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        return _usage_error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         spec = make_spec(args.suite, args.p_min, args.p_max, args.mod_exp, args.engine)
     except (UnknownCheck, UnknownRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(exc)
     report = run_suite(spec, jobs=args.jobs)
     if args.format == "json":
         out = report_to_json(report)
@@ -62,9 +71,8 @@ def cmd_wilson(args) -> int:
             engine = "modular" if p >= 5 else "exact"
             table = BernoulliTable.build(4 * (p - 1)) if engine == "exact" else None
             value = wilson_via_bernoulli(p, r, bundle(p, r, engine, table))
-    except (HypothesisViolated, InadmissibleCase, InadmissibleTier) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except _BAD_VALUE as exc:
+        return _usage_error(exc)
     print(f"W_{p} = {value.residue} (mod {p}^{r})")
     return 0
 
@@ -81,9 +89,8 @@ def cmd_qsum(args) -> int:
             if engine == "exact":
                 table = BernoulliTable.build(max(4, tier) * (p - 1))
             value = q_sum_via_bernoulli(p, n, tier, bundle(p, tier, engine, table))
-    except (HypothesisViolated, InadmissibleCase, InadmissibleTier) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except _BAD_VALUE as exc:
+        return _usage_error(exc)
     print(f"Q_{p}({n}) = {value.residue} (mod {p}^{value.prec})")
     return 0
 
@@ -92,8 +99,7 @@ def cmd_bernoulli(args) -> int:
     try:
         table = BernoulliTable.build(args.max_index)
     except (ValueError, IndexOutOfTable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(exc)
     for i in range(args.max_index + 1):
         b = table.bernoulli(i)
         print(f"{i}\t{b.numerator}/{b.denominator}")
@@ -103,9 +109,8 @@ def cmd_bernoulli(args) -> int:
 def cmd_scan(args) -> int:
     try:
         primes = scan_primes(args.klass, args.limit)
-    except IndexOutOfTable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except (ValueError, IndexOutOfTable) as exc:
+        return _usage_error(exc)
     for p in primes:
         print(p)
     return 0
@@ -115,8 +120,7 @@ def cmd_dn(args) -> int:
     try:
         value = dn_product(args.n)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(exc)
     print(value)
     return 0
 

@@ -116,13 +116,6 @@ def ord_p(x: Union[int, Fraction], p: int) -> Union[int, float]:
     return o
 
 
-def pow_mod(a: int, e: int, m: int) -> int:
-    """a**e mod m for e >= 0."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(a, e, m)
-
-
 @dataclass(frozen=True)
 class PrimePowerContext:
     """The ring Z/p^R: a prime p and a working precision exponent R."""
@@ -149,9 +142,6 @@ class PrimePowerContext:
         if not 0 <= K <= self.working_exp:
             raise PrecisionExhausted(f"precision {K} outside [0, {self.working_exp}]")
         return TrackedResidue(self, K, value % self.p ** K if K else 0)
-
-    def from_rational(self, x: Union[int, Fraction], prec: int | None = None) -> "TrackedResidue":
-        return reduce_rational(Fraction(x), self, self.working_exp if prec is None else prec)
 
 
 @dataclass(frozen=True)
@@ -267,12 +257,6 @@ class TrackedResidue:
             inv = pow(fr.denominator, -1, self.p ** max(out.prec, 1)) if out.prec else 0
             out = self.ctx.from_int(out.residue * inv, out.prec)
         return out
-
-    def unit_inverse(self) -> "TrackedResidue":
-        """Inverse at the same precision; residue must be a unit."""
-        if self.prec == 0 or self.residue % self.p == 0:
-            raise NotInvertible(f"{self.residue} is not a unit mod {self.p}^{self.prec}")
-        return self.ctx.from_int(pow(self.residue, -1, self.modulus), self.prec)
 
     def divide_by_p(self, j: int = 1) -> "TrackedResidue":
         """Exact division by p^j; costs j units of precision."""

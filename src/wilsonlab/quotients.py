@@ -166,35 +166,26 @@ def psi_eval(nu: int, args: Sequence[TrackedResidue]) -> TrackedResidue:
     return PSI_TABLE[nu].evaluate(args)
 
 
-def _psi_sum(p: int, r: int, p_shift: int) -> TrackedResidue:
-    """sum over nu of p^(nu-1+p_shift)/nu! applied to the expansion rows.
+def wilson_via_psi(p: int, r: int) -> TrackedResidue:
+    """Wilson quotient mod p^r from quotient power sums; must equal
+    wilson_quotient(p, r) whenever p > r.
 
-    The quotient power sums enter at uniform precision r (cheap, and immune
-    to off-by-one budgeting); nu! is a unit because p > r >= nu.
+    The sum over nu of p^(nu-1)/nu! applied to the expansion rows. The
+    quotient power sums enter at uniform precision r (cheap, and immune to
+    off-by-one budgeting); nu! is a unit because p > r >= nu.
     """
     if r < 1 or r > PSI_MAX:
         raise HypothesisViolated(f"supported range is 1 <= r <= {PSI_MAX}")
     if p <= r or p == 2:
         raise HypothesisViolated(f"need an odd prime p > r, got p={p}, r={r}")
-    ctx = PrimePowerContext(p, r + p_shift + 2)
+    ctx = PrimePowerContext(p, r + 2)
     qs = [
         TrackedResidue(ctx, r, q_sum(p, nu, r).residue) for nu in range(1, r + 1)
     ]
     acc = ctx.from_int(0, ctx.working_exp)
     for nu in range(1, r + 1):
         term = psi_eval(nu, qs[:nu])
-        term = term.scale(p ** (nu - 1 + p_shift))
+        term = term.scale(p ** (nu - 1))
         term = term * inv_mod(factorial(nu), ctx, term.prec)
         acc = acc + term
-    return acc
-
-
-def wilson_via_psi(p: int, r: int) -> TrackedResidue:
-    """Wilson quotient mod p^r from quotient power sums; must equal
-    wilson_quotient(p, r) whenever p > r."""
-    return _psi_sum(p, r, 0).truncate(r)
-
-
-def factorial_via_psi(p: int, r: int) -> TrackedResidue:
-    """(p-1)! mod p^(r+1): the companion form -1 + p * (quotient expansion)."""
-    return (_psi_sum(p, r, 1) - 1).truncate(r + 1)
+    return acc.truncate(r)

@@ -2,18 +2,23 @@
 
 A check runs at one prime (or one index, for the index-domain checks) and
 returns exactly one result row. Hypothesis gates produce skipped rows so
-reports show what was not claimed rather than silently omitting it. With
-engine 'both', a right-hand side that is computable by both the exact
-oracle and the modular engine is computed twice and any disagreement is a
-loud failure; the modular path alone is authoritative only past the desk
-cap of the exact table.
+reports show what was not claimed rather than silently omitting it; a plain
+"p >= N" gate is declared as the check's p_min and applied by execute_check.
+
+The dual-path checks (the Wilson and power-sum tiers, glaisher_beeger,
+lehmer, lehmer_diff, bundle_kummer_chain) go through one runner: it computes
+the right-hand side by every engine the selection allows, and with engine
+'both' any disagreement between the exact oracle and the modular engine is a
+loud failure. Where only one path is admissible, that path alone is used.
+The gen_kummer_r* checks are not dual-path: with engine 'both' each instance
+runs on the exact table when the table reaches its top index and on the
+modular engine otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from . import result
@@ -22,7 +27,6 @@ from .bernoulli import (
     IndexOutOfTable,
     adjusted_bernoulli,
     bernoulli_polynomial,
-    beta_value,
     dn_product,
     power_sum_polynomial,
     vsc_denominator,
@@ -32,7 +36,6 @@ from .congruences import (
     WQ_TIER_PMIN,
     carlitz_check,
     central_binom_dichotomy,
-    q_tier_check,
     q_tier_lhs,
     q_tier_rhs,
     qsum_beta_identity_check,
@@ -43,7 +46,6 @@ from .congruences import (
 from .modular import (
     InadmissibleCase,
     adjusted_bernoulli_mod,
-    beta_mod,
     bundle,
     folklore_bernoulli_mod,
     generalized_kummer_check,
@@ -75,6 +77,7 @@ class CheckDef:
     oracle_index: Callable[[int, str], int] = lambda pmax, engine: 0
     index_step: int = 1  # for index-domain checks
     index_min: int = 1
+    p_min: int = 0  # smaller primes are a "p >= p_min" skip row
 
 
 @lru_cache(maxsize=1)
@@ -83,59 +86,69 @@ def _micro_table() -> BernoulliTable:
     return BernoulliTable.build(8)
 
 
-def _table_for(p: int, env: RunEnv) -> Optional[BernoulliTable]:
-    if p < 5:
-        return _micro_table()
-    return env.table
-
-
 def _exact_wants(pmax: int, engine: str, factor: int, offset: int = 0) -> int:
     return 0 if engine == "modular" else factor * (pmax - 1) + offset
 
 
-def _tier_bundles(p: int, r: int, env: RunEnv):
-    """Bundles for each engine the selection allows, with skip reasons.
+class _NoRoute(Exception):
+    """A value cannot be computed; the message is the skip reason. Within
+    the dual-path runner it rules out one engine; escaping a check, it makes
+    the check's row a skip."""
 
-    Below p = 5 the built-in micro table is the only route and is used
-    whatever the engine selection says; those are the only sub-5 values in
-    the whole suite."""
-    out = []
-    reasons = []
+
+def _engines(p: int, env: RunEnv) -> tuple[str, ...]:
+    """The engines that run at p. Below p = 5 the micro table is the only
+    route whatever the selection says; those are the suite's only sub-5
+    values."""
     if p < 5:
-        engines = ("exact",)
-    else:
-        engines = ("exact", "modular") if env.engine == "both" else (env.engine,)
-    for eng in engines:
-        if eng == "exact":
-            tbl = _table_for(p, env)
-            if tbl is None:
-                reasons.append("no exact table")
-                continue
-            try:
-                out.append(("exact", bundle(p, r, "exact", tbl)))
-            except (IndexOutOfTable, InadmissibleCase) as exc:
-                reasons.append(f"exact: {exc}")
-        else:
-            try:
-                out.append(("modular", bundle(p, r, "modular")))
-            except InadmissibleCase as exc:
-                reasons.append(f"modular: {exc}")
-    return out, "; ".join(reasons)
+        return ("exact",)
+    return ("exact", "modular") if env.engine == "both" else (env.engine,)
 
 
-def _check_vs_bundles(check_id, p, r, lhs, env, rhs_fn) -> CongruenceCheckResult:
-    """Compare a direct-oracle lhs against the tier rhs from every available
-    engine; disagreement between engines is a failure in its own right."""
-    bundles, why = _tier_bundles(p, r, env)
-    if not bundles:
-        return result.skipped(check_id, p, r, why or "no engine available")
-    values = [(eng, rhs_fn(b).truncate(r)) for eng, b in bundles]
-    if len(values) == 2 and values[0][1].residue != values[1][1].residue:
+def _per_engine(p: int, env: RunEnv, value):
+    """value(engine) for every engine that runs at p, and the joined reasons
+    of those that raised _NoRoute."""
+    values = []
+    reasons = []
+    for eng in _engines(p, env):
+        try:
+            values.append(value(eng))
+        except _NoRoute as exc:
+            reasons.append(str(exc))
+    return values, "; ".join(reasons)
+
+
+def _dual_path(check_id, p, r, env, rhs, lhs=None, sub="") -> CongruenceCheckResult:
+    """Compare lhs() against rhs(engine), a residue at the row's precision,
+    from every engine. No engine is a skip; engines that disagree are a
+    failure in their own right. Without lhs the engines' values are compared
+    with each other."""
+    values, why = _per_engine(p, env, rhs)
+    if not values:
+        return result.skipped(check_id, p, r, why)
+    first, last = values[0], values[-1]
+    if first.residue != last.residue:
         return CongruenceCheckResult(
-            check_id, p, r, values[0][1].residue, values[1][1].residue,
-            FAIL, "cross-path mismatch (exact vs modular)",
+            check_id, p, r, first.residue, last.residue, FAIL,
+            "cross-path mismatch (exact vs modular)" + (f" at {sub}" if sub else ""),
         )
-    return result.from_residues(check_id, p, r, lhs, values[0][1])
+    return result.from_residues(check_id, p, r, lhs() if lhs else last, first, sub)
+
+
+def _exact_table(env: RunEnv, n: int = 0, why: str = "needs exact table") -> BernoulliTable:
+    if env.table is None or env.table.max_index < n:
+        raise _NoRoute(why)
+    return env.table
+
+
+def _bundle(p: int, r: int, eng: str, env: RunEnv):
+    table = None
+    if eng == "exact":
+        table = _micro_table() if p < 5 else _exact_table(env, why="no exact table")
+    try:
+        return bundle(p, r, eng, table)
+    except (IndexOutOfTable, InadmissibleCase) as exc:
+        raise _NoRoute(f"{eng}: {exc}") from exc
 
 
 def _aggregate(check_id, p, mod_exp, rows) -> CongruenceCheckResult:
@@ -163,99 +176,54 @@ def run_lerch(p: int, env: RunEnv) -> CongruenceCheckResult:
     )
 
 
-def _bhat_mod_p(mult: int, p: int, env: RunEnv):
-    """Adjusted Bernoulli value at mult*(p-1) mod p by the selected engines."""
-    rows = []
-    reasons = []
-    engines = ("exact", "modular") if env.engine == "both" else (env.engine,)
-    for eng in engines:
-        if eng == "exact":
-            tbl = _table_for(p, env)
-            if tbl is None or tbl.max_index < mult * (p - 1):
-                reasons.append("exact oracle cap")
-                continue
-            ctx = PrimePowerContext(p, 1)
-            rows.append(reduce_rational(adjusted_bernoulli(mult * (p - 1), p, tbl), ctx, 1))
-        else:
-            if p < 5:
-                reasons.append("modular engine needs p >= 5")
-                continue
-            rows.append(adjusted_bernoulli_mod(mult, p, 1))
-    return rows, "; ".join(reasons)
+def _bhat(eng: str, mult: int, p: int, env: RunEnv):
+    """Adjusted Bernoulli value at mult*(p-1) mod p by one engine."""
+    if eng == "modular":
+        return adjusted_bernoulli_mod(mult, p, 1)
+    table = _exact_table(env, mult * (p - 1), "exact oracle cap")
+    ctx = PrimePowerContext(p, 1)
+    return reduce_rational(adjusted_bernoulli(mult * (p - 1), p, table), ctx, 1)
+
+
+def _bhat_diff(eng: str, p: int, env: RunEnv):
+    """B_{2(p-1)} - B_{p-1} mod p by one engine."""
+    if eng == "modular":
+        return adjusted_bernoulli_mod(2, p, 1) - adjusted_bernoulli_mod(1, p, 1)
+    table = _exact_table(env, 2 * (p - 1), "exact oracle cap")
+    diff = table.bernoulli(2 * (p - 1)) - table.bernoulli(p - 1)
+    return reduce_rational(diff, PrimePowerContext(p, 1), 1)
 
 
 def run_glaisher_beeger(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "glaisher_beeger"
-    if p < 5:
-        return result.skipped(check_id, p, 1, "p >= 5")
-    rhss, why = _bhat_mod_p(1, p, env)
-    if not rhss:
-        return result.skipped(check_id, p, 1, why)
-    if len(rhss) == 2 and rhss[0].residue != rhss[1].residue:
-        return CongruenceCheckResult(
-            check_id, p, 1, rhss[0].residue, rhss[1].residue, FAIL,
-            "cross-path mismatch",
-        )
-    return result.from_residues(check_id, p, 1, wilson_quotient(p, 1), rhss[0])
+    return _dual_path(
+        "glaisher_beeger", p, 1, env,
+        lambda eng: _bhat(eng, 1, p, env), lambda: wilson_quotient(p, 1),
+    )
 
 
 def run_lehmer(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "lehmer"
-    if p < 5:
-        return result.skipped(check_id, p, 1, "p >= 5")
-    rows = []
     w1 = wilson_quotient(p, 1)
-    for mult in (2, 3):
-        rhss, _ = _bhat_mod_p(mult, p, env)
-        if not rhss:
-            continue
-        if len(rhss) == 2 and rhss[0].residue != rhss[1].residue:
-            rows.append(CongruenceCheckResult(
-                check_id, p, 1, rhss[0].residue, rhss[1].residue, FAIL,
-                f"cross-path mismatch at mult={mult}",
-            ))
-            continue
-        rows.append(result.from_residues(
-            check_id, p, 1, w1.scale(mult), rhss[0], f"mult={mult}"
-        ))
-    return _aggregate(check_id, p, 1, rows)
+    rows = [
+        _dual_path(
+            "lehmer", p, 1, env,
+            lambda eng: _bhat(eng, mult, p, env), lambda: w1.scale(mult),
+            f"mult={mult}",
+        )
+        for mult in (2, 3)
+    ]
+    return _aggregate("lehmer", p, 1, rows)
 
 
 def run_lehmer_diff(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "lehmer_diff"
-    if p < 5:
-        return result.skipped(check_id, p, 1, "p >= 5")
-    rhss = []
-    reasons = []
-    engines = ("exact", "modular") if env.engine == "both" else (env.engine,)
-    for eng in engines:
-        if eng == "exact":
-            tbl = _table_for(p, env)
-            if tbl is None or tbl.max_index < 2 * (p - 1):
-                reasons.append("exact oracle cap")
-                continue
-            diff = tbl.bernoulli(2 * (p - 1)) - tbl.bernoulli(p - 1)
-            rhss.append(reduce_rational(diff, PrimePowerContext(p, 1), 1))
-        else:
-            a = adjusted_bernoulli_mod(2, p, 1)
-            b = adjusted_bernoulli_mod(1, p, 1)
-            rhss.append(a - b)
-    if not rhss:
-        return result.skipped(check_id, p, 1, "; ".join(reasons))
-    if len(rhss) == 2 and rhss[0].residue != rhss[1].residue:
-        return CongruenceCheckResult(
-            check_id, p, 1, rhss[0].residue, rhss[1].residue, FAIL,
-            "cross-path mismatch",
-        )
-    return result.from_residues(check_id, p, 1, wilson_quotient(p, 1), rhss[0])
+    return _dual_path(
+        "lehmer_diff", p, 1, env,
+        lambda eng: _bhat_diff(eng, p, env), lambda: wilson_quotient(p, 1),
+    )
 
 
 def run_carlitz(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "carlitz"
-    if p < 5:
-        return result.skipped(check_id, p, 1, "p >= 5")
-    if env.table is None:
-        return result.skipped(check_id, p, 1, "needs exact table")
+    _exact_table(env)
     rows = []
     for mult, k in CARLITZ_PAIRS:
         index = mult * p ** k * (p - 1)
@@ -268,48 +236,35 @@ def run_carlitz(p: int, env: RunEnv) -> CongruenceCheckResult:
 # -- Wilson quotient tiers ---------------------------------------------------
 
 
-def _run_wq_tier(r: int, check_id: str):
-    def run(p: int, env: RunEnv) -> CongruenceCheckResult:
-        if p < WQ_TIER_PMIN[r]:
-            return result.skipped(check_id, p, r, f"p >= {WQ_TIER_PMIN[r]}")
-        lhs = wilson_quotient(p, r)
-        return _check_vs_bundles(
-            check_id, p, r, lhs, env, lambda b: wilson_via_bernoulli(p, r, b)
-        )
-
-    return run
+def _wq_tier(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResult:
+    lhs = wilson_quotient(p, r)
+    return _dual_path(
+        check_id, p, r, env,
+        lambda eng: wilson_via_bernoulli(p, r, _bundle(p, r, eng, env)).truncate(r),
+        lambda: lhs,
+    )
 
 
-def _run_q_tier(n: int, r: int, check_id: str):
-    def run(p: int, env: RunEnv) -> CongruenceCheckResult:
-        if p < Q_TIER_PMIN[(n, r)]:
-            return result.skipped(check_id, p, r, f"p >= {Q_TIER_PMIN[(n, r)]}")
-        lhs = q_tier_lhs(p, n, r)
-        return _check_vs_bundles(
-            check_id, p, r, lhs, env, lambda b: q_tier_rhs(p, n, r, b)
-        )
-
-    return run
+def _q_tier(n: int, r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResult:
+    lhs = q_tier_lhs(p, n, r)
+    return _dual_path(
+        check_id, p, r, env,
+        lambda eng: q_tier_rhs(p, n, r, _bundle(p, r, eng, env)).truncate(r),
+        lambda: lhs,
+    )
 
 
-def _run_psi_tier(r: int, check_id: str):
-    def run(p: int, env: RunEnv) -> CongruenceCheckResult:
-        if p <= r or p == 2:
-            return result.skipped(check_id, p, r, f"needs odd p > {r}")
-        return result.from_residues(
-            check_id, p, r, wilson_quotient(p, r), wilson_via_psi(p, r)
-        )
-
-    return run
+def _psi_tier(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResult:
+    if p <= r or p == 2:
+        return result.skipped(check_id, p, r, f"needs odd p > {r}")
+    return result.from_residues(
+        check_id, p, r, wilson_quotient(p, r), wilson_via_psi(p, r)
+    )
 
 
 def run_reduction_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "reduction_chain"
-    if p < 5:
-        return result.skipped(check_id, p, 4, "p >= 5")
     rows = []
-    engines = ("exact", "modular") if env.engine == "both" else (env.engine,)
-    for eng in engines:
+    for eng in _engines(p, env):
         if eng == "exact":
             top = 4 if p >= 7 else 3
             if env.table is None or env.table.max_index < top * (p - 1):
@@ -318,7 +273,7 @@ def run_reduction_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
             rows.append(reduction_chain_check(p, eng, env.table))
         except InadmissibleCase:
             continue
-    return _aggregate(check_id, p, 4, rows)
+    return _aggregate("reduction_chain", p, 4, rows)
 
 
 # -- Kummer families ---------------------------------------------------------
@@ -326,10 +281,7 @@ def run_reduction_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_kummer(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "kummer"
-    if p < 5:
-        return result.skipped(check_id, p, 1, "p >= 5")
-    if env.table is None:
-        return result.skipped(check_id, p, 1, "needs exact table")
+    _exact_table(env)
     rows = []
     for n in range(2, min(p - 3, 12) + 1, 2):
         m = n + (p - 1)
@@ -339,60 +291,41 @@ def run_kummer(p: int, env: RunEnv) -> CongruenceCheckResult:
     return _aggregate(check_id, p, 1, rows)
 
 
-def _run_gen_kummer(r: int, check_id: str):
-    def run(p: int, env: RunEnv) -> CongruenceCheckResult:
-        if p < 5:
-            return result.skipped(check_id, p, r, "p >= 5")
-        instances = []
-        n = r + 1 + ((r + 1) % 2)  # smallest even n > r
-        picked = 0
-        while picked < 3:
-            if n % (p - 1) != 0:
-                instances.append(n)
-                picked += 1
-            n += 2
-        for d in (1, 2):
-            if p > r + d:
-                instances.append(d * (p - 1))
-        rows = []
-        for n in instances:
-            top = n + r * (p - 1)
-            use_exact = env.engine != "modular" and env.table is not None and (
-                top <= env.table.max_index
-            )
-            if use_exact:
-                rows.append(generalized_kummer_check(n, p, r, env.table, "exact"))
-            elif env.engine != "exact":
-                try:
-                    rows.append(generalized_kummer_check(n, p, r, None, "modular"))
-                except InadmissibleCase:
-                    continue
-        return _aggregate(check_id, p, r, rows)
-
-    return run
+def _gen_kummer(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResult:
+    instances = []
+    n = r + 1 + ((r + 1) % 2)  # smallest even n > r
+    while len(instances) < 3:
+        if n % (p - 1) != 0:
+            instances.append(n)
+        n += 2
+    for d in (1, 2):
+        if p > r + d:
+            instances.append(d * (p - 1))
+    engines = _engines(p, env)
+    rows = []
+    for n in instances:
+        top = n + r * (p - 1)
+        use_exact = "exact" in engines and env.table is not None and (
+            top <= env.table.max_index
+        )
+        if use_exact:
+            rows.append(generalized_kummer_check(n, p, r, env.table, "exact"))
+        elif "modular" in engines:
+            try:
+                rows.append(generalized_kummer_check(n, p, r, None, "modular"))
+            except InadmissibleCase:
+                continue
+    return _aggregate(check_id, p, r, rows)
 
 
 def run_bundle_kummer_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "bundle_kummer_chain"
-    if p < 5:
-        return result.skipped(check_id, p, 1, "p >= 5")
+    """bars[0] mod p by each engine. Building a bundle already asserts its
+    Kummer chains (every bar congruent mod p, likewise every bar2)."""
     r = 4 if p >= 7 else 3
-    bundles, why = _tier_bundles(p, r, env)
-    if not bundles:
-        return result.skipped(check_id, p, 1, why)
-    # construction already asserts the chains; re-check explicitly so a pass
-    # row shows the compared residues
-    _, b = bundles[-1]
-    for family in (b.bars, b.bars2):
-        if not family:
-            continue
-        first = family[0].truncate(1)
-        for v in family[1:]:
-            if v.truncate(1).residue != first.residue:
-                return result.from_residues(
-                    check_id, p, 1, first, v.truncate(1), "chain broken"
-                )
-    return result.from_residues(check_id, p, 1, b.bars[0].truncate(1), b.bars[0].truncate(1))
+    return _dual_path(
+        "bundle_kummer_chain", p, 1, env,
+        lambda eng: _bundle(p, r, eng, env).bars[0].truncate(1),
+    )
 
 
 # -- oracle-agreement checks --------------------------------------------------
@@ -400,10 +333,7 @@ def run_bundle_kummer_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_cor35_tiers(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "cor35_tiers"
-    if p < 5:
-        return result.skipped(check_id, p, 4, "p >= 5")
-    if env.table is None:
-        return result.skipped(check_id, p, 4, "needs exact table")
+    _exact_table(env)
     rows = []
     for d in (1, 2, 3, 4):
         n = d * (p - 1)
@@ -428,10 +358,7 @@ _FOLKLORE_SAMPLE_EXTRA = (118, 242, 398)
 
 def run_folklore(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "folklore"
-    if p < 5:
-        return result.skipped(check_id, p, 2, "p >= 5")
-    if env.table is None:
-        return result.skipped(check_id, p, 2, "needs exact table")
+    _exact_table(env)
     cap = min(env.table.max_index, 400)
     sample = [m for m in range(4, 41, 2) if m <= cap]
     sample += [m for m in _FOLKLORE_SAMPLE_EXTRA if m <= cap]
@@ -450,10 +377,7 @@ def run_folklore(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_prop22(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "prop22"
-    if p < 5:
-        return result.skipped(check_id, p, 1, "p >= 5")
-    if env.table is None:
-        return result.skipped(check_id, p, 1, "needs exact table")
+    _exact_table(env)
     cap = min(3 * (p - 1), 240, env.table.max_index)
     ctx = PrimePowerContext(p, 1)
     wq = wilson_quotient(p, 1)
@@ -476,12 +400,9 @@ def run_prop22(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_prop34_remainder(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "prop34_remainder"
-    if p < 5:
-        return result.skipped(check_id, p, 0, "p >= 5")
     if p > REMAINDER_P_CAP:
         return result.skipped(check_id, p, 0, f"desk-scale gate p <= {REMAINDER_P_CAP}")
-    if env.table is None or env.table.max_index < 3 * (p - 1):
-        return result.skipped(check_id, p, 0, "needs exact table to 3(p-1)")
+    _exact_table(env, 3 * (p - 1), "needs exact table to 3(p-1)")
     rows = [remainder_term_check(p, d, env.table) for d in (1, 2, 3)]
     return _aggregate(check_id, p, 0, rows)
 
@@ -494,22 +415,16 @@ def run_lemma33(p: int, env: RunEnv) -> CongruenceCheckResult:
     return result.from_values(check_id, p, 0, 0, 0)
 
 
-def _run_prop_identity(depth: int, check_id: str):
-    def run(p: int, env: RunEnv) -> CongruenceCheckResult:
-        pmin = 5 if depth == 3 else 7
-        if p < pmin:
-            return result.skipped(check_id, p, depth, f"p >= {pmin}")
-        bundles, why = _tier_bundles(p, depth, env)
-        if not bundles:
-            return result.skipped(check_id, p, depth, why)
-        rows = [
-            qsum_beta_identity_check(p, n, depth, b)
-            for n in range(1, depth + 1)
-            for _, b in bundles
-        ]
-        return _aggregate(check_id, p, depth, rows)
-
-    return run
+def _prop_identity(depth: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResult:
+    bundles, why = _per_engine(p, env, lambda eng: _bundle(p, depth, eng, env))
+    if not bundles:
+        return result.skipped(check_id, p, depth, why)
+    rows = [
+        qsum_beta_identity_check(p, n, depth, b)
+        for n in range(1, depth + 1)
+        for b in bundles
+    ]
+    return _aggregate(check_id, p, depth, rows)
 
 
 def run_lemma26_qdiff(p: int, env: RunEnv) -> CongruenceCheckResult:
@@ -530,8 +445,7 @@ def run_lemma26_qdiff(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_denominators_dn(n: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "denominators_dn"
-    if env.table is None or env.table.max_index < n + 1:
-        return result.skipped(check_id, n, 0, "needs exact table")
+    _exact_table(env, n + 1)
     tilde = bernoulli_polynomial(n, env.table).drop_constant()
     r1 = result.from_values(
         check_id, n, 0, tilde.denominator(), dn_product(n), f"denom at n={n}"
@@ -546,95 +460,74 @@ def run_denominators_dn(n: int, env: RunEnv) -> CongruenceCheckResult:
 
 
 def run_vsc(n: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "vsc"
-    if env.table is None or env.table.max_index < n:
-        return result.skipped(check_id, n, 0, "needs exact table")
+    table = _exact_table(env, n)
     return result.from_values(
-        check_id, n, 0, env.table.bernoulli(n).denominator, vsc_denominator(n)
+        "vsc", n, 0, table.bernoulli(n).denominator, vsc_denominator(n)
     )
 
 
 # -- registry -----------------------------------------------------------------
 
+_WQ_TIER_IDS = {1: "thm_main_p1", 2: "thm_main_p2", 3: "thm_main_p3", 4: "thm_main2_p4"}
 
-def _mk(check_id, domain, mod_exp, run, oracle_index=None, index_step=1, index_min=1):
-    return CheckDef(
-        check_id, domain, mod_exp, run,
-        oracle_index or (lambda pmax, engine: 0), index_step, index_min,
-    )
+_CHECKS = [
+    CheckDef("lerch", "prime", 1, run_lerch),
+    CheckDef("glaisher_beeger", "prime", 1, run_glaisher_beeger,
+             partial(_exact_wants, factor=1), p_min=5),
+    CheckDef("lehmer", "prime", 1, run_lehmer,
+             partial(_exact_wants, factor=3), p_min=5),
+    CheckDef("lehmer_diff", "prime", 1, run_lehmer_diff,
+             partial(_exact_wants, factor=2), p_min=5),
+    CheckDef("carlitz", "prime", 1, run_carlitz,
+             lambda pmax, e: min(CARLITZ_INDEX_CAP, pmax ** 2 * (pmax - 1)), p_min=5),
+    *(CheckDef(cid, "prime", r, partial(_wq_tier, r, cid),
+               partial(_exact_wants, factor=r), p_min=WQ_TIER_PMIN[r])
+      for r, cid in _WQ_TIER_IDS.items()),
+    *(CheckDef(f"thm_main3_q{n}_r{r}", "prime", r, partial(_q_tier, n, r, f"thm_main3_q{n}_r{r}"),
+               partial(_exact_wants, factor=r), p_min=Q_TIER_PMIN[(n, r)])
+      for n, r in Q_TIER_PMIN),
+    *(CheckDef(f"thm_kel_psi_r{r}", "prime", r, partial(_psi_tier, r, f"thm_kel_psi_r{r}"))
+      for r in (1, 2, 3, 4)),
+    CheckDef("reduction_chain", "prime", 4, run_reduction_chain,
+             partial(_exact_wants, factor=4), p_min=5),
+    CheckDef("kummer", "prime", 1, run_kummer, lambda pmax, e: pmax - 1 + 12, p_min=5),
+    *(CheckDef(f"gen_kummer_r{r}", "prime", r, partial(_gen_kummer, r, f"gen_kummer_r{r}"),
+               partial(_exact_wants, factor=r + 2, offset=12), p_min=5)
+      for r in (1, 2, 3, 4)),
+    CheckDef("cor35_tiers", "prime", 4, run_cor35_tiers,
+             lambda pmax, e: 4 * (pmax - 1), p_min=5),
+    CheckDef("prop36", "prime", 3, partial(_prop_identity, 3, "prop36"),
+             partial(_exact_wants, factor=3), p_min=5),
+    CheckDef("prop37", "prime", 4, partial(_prop_identity, 4, "prop37"),
+             partial(_exact_wants, factor=4), p_min=7),
+    CheckDef("prop34_remainder", "prime", 0, run_prop34_remainder,
+             lambda pmax, e: 3 * (min(pmax, REMAINDER_P_CAP) - 1), p_min=5),
+    CheckDef("lemma33_binom", "prime", 0, run_lemma33),
+    CheckDef("prop22", "prime", 1, run_prop22, lambda pmax, e: min(3 * (pmax - 1), 240), p_min=5),
+    CheckDef("folklore", "prime", 2, run_folklore, lambda pmax, e: 400, p_min=5),
+    CheckDef("denominators_dn", "index", 0, run_denominators_dn, lambda nmax, e: nmax + 1),
+    CheckDef("vsc", "index", 0, run_vsc, lambda nmax, e: nmax, index_step=2, index_min=2),
+    CheckDef("lemma26_qdiff", "prime", 4, run_lemma26_qdiff),
+    CheckDef("bundle_kummer_chain", "prime", 1, run_bundle_kummer_chain,
+             partial(_exact_wants, factor=4), p_min=5),
+]
 
-
-REGISTRY: dict[str, CheckDef] = {}
-
-
-def _register(defn: CheckDef):
-    REGISTRY[defn.check_id] = defn
-
-
-_register(_mk("lerch", "prime", 1, run_lerch))
-_register(_mk("glaisher_beeger", "prime", 1, run_glaisher_beeger,
-              lambda pmax, e: _exact_wants(pmax, e, 1)))
-_register(_mk("lehmer", "prime", 1, run_lehmer,
-              lambda pmax, e: _exact_wants(pmax, e, 3)))
-_register(_mk("lehmer_diff", "prime", 1, run_lehmer_diff,
-              lambda pmax, e: _exact_wants(pmax, e, 2)))
-_register(_mk("carlitz", "prime", 1, run_carlitz,
-              lambda pmax, e: min(CARLITZ_INDEX_CAP, pmax ** 2 * (pmax - 1))))
-
-for _r, _cid in ((1, "thm_main_p1"), (2, "thm_main_p2"), (3, "thm_main_p3"),
-                 (4, "thm_main2_p4")):
-    _register(_mk(_cid, "prime", _r, _run_wq_tier(_r, _cid),
-                  (lambda r: lambda pmax, e: _exact_wants(pmax, e, r))(_r)))
-
-for (_n, _r) in sorted(Q_TIER_PMIN):
-    _cid = f"thm_main3_q{_n}_r{_r}"
-    _register(_mk(_cid, "prime", _r, _run_q_tier(_n, _r, _cid),
-                  (lambda r: lambda pmax, e: _exact_wants(pmax, e, r))(_r)))
-
-for _r in (1, 2, 3, 4):
-    _cid = f"thm_kel_psi_r{_r}"
-    _register(_mk(_cid, "prime", _r, _run_psi_tier(_r, _cid)))
-
-_register(_mk("reduction_chain", "prime", 4, run_reduction_chain,
-              lambda pmax, e: _exact_wants(pmax, e, 4)))
-_register(_mk("kummer", "prime", 1, run_kummer,
-              lambda pmax, e: pmax - 1 + 12))
-
-for _r in (1, 2, 3, 4):
-    _cid = f"gen_kummer_r{_r}"
-    _register(_mk(_cid, "prime", _r, _run_gen_kummer(_r, _cid),
-                  (lambda r: lambda pmax, e: _exact_wants(pmax, e, r + 2, 12))(_r)))
-
-_register(_mk("cor35_tiers", "prime", 4, run_cor35_tiers,
-              lambda pmax, e: 4 * (pmax - 1)))
-_register(_mk("prop36", "prime", 3, _run_prop_identity(3, "prop36"),
-              lambda pmax, e: _exact_wants(pmax, e, 3)))
-_register(_mk("prop37", "prime", 4, _run_prop_identity(4, "prop37"),
-              lambda pmax, e: _exact_wants(pmax, e, 4)))
-_register(_mk("prop34_remainder", "prime", 0, run_prop34_remainder,
-              lambda pmax, e: 3 * (min(pmax, REMAINDER_P_CAP) - 1)))
-_register(_mk("lemma33_binom", "prime", 0, run_lemma33))
-_register(_mk("prop22", "prime", 1, run_prop22,
-              lambda pmax, e: min(3 * (pmax - 1), 240)))
-_register(_mk("folklore", "prime", 2, run_folklore,
-              lambda pmax, e: 400))
-_register(_mk("denominators_dn", "index", 0, run_denominators_dn,
-              lambda nmax, e: nmax + 1))
-_register(_mk("vsc", "index", 0, run_vsc,
-              lambda nmax, e: nmax, index_step=2, index_min=2))
-_register(_mk("lemma26_qdiff", "prime", 4, run_lemma26_qdiff))
-_register(_mk("bundle_kummer_chain", "prime", 1, run_bundle_kummer_chain,
-              lambda pmax, e: _exact_wants(pmax, e, 4)))
+REGISTRY: dict[str, CheckDef] = {defn.check_id: defn for defn in _CHECKS}
 
 ALL_CHECK_IDS = tuple(sorted(REGISTRY))
 
 
 def execute_check(check_id: str, value: int, env: RunEnv) -> CongruenceCheckResult:
-    """Run one (check, prime-or-index) task; unexpected errors become fail
-    rows carrying the error name, oracle-cap overruns become skips."""
+    """Run one (check, prime-or-index) task. A prime below the check's
+    p_min, a missing exact table and an oracle-cap overrun are skips;
+    unexpected errors become fail rows carrying the error."""
     defn = REGISTRY[check_id]
+    if value < defn.p_min:
+        return result.skipped(check_id, value, defn.mod_exp, f"p >= {defn.p_min}")
     try:
         return defn.run(value, env)
+    except _NoRoute as exc:
+        return result.skipped(check_id, value, defn.mod_exp, str(exc))
     except IndexOutOfTable as exc:
         return result.skipped(check_id, value, defn.mod_exp, f"exact oracle cap: {exc}")
     except Exception as exc:  # noqa: BLE001 - must not kill a whole suite run

@@ -21,8 +21,8 @@ class CongruenceCheckResult:
 
     ``lhs``/``rhs`` are the two compared values reduced to the reported
     modulus; pass means they are equal there. ``reason`` carries the skip
-    cause, the error name for an error-fail, or the offending sub-case of
-    an aggregate check.
+    cause, the error name and message for an error-fail, or the offending
+    sub-case of an aggregate check.
     """
 
     check_id: str
@@ -81,6 +81,5 @@ def skipped(check_id: str, p: int, mod_exp: int, reason: str) -> CongruenceCheck
 
 
 def error_fail(check_id: str, p: int, mod_exp: int, exc: BaseException) -> CongruenceCheckResult:
-    return CongruenceCheckResult(
-        check_id, p, mod_exp, None, None, FAIL, type(exc).__name__
-    )
+    reason = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+    return CongruenceCheckResult(check_id, p, mod_exp, None, None, FAIL, reason)

@@ -156,6 +156,8 @@ def scan_primes(
     klass: str, limit: int, table: BernoulliTable | None = None
 ) -> list[int]:
     """Primes up to the limit in one of the classes 'wilson' or 'irregular'."""
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     if klass == "wilson":
         return [
             p for p in primes_up_to(limit)

@@ -14,7 +14,6 @@ from wilsonlab.bernoulli import (
     bernoulli_polynomial,
     beta_value,
     digit_sum,
-    divided_bernoulli,
     dn_product,
     power_sum_polynomial,
     vsc_denominator,
@@ -161,11 +160,8 @@ def test_bar_value_small_prime_fixed_points(small_table, p, expected):
 def test_divided_examples(small_table):
     assert bar2_value(1, 7, small_table) == Fraction(-1, 120)
     assert beta_value(2, 7, small_table) == Fraction(1, 12)
-    assert divided_bernoulli("bar", 1, 5, small_table) == Fraction(-5, 24)
-    assert divided_bernoulli("bar2", 1, 7, small_table) == Fraction(-1, 120)
-    assert divided_bernoulli("beta", 6, 5, small_table) == Fraction(1, 252)
-    with pytest.raises(ValueError):
-        divided_bernoulli("nope", 1, 5, small_table)
+    assert bar_value(1, 5, small_table) == Fraction(-5, 24)
+    assert beta_value(6, 5, small_table) == Fraction(1, 252)
     with pytest.raises(ValueError):
         bar_value(2, 2, small_table)
 

@@ -15,7 +15,6 @@ from wilsonlab.padic import (
     inv_mod,
     is_prime,
     ord_p,
-    pow_mod,
     primes_up_to,
     reduce_rational,
 )
@@ -108,7 +107,6 @@ def test_forward_difference_mixed_context():
 
 
 def test_pow_inv_examples():
-    assert pow_mod(2, 4, 125) == 16
     ctx = PrimePowerContext(5, 2)
     assert inv_mod(12, ctx, 2).residue == 23
     with pytest.raises(NotInvertible):

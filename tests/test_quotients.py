@@ -7,7 +7,6 @@ from wilsonlab.quotients import (
     NotCoprime,
     PSI_TABLE,
     factorial_mod,
-    factorial_via_psi,
     fermat_quotient,
     psi_eval,
     q_sum,
@@ -138,7 +137,6 @@ def test_psi_route_agrees_with_factorial_oracle(p):
         if p <= r:
             continue
         assert wilson_via_psi(p, r).residue == wilson_quotient(p, r).residue
-        assert factorial_via_psi(p, r).residue == factorial_mod(p, r + 1).residue
 
 
 def test_lerch_congruence_sweep():

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import re
 
 import pytest
 
 from wilsonlab.cli import main
+from wilsonlab.modular import DividedBernoulliBundle
+from wilsonlab.registry import ALL_CHECK_IDS
 from wilsonlab.result import CongruenceCheckResult
 from wilsonlab.suite import (
     SuiteSpec,
@@ -88,7 +91,73 @@ def test_failure_rows_have_error_names(monkeypatch):
     )
     rep = run_suite(make_spec("lerch", 3, 7))
     assert not rep.ok
-    assert all(r.status == "fail" and r.reason == "RuntimeError" for r in rep.results)
+    assert all(
+        r.status == "fail" and r.reason == "RuntimeError: synthetic" for r in rep.results
+    )
+
+
+def _skew_modular_engine(monkeypatch):
+    """Make every modular right-hand side wrong while the exact oracle and
+    the left-hand sides stay right. The bar at d moves by 1 + p*d^3: by the
+    same amount mod p, so the Kummer chains still hold, and by a cubic in d,
+    so the forward differences of the power-sum tiers move as well. The
+    adjusted value at d(p-1) moves by d, so lehmer_diff's difference moves."""
+    import wilsonlab.registry as registry
+
+    real_bundle, real_bhat = registry.bundle, registry.adjusted_bernoulli_mod
+
+    def skewed_bundle(p, r=4, engine="modular", table=None):
+        b = real_bundle(p, r, engine, table)
+        if engine != "modular":
+            return b
+        bars = tuple(
+            v.ctx.from_int(v.residue + 1 + p * d ** 3, v.prec)
+            for d, v in enumerate(b.bars, 1)
+        )
+        return DividedBernoulliBundle(p, r, bars, b.bars2)
+
+    def skewed_bhat(d, p, r, table=None):
+        v = real_bhat(d, p, r, table)
+        return v.ctx.from_int(v.residue + d, v.prec)
+
+    monkeypatch.setattr(registry, "bundle", skewed_bundle)
+    monkeypatch.setattr(registry, "adjusted_bernoulli_mod", skewed_bhat)
+
+
+DUAL_PATH_CHECKS = [
+    cid for cid in ALL_CHECK_IDS if cid.startswith("thm_main")
+] + ["glaisher_beeger", "lehmer", "lehmer_diff", "bundle_kummer_chain"]
+
+
+@pytest.mark.parametrize("check_id", DUAL_PATH_CHECKS)
+def test_cross_path_mismatch_is_a_fail_row(monkeypatch, check_id):
+    _skew_modular_engine(monkeypatch)
+    rep = run_suite(make_spec(check_id, 11, 23))
+    assert [r.p for r in rep.results] == [11, 13, 17, 19, 23]
+    sub = " at mult=2" if check_id == "lehmer" else ""
+    for r in rep.results:
+        assert r.status == "fail", r
+        assert r.reason == "cross-path mismatch (exact vs modular)" + sub, r
+    assert run_suite(make_spec(check_id, 11, 23, engine="exact")).ok
+
+
+# sha256 of the sorted-key JSON report without wall_time, first 16 hex digits
+REPORT_DIGESTS = {
+    (2, 97, "both"): "989070afd6fc586b",
+    (2, 97, "exact"): "30860697288a366a",
+    (2, 97, "modular"): "ea889bb8f7c12b03",
+    (100, 160, "both"): "188586b4c6178343",
+    (100, 160, "exact"): "1ce376a9f4621a0f",
+    (100, 160, "modular"): "0bea455b3678bd60",
+}
+
+
+@pytest.mark.parametrize("lo,hi,engine", sorted(REPORT_DIGESTS))
+def test_full_suite_report_is_pinned(lo, hi, engine):
+    doc = json.loads(report_to_json(run_suite(make_spec("all", lo, hi, engine=engine))))
+    del doc["wall_time"]
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == REPORT_DIGESTS[(lo, hi, engine)]
 
 
 def test_engine_modular_runs_without_table():
@@ -189,6 +258,12 @@ def test_cli_bernoulli_table(capsys):
         ["bernoulli", "--max-index", "-1"],
         ["bernoulli", "--max-index", "2401"],
         ["dn", "--n", "-3"],
+        ["wilson", "--p", "4"],
+        ["wilson", "--p", "1", "--method", "bernoulli"],
+        ["qsum", "--p", "4", "--n", "1"],
+        ["wilson", "--p", "7", "--mod-exp", "0"],
+        ["scan", "--class", "wilson", "--limit", "-5"],
+        ["verify", "--jobs", "0"],
     ],
 )
 def test_cli_bad_bernoulli_input_is_usage_error(capsys, argv):
