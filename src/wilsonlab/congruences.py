@@ -230,15 +230,6 @@ def q_tier_lhs(p: int, n: int, r: int) -> TrackedResidue:
     return q.scale(p ** (n - 1)).scale_fraction(Fraction(1, n)).truncate(r)
 
 
-def q_tier_check(
-    p: int, n: int, r: int, bnd: DividedBernoulliBundle
-) -> CongruenceCheckResult:
-    check_id = f"thm_main3_q{n}_r{r}"
-    lhs = q_tier_lhs(p, n, r)
-    rhs = q_tier_rhs(p, n, r, bnd)
-    return result.from_residues(check_id, p, r, lhs, rhs)
-
-
 def q_sum_via_bernoulli(
     p: int, n: int, r: int, bnd: DividedBernoulliBundle
 ) -> TrackedResidue:
@@ -254,9 +245,7 @@ def q_sum_via_bernoulli(
 # -- classical single-prime congruences -----------------------------------
 
 
-def carlitz_check(
-    p: int, mult: int, k: int, table: BernoulliTable, check_id: str = "carlitz"
-) -> CongruenceCheckResult:
+def carlitz_check(p: int, mult: int, k: int, table: BernoulliTable) -> CongruenceCheckResult:
     """mult * W_p = (B_{mult p^k (p-1)} + 1/p - 1) / p^k mod p."""
     if mult < 1 or k < 0:
         raise ValueError("need mult >= 1 and k >= 0")
@@ -265,7 +254,7 @@ def carlitz_check(
     ctx = PrimePowerContext(p, 1)
     rhs = reduce_rational(rhs_exact, ctx, 1)
     lhs = wilson_quotient(p, 1).scale(mult)
-    return result.from_residues(check_id, p, 1, lhs, rhs, f"mult={mult}, k={k}")
+    return result.from_residues("carlitz", p, 1, lhs, rhs, f"mult={mult}, k={k}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from math import comb
 
 from . import result
 from .bernoulli import BernoulliTable, bar2_value, bar_value, beta_value
-from .padic import PrimePowerContext, TrackedResidue, is_prime, reduce_rational
+from .padic import PrimePowerContext, TrackedResidue, forward_difference, is_prime, reduce_rational
 from .result import CongruenceCheckResult
 
 
@@ -308,12 +308,7 @@ def generalized_kummer_check(
             diff += comb(r, k) * (-1) ** (r - k) * beta_value(idx, p, table)
         lhs = reduce_rational(diff, ctx, r)
     else:
-        values = [beta_mod(idx, p, r) for idx in indices]
-        acc = None
-        for k, v in enumerate(values):
-            t = v.scale(comb(r, k) * (-1) ** (r - k))
-            acc = t if acc is None else acc + t
-        lhs = acc
+        lhs = forward_difference([beta_mod(idx, p, r) for idx in indices])
     return result.from_residues(
         check_id, p, r, lhs.truncate(r), ctx.from_int(0, r), f"start index {n}"
     )

@@ -18,7 +18,7 @@ modular engine otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from . import result
@@ -58,6 +58,9 @@ from .result import FAIL, CongruenceCheckResult
 CARLITZ_INDEX_CAP = 1200
 CARLITZ_PAIRS = ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (1, 2))
 REMAINDER_P_CAP = 31
+# A run given no table builds one to this index on first exact use; it
+# covers folklore to index 400 and four bar values for p <= 113.
+AUTO_ORACLE_CAP = 450
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,13 @@ class RunEnv:
     table: Optional[BernoulliTable] = None
     mod_exp: Optional[int] = None
 
+    @cached_property
+    def oracle(self) -> BernoulliTable:
+        """The given table, else one built to AUTO_ORACLE_CAP, once per env."""
+        if self.table is not None:
+            return self.table
+        return BernoulliTable.build(AUTO_ORACLE_CAP)
+
 
 @dataclass(frozen=True)
 class CheckDef:
@@ -73,21 +83,9 @@ class CheckDef:
     domain: str  # "prime" | "index"
     mod_exp: int
     run: Callable[[int, RunEnv], CongruenceCheckResult]
-    # table index the exact side would like, given the range maximum
-    oracle_index: Callable[[int, str], int] = lambda pmax, engine: 0
     index_step: int = 1  # for index-domain checks
     index_min: int = 1
     p_min: int = 0  # smaller primes are a "p >= p_min" skip row
-
-
-@lru_cache(maxsize=1)
-def _micro_table() -> BernoulliTable:
-    """Tiny exact table for the p = 2, 3 special values."""
-    return BernoulliTable.build(8)
-
-
-def _exact_wants(pmax: int, engine: str, factor: int, offset: int = 0) -> int:
-    return 0 if engine == "modular" else factor * (pmax - 1) + offset
 
 
 class _NoRoute(Exception):
@@ -97,7 +95,7 @@ class _NoRoute(Exception):
 
 
 def _engines(p: int, env: RunEnv) -> tuple[str, ...]:
-    """The engines that run at p. Below p = 5 the micro table is the only
+    """The engines that run at p. Below p = 5 the exact table is the only
     route whatever the selection says; those are the suite's only sub-5
     values."""
     if p < 5:
@@ -136,15 +134,13 @@ def _dual_path(check_id, p, r, env, rhs, lhs=None, sub="") -> CongruenceCheckRes
 
 
 def _exact_table(env: RunEnv, n: int = 0, why: str = "needs exact table") -> BernoulliTable:
-    if env.table is None or env.table.max_index < n:
+    if env.oracle.max_index < n:
         raise _NoRoute(why)
-    return env.table
+    return env.oracle
 
 
 def _bundle(p: int, r: int, eng: str, env: RunEnv):
-    table = None
-    if eng == "exact":
-        table = _micro_table() if p < 5 else _exact_table(env, why="no exact table")
+    table = _exact_table(env) if eng == "exact" else None
     try:
         return bundle(p, r, eng, table)
     except (IndexOutOfTable, InadmissibleCase) as exc:
@@ -223,13 +219,13 @@ def run_lehmer_diff(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_carlitz(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "carlitz"
-    _exact_table(env)
+    table = _exact_table(env)
     rows = []
     for mult, k in CARLITZ_PAIRS:
         index = mult * p ** k * (p - 1)
-        if index > min(env.table.max_index, CARLITZ_INDEX_CAP):
+        if index > min(table.max_index, CARLITZ_INDEX_CAP):
             continue
-        rows.append(carlitz_check(p, mult, k, env.table))
+        rows.append(carlitz_check(p, mult, k, table))
     return _aggregate(check_id, p, 1, rows)
 
 
@@ -265,12 +261,13 @@ def _psi_tier(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResu
 def run_reduction_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
     rows = []
     for eng in _engines(p, env):
+        table = None
         if eng == "exact":
-            top = 4 if p >= 7 else 3
-            if env.table is None or env.table.max_index < top * (p - 1):
+            table = _exact_table(env)
+            if table.max_index < (4 if p >= 7 else 3) * (p - 1):
                 continue
         try:
-            rows.append(reduction_chain_check(p, eng, env.table))
+            rows.append(reduction_chain_check(p, eng, table))
         except InadmissibleCase:
             continue
     return _aggregate("reduction_chain", p, 4, rows)
@@ -281,13 +278,13 @@ def run_reduction_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_kummer(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "kummer"
-    _exact_table(env)
+    table = _exact_table(env)
     rows = []
     for n in range(2, min(p - 3, 12) + 1, 2):
         m = n + (p - 1)
-        if n % (p - 1) == 0 or m > env.table.max_index:
+        if n % (p - 1) == 0 or m > table.max_index:
             continue
-        rows.append(kummer_check(n, m, p, env.table))
+        rows.append(kummer_check(n, m, p, table))
     return _aggregate(check_id, p, 1, rows)
 
 
@@ -302,14 +299,11 @@ def _gen_kummer(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckRe
         if p > r + d:
             instances.append(d * (p - 1))
     engines = _engines(p, env)
+    table = _exact_table(env) if "exact" in engines else None
     rows = []
     for n in instances:
-        top = n + r * (p - 1)
-        use_exact = "exact" in engines and env.table is not None and (
-            top <= env.table.max_index
-        )
-        if use_exact:
-            rows.append(generalized_kummer_check(n, p, r, env.table, "exact"))
+        if table is not None and n + r * (p - 1) <= table.max_index:
+            rows.append(generalized_kummer_check(n, p, r, table, "exact"))
         elif "modular" in engines:
             try:
                 rows.append(generalized_kummer_check(n, p, r, None, "modular"))
@@ -333,16 +327,16 @@ def run_bundle_kummer_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_cor35_tiers(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "cor35_tiers"
-    _exact_table(env)
+    table = _exact_table(env)
     rows = []
     for d in (1, 2, 3, 4):
         n = d * (p - 1)
-        if n > env.table.max_index:
+        if n > table.max_index:
             continue
-        exact = adjusted_bernoulli(n, p, env.table)
+        exact = adjusted_bernoulli(n, p, table)
         for r in (1, 2, 3, 4, 5, 6):
             try:
-                got = adjusted_bernoulli_mod(d, p, r, env.table)
+                got = adjusted_bernoulli_mod(d, p, r, table)
             except InadmissibleCase:
                 continue
             ctx = PrimePowerContext(p, r)
@@ -358,8 +352,8 @@ _FOLKLORE_SAMPLE_EXTRA = (118, 242, 398)
 
 def run_folklore(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "folklore"
-    _exact_table(env)
-    cap = min(env.table.max_index, 400)
+    table = _exact_table(env)
+    cap = min(table.max_index, 400)
     sample = [m for m in range(4, 41, 2) if m <= cap]
     sample += [m for m in _FOLKLORE_SAMPLE_EXTRA if m <= cap]
     rows = []
@@ -370,20 +364,20 @@ def run_folklore(p: int, env: RunEnv) -> CongruenceCheckResult:
             if K == 2 and (p < 7 or (m - 2) % (p - 1) == 0):
                 continue
             got = folklore_bernoulli_mod(m, p, K)
-            want = reduce_rational(env.table.bernoulli(m), PrimePowerContext(p, K), K)
+            want = reduce_rational(table.bernoulli(m), PrimePowerContext(p, K), K)
             rows.append(result.from_residues(check_id, p, K, got, want, f"m={m}, K={K}"))
     return _aggregate(check_id, p, 2, rows)
 
 
 def run_prop22(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "prop22"
-    _exact_table(env)
-    cap = min(3 * (p - 1), 240, env.table.max_index)
+    table = _exact_table(env)
+    cap = min(3 * (p - 1), 240, table.max_index)
     ctx = PrimePowerContext(p, 1)
     wq = wilson_quotient(p, 1)
     rows = []
     for n in range(2, cap + 1, 2):
-        bhat = adjusted_bernoulli(n, p, env.table)
+        bhat = adjusted_bernoulli(n, p, table)
         o_b, o_n = ord_p(bhat, p), ord_p(n, p)
         rows.append(result.from_values(
             check_id, p, 0, min(o_b, o_n), o_n, f"ord at n={n}: {o_b} < {o_n}"
@@ -393,7 +387,7 @@ def run_prop22(p: int, env: RunEnv) -> CongruenceCheckResult:
         if np_ == 0:
             rhs = wq
         else:
-            rhs = reduce_rational(-env.table.bernoulli(np_) / np_, ctx, 1)
+            rhs = reduce_rational(-table.bernoulli(np_) / np_, ctx, 1)
         rows.append(result.from_residues(check_id, p, 1, lhs, rhs, f"branch at n={n}"))
     return _aggregate(check_id, p, 1, rows)
 
@@ -402,8 +396,8 @@ def run_prop34_remainder(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "prop34_remainder"
     if p > REMAINDER_P_CAP:
         return result.skipped(check_id, p, 0, f"desk-scale gate p <= {REMAINDER_P_CAP}")
-    _exact_table(env, 3 * (p - 1), "needs exact table to 3(p-1)")
-    rows = [remainder_term_check(p, d, env.table) for d in (1, 2, 3)]
+    table = _exact_table(env, 3 * (p - 1), "needs exact table to 3(p-1)")
+    rows = [remainder_term_check(p, d, table) for d in (1, 2, 3)]
     return _aggregate(check_id, p, 0, rows)
 
 
@@ -445,14 +439,14 @@ def run_lemma26_qdiff(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_denominators_dn(n: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "denominators_dn"
-    _exact_table(env, n + 1)
-    tilde = bernoulli_polynomial(n, env.table).drop_constant()
+    table = _exact_table(env, n + 1)
+    tilde = bernoulli_polynomial(n, table).drop_constant()
     r1 = result.from_values(
         check_id, n, 0, tilde.denominator(), dn_product(n), f"denom at n={n}"
     )
     if not r1.passed:
         return r1
-    spoly = power_sum_polynomial(n, env.table)
+    spoly = power_sum_polynomial(n, table)
     return result.from_values(
         check_id, n, 0, spoly.denominator(), (n + 1) * dn_product(n + 1),
         f"power-sum denom at n={n}",
@@ -472,44 +466,33 @@ _WQ_TIER_IDS = {1: "thm_main_p1", 2: "thm_main_p2", 3: "thm_main_p3", 4: "thm_ma
 
 _CHECKS = [
     CheckDef("lerch", "prime", 1, run_lerch),
-    CheckDef("glaisher_beeger", "prime", 1, run_glaisher_beeger,
-             partial(_exact_wants, factor=1), p_min=5),
-    CheckDef("lehmer", "prime", 1, run_lehmer,
-             partial(_exact_wants, factor=3), p_min=5),
-    CheckDef("lehmer_diff", "prime", 1, run_lehmer_diff,
-             partial(_exact_wants, factor=2), p_min=5),
-    CheckDef("carlitz", "prime", 1, run_carlitz,
-             lambda pmax, e: min(CARLITZ_INDEX_CAP, pmax ** 2 * (pmax - 1)), p_min=5),
-    *(CheckDef(cid, "prime", r, partial(_wq_tier, r, cid),
-               partial(_exact_wants, factor=r), p_min=WQ_TIER_PMIN[r])
+    CheckDef("glaisher_beeger", "prime", 1, run_glaisher_beeger, p_min=5),
+    CheckDef("lehmer", "prime", 1, run_lehmer, p_min=5),
+    CheckDef("lehmer_diff", "prime", 1, run_lehmer_diff, p_min=5),
+    CheckDef("carlitz", "prime", 1, run_carlitz, p_min=5),
+    *(CheckDef(cid, "prime", r, partial(_wq_tier, r, cid), p_min=WQ_TIER_PMIN[r])
       for r, cid in _WQ_TIER_IDS.items()),
     *(CheckDef(f"thm_main3_q{n}_r{r}", "prime", r, partial(_q_tier, n, r, f"thm_main3_q{n}_r{r}"),
-               partial(_exact_wants, factor=r), p_min=Q_TIER_PMIN[(n, r)])
+               p_min=Q_TIER_PMIN[(n, r)])
       for n, r in Q_TIER_PMIN),
     *(CheckDef(f"thm_kel_psi_r{r}", "prime", r, partial(_psi_tier, r, f"thm_kel_psi_r{r}"))
       for r in (1, 2, 3, 4)),
-    CheckDef("reduction_chain", "prime", 4, run_reduction_chain,
-             partial(_exact_wants, factor=4), p_min=5),
-    CheckDef("kummer", "prime", 1, run_kummer, lambda pmax, e: pmax - 1 + 12, p_min=5),
+    CheckDef("reduction_chain", "prime", 4, run_reduction_chain, p_min=5),
+    CheckDef("kummer", "prime", 1, run_kummer, p_min=5),
     *(CheckDef(f"gen_kummer_r{r}", "prime", r, partial(_gen_kummer, r, f"gen_kummer_r{r}"),
-               partial(_exact_wants, factor=r + 2, offset=12), p_min=5)
+               p_min=5)
       for r in (1, 2, 3, 4)),
-    CheckDef("cor35_tiers", "prime", 4, run_cor35_tiers,
-             lambda pmax, e: 4 * (pmax - 1), p_min=5),
-    CheckDef("prop36", "prime", 3, partial(_prop_identity, 3, "prop36"),
-             partial(_exact_wants, factor=3), p_min=5),
-    CheckDef("prop37", "prime", 4, partial(_prop_identity, 4, "prop37"),
-             partial(_exact_wants, factor=4), p_min=7),
-    CheckDef("prop34_remainder", "prime", 0, run_prop34_remainder,
-             lambda pmax, e: 3 * (min(pmax, REMAINDER_P_CAP) - 1), p_min=5),
+    CheckDef("cor35_tiers", "prime", 4, run_cor35_tiers, p_min=5),
+    CheckDef("prop36", "prime", 3, partial(_prop_identity, 3, "prop36"), p_min=5),
+    CheckDef("prop37", "prime", 4, partial(_prop_identity, 4, "prop37"), p_min=7),
+    CheckDef("prop34_remainder", "prime", 0, run_prop34_remainder, p_min=5),
     CheckDef("lemma33_binom", "prime", 0, run_lemma33),
-    CheckDef("prop22", "prime", 1, run_prop22, lambda pmax, e: min(3 * (pmax - 1), 240), p_min=5),
-    CheckDef("folklore", "prime", 2, run_folklore, lambda pmax, e: 400, p_min=5),
-    CheckDef("denominators_dn", "index", 0, run_denominators_dn, lambda nmax, e: nmax + 1),
-    CheckDef("vsc", "index", 0, run_vsc, lambda nmax, e: nmax, index_step=2, index_min=2),
+    CheckDef("prop22", "prime", 1, run_prop22, p_min=5),
+    CheckDef("folklore", "prime", 2, run_folklore, p_min=5),
+    CheckDef("denominators_dn", "index", 0, run_denominators_dn),
+    CheckDef("vsc", "index", 0, run_vsc, index_step=2, index_min=2),
     CheckDef("lemma26_qdiff", "prime", 4, run_lemma26_qdiff),
-    CheckDef("bundle_kummer_chain", "prime", 1, run_bundle_kummer_chain,
-             partial(_exact_wants, factor=4), p_min=5),
+    CheckDef("bundle_kummer_chain", "prime", 1, run_bundle_kummer_chain, p_min=5),
 ]
 
 REGISTRY: dict[str, CheckDef] = {defn.check_id: defn for defn in _CHECKS}
@@ -519,8 +502,9 @@ ALL_CHECK_IDS = tuple(sorted(REGISTRY))
 
 def execute_check(check_id: str, value: int, env: RunEnv) -> CongruenceCheckResult:
     """Run one (check, prime-or-index) task. A prime below the check's
-    p_min, a missing exact table and an oracle-cap overrun are skips;
-    unexpected errors become fail rows carrying the error."""
+    p_min, an exact table too short for the check and an oracle-cap
+    overrun are skips; unexpected errors become fail rows carrying the
+    error."""
     defn = REGISTRY[check_id]
     if value < defn.p_min:
         return result.skipped(check_id, value, defn.mod_exp, f"p >= {defn.p_min}")

@@ -1,9 +1,9 @@
 """Suite runner: prime-range scans with parallel fan-out and reports.
 
-The unit of parallelism is one (check, prime) pair; workers share only the
-read-only exact table (inherited across fork), and the report is sorted
-after collection so the output is byte-identical for any worker count
-(apart from the wall_time field).
+The unit of parallelism is one (check, prime) pair. Workers share nothing:
+a pool worker builds its own exact table the first time one of its tasks
+needs it, and the report is sorted after collection so the output is
+byte-identical for any worker count (apart from the wall_time field).
 """
 
 from __future__ import annotations
@@ -15,17 +15,12 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 
-from .bernoulli import DESK_CAP, BernoulliTable
+from .bernoulli import BernoulliTable
 from .congruences import classify_prime
 from .padic import primes_up_to
 from .quotients import wilson_quotient
 from .registry import ALL_CHECK_IDS, REGISTRY, RunEnv, execute_check
 from .result import FAIL, PASS, SKIPPED, CongruenceCheckResult
-
-# Tables above this are only built when the caller supplies one explicitly;
-# it covers every cross-validation the default suites perform (folklore to
-# index 400, four bar values for p <= 97).
-AUTO_ORACLE_CAP = 450
 
 
 class UnknownCheck(Exception):
@@ -46,6 +41,8 @@ class SuiteSpec:
     engine: str = "both"
 
     def __post_init__(self):
+        if self.p_min < 0:
+            raise UnknownRange(f"p_min must be >= 0, got {self.p_min}")
         if self.p_min > self.p_max:
             raise UnknownRange(f"p_min {self.p_min} > p_max {self.p_max}")
         if self.engine not in ("exact", "modular", "both"):
@@ -99,13 +96,6 @@ def _task_values(defn, p_min: int, p_max: int) -> list[int]:
     return list(range(start, p_max + 1, defn.index_step))
 
 
-def required_oracle_index(spec: SuiteSpec) -> int:
-    return max(
-        (REGISTRY[cid].oracle_index(spec.p_max, spec.engine) for cid in spec.check_ids),
-        default=0,
-    )
-
-
 _WORKER_ENV: RunEnv | None = None
 
 
@@ -120,16 +110,14 @@ def run_suite(
 ) -> SuiteReport:
     """Run every (check, prime) pair of the spec and aggregate a report.
 
-    When no table is passed one is built to cover the exact-side appetite of
-    the selected checks, capped at AUTO_ORACLE_CAP; exact comparisons past
-    the cap appear as skipped rows. Results are sorted by (check, p), so
+    The exact side reads the given table. Without one, the run builds a
+    table to registry.AUTO_ORACLE_CAP the first time a check needs it, once
+    per process, and never when no check does; exact comparisons past the
+    table appear as skipped rows. Results are sorted by (check, p), so
     reports do not depend on the worker count.
     """
     global _WORKER_ENV
     t0 = time.monotonic()
-    need = required_oracle_index(spec)
-    if table is None and need > 0:
-        table = BernoulliTable.build(min(need, AUTO_ORACLE_CAP, DESK_CAP))
     env = RunEnv(engine=spec.engine, table=table, mod_exp=spec.mod_exp)
 
     tasks = [
@@ -152,9 +140,7 @@ def run_suite(
     return SuiteReport(spec, results, wall_time=time.monotonic() - t0)
 
 
-def scan_primes(
-    klass: str, limit: int, table: BernoulliTable | None = None
-) -> list[int]:
+def scan_primes(klass: str, limit: int) -> list[int]:
     """Primes up to the limit in one of the classes 'wilson' or 'irregular'."""
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
@@ -164,8 +150,7 @@ def scan_primes(
             if p > 2 and wilson_quotient(p, 1).residue == 0
         ]
     if klass == "irregular":
-        if table is None:
-            table = BernoulliTable.build(max(0, limit - 3))
+        table = BernoulliTable.build(max(0, limit - 3))
         return [
             p for p in primes_up_to(limit)
             if p >= 5 and classify_prime(p, table).irregular

@@ -13,7 +13,6 @@ from wilsonlab.congruences import (
     central_binom_dichotomy,
     classify_prime,
     q_sum_via_bernoulli,
-    q_tier_check,
     q_tier_lhs,
     q_tier_rhs,
     qsum_beta_identity_check,
@@ -98,7 +97,8 @@ def test_q2_r4_does_hold_at_5(table):
     reaches one prime lower."""
     rhs = rational_tier_value(Q_TIERS[(2, 4)], 5, table)
     assert ord_p(brute_q_lhs(5, 2) - rhs, 5) >= 4
-    assert q_tier_check(5, 2, 4, bundle(5, 4, "exact", table)).passed
+    got = q_tier_rhs(5, 2, 4, bundle(5, 4, "exact", table)).truncate(4)
+    assert got.residue == q_tier_lhs(5, 2, 4).truncate(4).residue
 
 
 def test_wilson_via_bernoulli_hand_example(table):
@@ -136,9 +136,12 @@ def test_q_tier_checks_both_engines(table):
         for p in (3, 5, 7, 11, 13, 17):
             if p < pmin:
                 continue
+            want = q_tier_lhs(p, n, r).truncate(r).residue
+            engines = [bundle(p, r, "exact", table)]
             if p >= 7 or (p == 5 and r < 4):
-                assert q_tier_check(p, n, r, bundle(p, r, "modular")).passed, (n, r, p)
-            assert q_tier_check(p, n, r, bundle(p, r, "exact", table)).passed, (n, r, p)
+                engines.append(bundle(p, r, "modular"))
+            for bnd in engines:
+                assert q_tier_rhs(p, n, r, bnd).truncate(r).residue == want, (n, r, p)
 
 
 def test_q_sum_via_bernoulli_recovers_direct(table):

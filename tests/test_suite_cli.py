@@ -4,9 +4,10 @@ import re
 
 import pytest
 
+from wilsonlab.bernoulli import BernoulliTable
 from wilsonlab.cli import main
 from wilsonlab.modular import DividedBernoulliBundle
-from wilsonlab.registry import ALL_CHECK_IDS
+from wilsonlab.registry import ALL_CHECK_IDS, AUTO_ORACLE_CAP
 from wilsonlab.result import CongruenceCheckResult
 from wilsonlab.suite import (
     SuiteSpec,
@@ -160,10 +161,37 @@ def test_full_suite_report_is_pinned(lo, hi, engine):
     assert hashlib.sha256(blob).hexdigest()[:16] == REPORT_DIGESTS[(lo, hi, engine)]
 
 
-def test_engine_modular_runs_without_table():
+def _count_table_builds(monkeypatch) -> list[int]:
+    """Record the index of every BernoulliTable.build call from now on."""
+    sizes = []
+    real = BernoulliTable.build.__func__
+
+    def counted(cls, n_max):
+        sizes.append(n_max)
+        return real(cls, n_max)
+
+    monkeypatch.setattr(BernoulliTable, "build", classmethod(counted))
+    return sizes
+
+
+def test_engine_modular_runs_without_table(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
     rep = run_suite(make_spec("thm_main_p2,thm_main_p3", 5, 60, engine="modular"))
     assert rep.ok
     assert rep.summary["pass"] > 0
+    assert builds == []
+
+
+def test_each_run_builds_its_own_table_once(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    spec = make_spec("thm_main_p1,glaisher_beeger,folklore", 2, 31, engine="both")
+    assert run_suite(spec).ok
+    assert builds == [AUTO_ORACLE_CAP] == [450]
+    assert run_suite(spec).ok
+    assert builds == [450, 450]
+    # a table passed in is the only one the run reads
+    assert run_suite(spec, table=BernoulliTable.build(60)).ok
+    assert builds == [450, 450, 60]
 
 
 def test_index_domain_checks():
@@ -264,6 +292,7 @@ def test_cli_bernoulli_table(capsys):
         ["wilson", "--p", "7", "--mod-exp", "0"],
         ["scan", "--class", "wilson", "--limit", "-5"],
         ["verify", "--jobs", "0"],
+        ["verify", "--p-min", "-5"],
     ],
 )
 def test_cli_bad_bernoulli_input_is_usage_error(capsys, argv):
