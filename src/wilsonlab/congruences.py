@@ -260,17 +260,22 @@ def carlitz_check(p: int, mult: int, k: int, table: BernoulliTable) -> Congruenc
 @dataclass(frozen=True)
 class PrimeClassification:
     p: int
-    wilson: bool
     irregular: bool
     irregular_indices: tuple[int, ...]
 
+    @property
+    def wilson(self) -> bool:
+        """W_p = 0 mod p, from the factorial oracle; computed when read, so
+        that the irregular-prime scan does not pay a factorial per prime."""
+        return wilson_quotient(self.p, 1).residue == 0
+
 
 def classify_prime(p: int, table: BernoulliTable | None = None) -> PrimeClassification:
-    """Wilson flag from the factorial oracle; irregularity by scanning the
-    numerators of B_2..B_{p-3} (needs the exact table that far)."""
+    """Irregularity by scanning the numerators of B_2..B_{p-3} (needs the
+    exact table that far); the Wilson flag is read from the factorial
+    oracle on access."""
     if p == 2:
         raise ValueError("classification is for odd primes")
-    w = wilson_quotient(p, 1).residue == 0
     indices = []
     if p >= 5:
         if table is None or table.max_index < p - 3:
@@ -278,7 +283,7 @@ def classify_prime(p: int, table: BernoulliTable | None = None) -> PrimeClassifi
         for ell in range(2, p - 2, 2):
             if table.bernoulli(ell).numerator % p == 0:
                 indices.append(ell)
-    return PrimeClassification(p, w, bool(indices), tuple(indices))
+    return PrimeClassification(p, bool(indices), tuple(indices))
 
 
 def reduction_chain_check(

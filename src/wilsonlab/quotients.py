@@ -9,7 +9,7 @@ n-th forward difference of integer power sums followed by n backward shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 from typing import Sequence
 
 from .modular import HypothesisViolated, power_sum_mod
@@ -37,6 +37,71 @@ def factorial_mod(p: int, K: int) -> TrackedResidue:
     for a in range(2, p):
         acc = acc * a % m
     return ctx.from_int(acc, K)
+
+
+def factorials_mod(primes: Sequence[int], K: int) -> dict[int, int]:
+    """{p: (p-1)! mod p^K} for a strictly increasing list of primes, from one
+    accumulating remainder tree (Costa, Gerbicz and Harvey, "A search for
+    Wilson primes", Math. Comp. 2014).
+
+    Leaf i holds A_i = p_{i-1} * ... * (p_i - 1), with p_{-1} = 1, so that
+    (p_i - 1)! = A_0 * ... * A_i; a node holds the product of its moduli
+    p^K. Going down, a node's prefix product v (the A's to its left, reduced
+    mod the node's modulus) passes to the left child as v mod M_left and to
+    the right child as v * prod(A_left) mod M_right. The A-products are
+    returned up the recursion instead of stored, so only the modulus tree
+    is kept, as a flat list. With fast integer division the cost is
+    quasi-linear in the largest prime P, against O(P^2 / log P) for a
+    factorial_mod loop per prime; CPython's schoolbook division makes the
+    top nodes dominate past P ~ 10^5.
+
+    This is a bulk scan kernel, not an oracle: the checks compare against
+    factorial_mod, which must not read it.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    primes = list(primes)
+    if any(b <= a for a, b in zip(primes, primes[1:])):
+        raise ValueError("primes must be strictly increasing")
+    if not primes:
+        return {}
+
+    # moduli[k] is the product of p^K over the primes under node k; the
+    # children of node k are 2k and 2k + 1
+    moduli = [0] * (4 * len(primes))
+
+    def build(k, lo, hi):
+        if hi - lo == 1:
+            moduli[k] = primes[lo] ** K
+            return
+        mid = (lo + hi) // 2
+        build(2 * k, lo, mid)
+        build(2 * k + 1, mid, hi)
+        moduli[k] = moduli[2 * k] * moduli[2 * k + 1]
+
+    out: dict[int, int] = {}
+
+    def descend(k, lo, hi, v, want):
+        """Fill `out` for primes[lo:hi]; return the A-product if wanted."""
+        if hi - lo == 1:
+            p, m = primes[lo], moduli[k]
+            start = primes[lo - 1] if lo else 1
+            if not want:  # a direct loop, so one large prime costs O(p)
+                for a in range(start, p):
+                    v = v * a % m
+                out[p] = v
+                return None
+            a = prod(range(start, p))
+            out[p] = v * a % m
+            return a
+        mid = (lo + hi) // 2
+        a = descend(2 * k, lo, mid, v % moduli[2 * k], True)
+        b = descend(2 * k + 1, mid, hi, v * a % moduli[2 * k + 1], want)
+        return a * b if want else None
+
+    build(1, 0, len(primes))
+    descend(1, 0, len(primes), 1, False)
+    return out
 
 
 def wilson_quotient(p: int, r: int) -> TrackedResidue:

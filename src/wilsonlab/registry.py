@@ -425,7 +425,7 @@ def run_lemma26_qdiff(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "lemma26_qdiff"
     if p == 2:
         return result.skipped(check_id, p, 0, "odd primes only")
-    r = env.mod_exp or 4
+    r = 4 if env.mod_exp is None else env.mod_exp
     rows = []
     for n in (1, 2, 3, 4):
         direct = q_sum(p, n, r, "direct")

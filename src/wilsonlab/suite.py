@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .bernoulli import BernoulliTable
 from .congruences import classify_prime
 from .padic import primes_up_to
-from .quotients import wilson_quotient
+from .quotients import factorials_mod
 from .registry import ALL_CHECK_IDS, REGISTRY, RunEnv, execute_check
 from .result import FAIL, PASS, SKIPPED, CongruenceCheckResult
 
@@ -41,10 +41,14 @@ class SuiteSpec:
     engine: str = "both"
 
     def __post_init__(self):
+        if not self.check_ids:
+            raise UnknownCheck(f"suite {self.suite_id!r} names no check")
         if self.p_min < 0:
             raise UnknownRange(f"p_min must be >= 0, got {self.p_min}")
         if self.p_min > self.p_max:
             raise UnknownRange(f"p_min {self.p_min} > p_max {self.p_max}")
+        if self.mod_exp is not None and self.mod_exp < 1:
+            raise UnknownRange(f"mod_exp must be >= 1, got {self.mod_exp}")
         if self.engine not in ("exact", "modular", "both"):
             raise UnknownCheck(f"unknown engine {self.engine!r}")
         for cid in self.check_ids:
@@ -141,14 +145,19 @@ def run_suite(
 
 
 def scan_primes(klass: str, limit: int) -> list[int]:
-    """Primes up to the limit in one of the classes 'wilson' or 'irregular'."""
+    """Primes up to the limit in one of the classes 'wilson' or 'irregular'.
+
+    'wilson' keeps the odd p with (p-1)! = -1 mod p^2, reading every
+    (p-1)! mod p^2 off one accumulating remainder tree
+    (quotients.factorials_mod), quasi-linear in the limit. 'irregular'
+    classifies each p >= 5 against one exact table to index limit - 3.
+    """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if klass == "wilson":
-        return [
-            p for p in primes_up_to(limit)
-            if p > 2 and wilson_quotient(p, 1).residue == 0
-        ]
+        primes = primes_up_to(limit)
+        f = factorials_mod(primes, 2)
+        return [p for p in primes if p > 2 and (f[p] + 1) % (p * p) == 0]
     if klass == "irregular":
         table = BernoulliTable.build(max(0, limit - 3))
         return [

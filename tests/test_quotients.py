@@ -7,6 +7,7 @@ from wilsonlab.quotients import (
     NotCoprime,
     PSI_TABLE,
     factorial_mod,
+    factorials_mod,
     fermat_quotient,
     psi_eval,
     q_sum,
@@ -23,6 +24,29 @@ def test_factorial_examples():
     import math
 
     assert factorial_mod(13, 2).residue == math.factorial(12) % 169
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_remainder_tree_matches_factorial_oracle(K):
+    primes = primes_up_to(2000)
+    f = factorials_mod(primes, K)
+    assert list(f) == primes
+    assert all(f[p] == factorial_mod(p, K).residue for p in primes)
+
+
+def test_remainder_tree_edge_cases():
+    assert factorials_mod([], 2) == {}
+    assert factorials_mod([2], 3) == {2: 1}
+    assert factorials_mod([2, 3], 2) == {2: 1, 3: 2}
+    assert factorials_mod([10007], 2) == {10007: factorial_mod(10007, 2).residue}
+    sparse = [3, 101, 9973]
+    assert factorials_mod(sparse, 3) == {p: factorial_mod(p, 3).residue for p in sparse}
+    with pytest.raises(ValueError):
+        factorials_mod([3, 2], 2)
+    with pytest.raises(ValueError):
+        factorials_mod([5, 5], 2)
+    with pytest.raises(ValueError):
+        factorials_mod([5], 0)
 
 
 def test_wilson_quotient_examples():

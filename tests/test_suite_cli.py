@@ -7,6 +7,8 @@ import pytest
 from wilsonlab.bernoulli import BernoulliTable
 from wilsonlab.cli import main
 from wilsonlab.modular import DividedBernoulliBundle
+from wilsonlab.padic import primes_up_to
+from wilsonlab.quotients import wilson_quotient
 from wilsonlab.registry import ALL_CHECK_IDS, AUTO_ORACLE_CAP
 from wilsonlab.result import CongruenceCheckResult
 from wilsonlab.suite import (
@@ -209,6 +211,35 @@ def test_scan_primes_classes():
         scan_primes("friendly", 10)
 
 
+@pytest.mark.parametrize("limit", list(range(15)) + [562, 563])
+def test_wilson_scan_at_its_boundaries(limit):
+    oracle = [
+        p for p in primes_up_to(limit) if p > 2 and wilson_quotient(p, 1).residue == 0
+    ]
+    assert scan_primes("wilson", limit) == oracle == [p for p in (5, 13, 563) if p <= limit]
+
+
+def test_wilson_scan_to_30000():
+    assert scan_primes("wilson", 30000) == [5, 13, 563]
+
+
+def test_checks_never_read_the_remainder_tree(monkeypatch):
+    """The tree is a scan kernel only: the factorial oracle of the checks
+    must not route through it."""
+    import wilsonlab
+
+    def boom(primes, K):
+        raise AssertionError("factorials_mod called")
+
+    for mod in vars(wilsonlab).values():
+        if hasattr(mod, "factorials_mod"):
+            monkeypatch.setattr(mod, "factorials_mod", boom)
+    rep = run_suite(make_spec("lerch,thm_kel_psi_r1,thm_main_p1", 2, 60))
+    assert rep.ok and rep.summary["pass"] > 0
+    with pytest.raises(AssertionError):
+        scan_primes("wilson", 10)
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -293,6 +324,9 @@ def test_cli_bernoulli_table(capsys):
         ["scan", "--class", "wilson", "--limit", "-5"],
         ["verify", "--jobs", "0"],
         ["verify", "--p-min", "-5"],
+        ["verify", "--mod-exp", "-3"],
+        ["verify", "--mod-exp", "0"],
+        ["verify", "--suite", ","],
     ],
 )
 def test_cli_bad_bernoulli_input_is_usage_error(capsys, argv):
