@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 from . import result
 from .bernoulli import BernoulliTable, bar2_value, bar_value, beta_value
@@ -30,18 +30,75 @@ class HypothesisViolated(Exception):
     pass
 
 
+def _smallest_prime_factors(p: int) -> list[int]:
+    """spf[a] for 0 <= a < p: the smallest prime factor of a (a itself for a
+    prime, and for 0 and 1)."""
+    spf = list(range(p))
+    for b in range(2, isqrt(p - 1) + 1):
+        if spf[b] == b:
+            for a in range(b * b, p, b):
+                if spf[a] == a:
+                    spf[a] = b
+    return spf
+
+
+def _sieve_power_sum(n: int, m: int, spf: list[int]) -> int:
+    """1^n + ... + (p-1)^n mod m, where p = len(spf).
+
+    a -> a^n is completely multiplicative, so pow runs at prime a only and
+    a composite a = b * (a // b), b its smallest prime factor, is the
+    product of two earlier entries.
+    """
+    pw = [0] * len(spf)
+    pw[1] = 1
+    for a in range(2, len(spf)):
+        b = spf[a]
+        pw[a] = pow(a, n, m) if b == a else pw[b] * pw[a // b] % m
+    return sum(pw) % m
+
+
+class _PowerSumMemo:
+    """The power sums of one prime p: n -> (K, S_n(p) mod p^K), and the
+    smallest-prime-factor sieve below p, built on the first miss."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.sums: dict[int, tuple[int, int]] = {}
+        self.spf: list[int] | None = None
+
+    def get(self, n: int, K: int) -> int:
+        m = self.p ** K
+        held = self.sums.get(n)
+        if held is not None and held[0] >= K:
+            return held[1] % m
+        if self.spf is None:
+            self.spf = _smallest_prime_factors(self.p)
+        value = _sieve_power_sum(n, m, self.spf)
+        self.sums[n] = (K, value)
+        return value
+
+
+_memo = _PowerSumMemo(0)
+
+
 def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
-    """1^n + ... + (p-1)^n mod p^K, with the convention that n = 0 gives p - 1."""
+    """1^n + ... + (p-1)^n mod p^K, with the convention that n = 0 gives p - 1.
+
+    Sums are memoised for one prime at a time (a call at another prime
+    starts the memo afresh), so callers that keep to one prime reuse them:
+    a sum held at precision K or higher is reduced, one held lower is
+    recomputed at K. A miss costs pow at the primes below p only, through a
+    smallest-prime-factor sieve (see _sieve_power_sum).
+    """
+    global _memo
     if n < 0 or K < 1:
         raise ValueError("need n >= 0 and K >= 1")
     ctx = PrimePowerContext(p, K)
     if n == 0:
         return ctx.from_int(p - 1, K)
-    m = ctx.modulus
-    acc = 0
-    for a in range(1, p):
-        acc += pow(a, n, m)
-    return ctx.from_int(acc, K)
+    if _memo.p != p:
+        _memo = _PowerSumMemo(p)
+    return ctx.from_int(_memo.get(n, K), K)
 
 
 def sh_value(n: int, p: int, r: int) -> TrackedResidue:

@@ -86,6 +86,7 @@ class CheckDef:
     index_step: int = 1  # for index-domain checks
     index_min: int = 1
     p_min: int = 0  # smaller primes are a "p >= p_min" skip row
+    reads_mod_exp: bool = False  # the run's mod_exp sets its precision
 
 
 class _NoRoute(Exception):
@@ -491,7 +492,7 @@ _CHECKS = [
     CheckDef("folklore", "prime", 2, run_folklore, p_min=5),
     CheckDef("denominators_dn", "index", 0, run_denominators_dn),
     CheckDef("vsc", "index", 0, run_vsc, index_step=2, index_min=2),
-    CheckDef("lemma26_qdiff", "prime", 4, run_lemma26_qdiff),
+    CheckDef("lemma26_qdiff", "prime", 4, run_lemma26_qdiff, reads_mod_exp=True),
     CheckDef("bundle_kummer_chain", "prime", 1, run_bundle_kummer_chain, p_min=5),
 ]
 

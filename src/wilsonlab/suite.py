@@ -1,7 +1,12 @@
 """Suite runner: prime-range scans with parallel fan-out and reports.
 
-The unit of parallelism is one (check, prime) pair. Workers share nothing:
-a pool worker builds its own exact table the first time one of its tasks
+The tasks of a run are its (check, prime-or-index) pairs, ordered by value
+and, within one value, in the spec's check order, so that each process
+works through one prime at a time and power_sum_mod's per-prime memo stays
+warm. With jobs > 1 the ordered list is cut into contiguous slices of about
+equal weight (a task weighs its value); the calling process runs the first
+slice and one forked process runs each other slice. Processes share
+nothing: each builds its own exact table the first time one of its tasks
 needs it, and the report is sorted after collection so the output is
 byte-identical for any worker count (apart from the wall_time field).
 """
@@ -13,7 +18,9 @@ import io
 import json
 import multiprocessing
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .bernoulli import BernoulliTable
 from .congruences import classify_prime
@@ -54,6 +61,12 @@ class SuiteSpec:
         for cid in self.check_ids:
             if cid not in REGISTRY:
                 raise UnknownCheck(f"unknown check id {cid!r}")
+        if self.mod_exp is not None and not any(
+            REGISTRY[cid].reads_mod_exp for cid in self.check_ids
+        ):
+            raise UnknownRange(
+                f"mod_exp {self.mod_exp} is read by none of the selected checks"
+            )
 
 
 def make_spec(
@@ -100,11 +113,30 @@ def _task_values(defn, p_min: int, p_max: int) -> list[int]:
     return list(range(start, p_max + 1, defn.index_step))
 
 
-_WORKER_ENV: RunEnv | None = None
+def _slices(tasks: list, n: int) -> list[list]:
+    """Cut tasks into n contiguous non-empty slices of about equal weight,
+    a task weighing max(value, 1). Needs 1 <= n <= max(1, len(tasks))."""
+    prefix = [0, *accumulate(max(v, 1) for _, v in tasks)]
+    cuts = [0]
+    for k in range(1, n):
+        # the cut whose running weight is nearest to k/n of the total
+        target = prefix[-1] * k / n
+        j = bisect_left(prefix, target)
+        if target - prefix[j - 1] < prefix[j] - target:
+            j -= 1
+        cuts.append(min(max(j, cuts[-1] + 1), len(tasks) - (n - k)))
+    cuts.append(len(tasks))
+    return [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _run_task(task: tuple[str, int]) -> CongruenceCheckResult:
-    return execute_check(task[0], task[1], _WORKER_ENV)
+def _run_tasks(tasks, env: RunEnv) -> list[CongruenceCheckResult]:
+    return [execute_check(cid, v, env) for cid, v in tasks]
+
+
+def _child(tasks, env: RunEnv, conn) -> None:
+    """Body of a forked worker: run one slice and send its rows back."""
+    conn.send(_run_tasks(tasks, env))
+    conn.close()
 
 
 def run_suite(
@@ -117,29 +149,48 @@ def run_suite(
     The exact side reads the given table. Without one, the run builds a
     table to registry.AUTO_ORACLE_CAP the first time a check needs it, once
     per process, and never when no check does; exact comparisons past the
-    table appear as skipped rows. Results are sorted by (check, p), so
-    reports do not depend on the worker count.
+    table appear as skipped rows. With jobs > 1 the calling process runs
+    one slice of the tasks and min(jobs, tasks) - 1 forked processes run
+    the others; a worker that dies without sending its rows is a
+    RuntimeError. Results are sorted by (check, p), so reports do not
+    depend on the worker count.
     """
-    global _WORKER_ENV
     t0 = time.monotonic()
     env = RunEnv(engine=spec.engine, table=table, mod_exp=spec.mod_exp)
-
-    tasks = [
-        (cid, v)
-        for cid in spec.check_ids
-        for v in _task_values(REGISTRY[cid], spec.p_min, spec.p_max)
-    ]
-    _WORKER_ENV = env
+    tasks = sorted(
+        ((cid, v)
+         for cid in spec.check_ids
+         for v in _task_values(REGISTRY[cid], spec.p_min, spec.p_max)),
+        key=lambda t: t[1],
+    )
+    first, *rest = _slices(tasks, max(1, min(jobs, len(tasks))))
+    ctx = multiprocessing.get_context("fork")
+    workers = []
     try:
-        if jobs <= 1 or len(tasks) < 2:
-            results = [_run_task(t) for t in tasks]
-        else:
-            ctx = multiprocessing.get_context("fork")
-            chunk = max(1, len(tasks) // (jobs * 8))
-            with ctx.Pool(processes=jobs) as pool:
-                results = pool.map(_run_task, tasks, chunksize=chunk)
+        for part in rest:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_child, args=(part, env, send))
+            proc.start()
+            send.close()  # so that recv sees EOF if the worker dies
+            workers.append((proc, recv))
+        results = _run_tasks(first, env)
+        for proc, recv in workers:
+            try:
+                results += recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"suite worker exited with code {proc.exitcode} "
+                    "without sending its rows"
+                ) from None
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
     finally:
-        _WORKER_ENV = None
+        for proc, recv in workers:
+            recv.close()
+            proc.join()
     results.sort(key=lambda r: (r.check_id, r.p))
     return SuiteReport(spec, results, wall_time=time.monotonic() - t0)
 

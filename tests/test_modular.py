@@ -1,8 +1,11 @@
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wilsonlab import modular
 from wilsonlab.bernoulli import adjusted_bernoulli, beta_value, power_sum_polynomial
 from wilsonlab.modular import (
     HypothesisViolated,
@@ -44,6 +47,53 @@ def test_power_sum_matches_polynomial(table, p):
         poly_value = power_sum_polynomial(n, table)(p)
         for K in (1, 3, 5):
             assert power_sum_mod(n, p, K).residue == poly_value % p ** K, (n, K)
+
+
+MEMO_PRIMES = primes_up_to(200) + [1103, 1109]
+
+
+@lru_cache(maxsize=None)
+def _plain_power_sum(n, p, K):
+    return sum(pow(a, n, p ** K) for a in range(1, p)) % p ** K
+
+
+def _memo_exponents(p):
+    """0, small n, and d(p-1), d(p-1) - 2 for d = 1..6."""
+    ns = set(range(8))
+    for d in range(1, 7):
+        ns |= {d * (p - 1), d * (p - 1) - 2}
+    return sorted(n for n in ns if n >= 0)
+
+
+def _requests(p, precisions):
+    return [(n, p, K) for K in precisions for n in _memo_exponents(p)]
+
+
+@pytest.mark.parametrize("order", ["rising", "falling", "interleaved"])
+def test_power_sum_memo_matches_plain_loop(monkeypatch, order):
+    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    real = modular._sieve_power_sum
+    misses = []
+
+    def counted(n, m, spf):
+        misses.append((n, len(spf), m))
+        return real(n, m, spf)
+
+    monkeypatch.setattr(modular, "_sieve_power_sum", counted)
+    if order == "interleaved":  # every request but a list's tail switches prime
+        per_prime = [_requests(p, range(1, 9)) for p in MEMO_PRIMES]
+        requests = [t for t in chain(*zip_longest(*per_prime)) if t is not None]
+    else:
+        precisions = range(1, 9) if order == "rising" else range(8, 0, -1)
+        requests = [t for p in MEMO_PRIMES for t in _requests(p, precisions)]
+    for n, p, K in requests:
+        got = power_sum_mod(n, p, K)
+        assert (got.prec, got.residue) == (K, _plain_power_sum(n, p, K)), (n, p, K)
+    computed = [(n, p, K) for n, p, K in requests if n > 0]
+    if order == "rising":  # each higher precision recomputes the sum
+        assert len(misses) == len(computed)
+    if order == "falling":  # once per (p, n), at K = 8; the rest are reductions
+        assert sorted(misses) == sorted((n, p, p ** 8) for n, p, K in computed if K == 8)
 
 
 def test_sh_value_examples():

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import signal
 
 import pytest
 
@@ -21,6 +23,7 @@ from wilsonlab.suite import (
     report_to_text,
     run_suite,
     scan_primes,
+    _slices,
 )
 
 
@@ -33,6 +36,10 @@ def test_spec_validation():
         SuiteSpec("x", ("lerch",), 2, 10, engine="quantum")
     spec = make_spec("lerch,kummer", 2, 30)
     assert spec.check_ids == ("lerch", "kummer")
+    # only lemma26_qdiff reads mod_exp; a spec without it rejects one
+    with pytest.raises(UnknownRange):
+        make_spec("lerch,thm_main_p2", 2, 11, mod_exp=99)
+    assert make_spec("lerch,lemma26_qdiff", 2, 11, mod_exp=5).mod_exp == 5
 
 
 def test_single_check_run():
@@ -44,14 +51,44 @@ def test_single_check_run():
 
 
 def test_report_sorted_and_deterministic_across_jobs():
-    spec = make_spec("lerch,thm_main_p1,vsc,kummer", 2, 60)
-    rep1 = run_suite(spec, jobs=1)
-    rep2 = run_suite(spec, jobs=2)
-    j1, j2 = report_to_json(rep1), report_to_json(rep2)
     strip = lambda s: re.sub(r'"wall_time": [0-9.]+', '"wall_time": 0', s)
-    assert strip(j1) == strip(j2)
-    keys = [(r.check_id, r.p) for r in rep1.results]
-    assert keys == sorted(keys)
+    # one spec with an index-domain check, and one with a single task
+    for spec in (make_spec("lerch,thm_main_p1,vsc,kummer", 2, 60), make_spec("lerch", 3, 3)):
+        rep1 = run_suite(spec, jobs=1)
+        j1 = strip(report_to_json(rep1))
+        for jobs in (2, 3, 8):
+            assert strip(report_to_json(run_suite(spec, jobs=jobs))) == j1, jobs
+        keys = [(r.check_id, r.p) for r in rep1.results]
+        assert keys == sorted(keys)
+
+
+def test_slices_are_contiguous_nonempty_and_balanced():
+    tasks = [("a", v) for v in (0, 1, 2, 3, 5, 7, 11, 13, 97, 101, 103)]
+    for n in range(1, len(tasks) + 1):
+        parts = _slices(tasks, n)
+        assert len(parts) == n and all(parts)
+        assert [t for part in parts for t in part] == tasks
+    weights = [sum(max(v, 1) for _, v in part) for part in _slices(tasks, 3)]
+    assert weights == [140, 101, 103]
+    assert [len(part) for part in _slices(tasks, 2)] == [9, 2]
+    assert _slices([("a", 1103)] * 36, 2) == [[("a", 1103)] * 18] * 2
+
+
+def test_a_worker_that_dies_without_sending_is_an_error(monkeypatch):
+    import wilsonlab.suite as suite
+
+    def hung(signum, frame):
+        raise TimeoutError("run_suite did not return")
+
+    monkeypatch.setattr(suite, "_child", lambda tasks, env, conn: os._exit(3))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_suite(make_spec("lerch", 2, 60), jobs=3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_summary_counts_match_rows():
@@ -240,6 +277,47 @@ def test_checks_never_read_the_remainder_tree(monkeypatch):
         scan_primes("wilson", 10)
 
 
+def test_oracles_never_read_the_power_sum_memo(monkeypatch):
+    """factorial_mod, fermat_quotient and q_sum(..., "direct") are the
+    left-hand-side oracles: with the memo emptied and its kernel patched to
+    raise, they and the checks built on them alone still run."""
+    from wilsonlab import modular
+    from wilsonlab.quotients import factorial_mod, fermat_quotient, q_sum
+
+    def boom(n, m, spf):
+        raise AssertionError("power-sum kernel called")
+
+    monkeypatch.setattr(modular, "_sieve_power_sum", boom)
+    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    for p in (5, 7, 101, 1103):
+        assert (factorial_mod(p, 3).residue + 1) % p == 0
+        assert wilson_quotient(p, 2).residue % p == q_sum(p, 1, 1, "direct").residue
+        assert fermat_quotient(2, p, 2).prec == 2
+    rep = run_suite(make_spec("lerch,thm_kel_psi_r1,thm_kel_psi_r4", 2, 60))
+    assert rep.ok and rep.summary["pass"] > 0
+    with pytest.raises(AssertionError):
+        q_sum(7, 1, 1, "difference")
+
+
+def test_a_skewed_power_sum_fails_lemma26(monkeypatch):
+    """lemma26_qdiff compares the direct q_sum with the difference method,
+    which reads the memo: one wrong sum, S_{2(p-1)}, must fail it."""
+    from wilsonlab import modular
+
+    real = modular._sieve_power_sum
+
+    def skewed(n, m, spf):
+        v = real(n, m, spf)
+        return (v + 1) % m if n == 2 * (len(spf) - 1) else v
+
+    spec = make_spec("lemma26_qdiff", 5, 13)
+    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    assert run_suite(spec).ok
+    monkeypatch.setattr(modular, "_sieve_power_sum", skewed)
+    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    assert [r.status for r in run_suite(spec).results] == ["fail"] * 4
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -327,6 +405,7 @@ def test_cli_bernoulli_table(capsys):
         ["verify", "--mod-exp", "-3"],
         ["verify", "--mod-exp", "0"],
         ["verify", "--suite", ","],
+        ["verify", "--suite", "lerch,thm_main_p2", "--p-max", "11", "--mod-exp", "99"],
     ],
 )
 def test_cli_bad_bernoulli_input_is_usage_error(capsys, argv):
