@@ -148,25 +148,18 @@ def bernoulli_polynomial(n: int, table: BernoulliTable) -> RationalPolynomial:
 def power_sum_polynomial(n: int, table: BernoulliTable) -> RationalPolynomial:
     """Degree n+1 polynomial with S_n(m) = 1^n + ... + (m-1)^n for integer m >= 1.
 
-    Built from both classical Bernoulli expansions, which must agree
-    coefficient-wise; n >= 1 only (the n = 0 convention S_0(m) = m - 1
-    is a caller-side special case, not a polynomial produced here).
+    Faulhaber's formula: the coefficient of m^k is C(n+1, k) B_{n+1-k} / (n+1).
+    n >= 1 only (the n = 0 convention S_0(m) = m - 1 is a caller-side special
+    case, not a polynomial produced here).
     """
     if n < 1:
         raise ValueError("n must be >= 1; S_0 is a special case for callers")
     if n + 1 > table.max_index:
         raise IndexOutOfTable(f"index {n + 1} beyond table")
-    via_binom = [Fraction(0)] + [
+    return RationalPolynomial.make([Fraction(0)] + [
         Fraction(comb(n + 1, k), n + 1) * table.bernoulli(n + 1 - k)
         for k in range(1, n + 2)
-    ]
-    via_integral = [Fraction(0)] + [
-        Fraction(comb(n, k - 1), k) * table.bernoulli(n - k + 1)
-        for k in range(1, n + 2)
-    ]
-    if via_binom != via_integral:
-        raise AssertionError("power-sum expansions disagree; table corrupt")
-    return RationalPolynomial.make(via_binom)
+    ])
 
 
 def vsc_denominator(n: int) -> int:
@@ -240,13 +233,3 @@ def bar_value(d: int, p: int, table: BernoulliTable) -> Fraction:
             raise ValueError("only d = 1 is defined for p = 2")
         return (table.bernoulli(1) + Fraction(1, 2) - 1) / 1
     return beta_value(n, p, table)
-
-
-def bar2_value(d: int, p: int, table: BernoulliTable) -> Fraction:
-    """B_{d(p-1)-2} / (d(p-1)-2), the shifted companion of bar_value."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if p < 5:
-        raise ValueError("defined for p >= 5")
-    m = d * (p - 1) - 2
-    return table.bernoulli(m) / m

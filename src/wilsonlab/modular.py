@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+from typing import Callable
 
 from . import result
-from .bernoulli import BernoulliTable, bar2_value, bar_value, beta_value
+from .bernoulli import BernoulliTable, bar_value, beta_value
 from .padic import PrimePowerContext, TrackedResidue, forward_difference, is_prime, reduce_rational
 from .result import CongruenceCheckResult
 
@@ -218,16 +219,41 @@ def beta_mod(m: int, p: int, K: int) -> TrackedResidue:
     return num.divide_by_p(e).scale_fraction(Fraction(1, mm)).truncate(K)
 
 
+def beta_route(
+    engine: str, p: int, table: BernoulliTable | None = None
+) -> Callable[[int, int], TrackedResidue]:
+    """The route (m, K) -> divided adjusted Bernoulli value at even index m,
+    mod p^K, by one engine: beta_mod for 'modular', the oracle's rational
+    reduced for 'exact' (at p = 2 the index-1 value -1 of bar_value).
+
+    bundle and generalized_kummer_check take every value from here, so
+    their two engines differ in this one place.
+    """
+    if engine == "modular":
+        return lambda m, K: beta_mod(m, p, K)
+    if engine != "exact":
+        raise ValueError(f"unknown engine {engine!r}")
+    if table is None:
+        raise ValueError("exact engine needs a Bernoulli table")
+
+    def exact(m: int, K: int) -> TrackedResidue:
+        value = bar_value(m, p, table) if p == 2 else beta_value(m, p, table)
+        return reduce_rational(value, PrimePowerContext(p, K), K)
+
+    return exact
+
+
 @dataclass(frozen=True)
 class DividedBernoulliBundle:
     """Divided Bernoulli residues feeding the quotient congruences.
 
-    ``bars[d-1]`` holds the value at index d(p-1) over d(p-1), mod p^r;
-    ``bars2[d-1]`` the value at index d(p-1)-2 over d(p-1)-2, at precision
-    min(r, 2) (one less at p = 5, where the strengthened folklore route is
-    unavailable; every consumer multiplies bars2 by p^2, so nothing is lost).
-    The Kummer chains (all bars pairwise congruent mod p, likewise bars2)
-    are asserted at construction.
+    ``bars[d-1]`` holds the divided adjusted value at index d(p-1), mod p^r;
+    ``bars2[d-1]`` the divided value at index d(p-1)-2, at precision
+    min(r, 2) (one less on the modular engine at p = 5, where the
+    strengthened folklore route is unavailable; every consumer multiplies
+    bars2 by p^2, so nothing is lost). Both come from beta_route. The Kummer
+    chains (all bars pairwise congruent mod p, likewise bars2) are asserted
+    at construction.
     """
 
     p: int
@@ -251,11 +277,12 @@ class DividedBernoulliBundle:
         return self.bars2[d - 1]
 
 
-def bundle_precisions(r: int, p: int) -> tuple[int, int, int]:
-    """(number of bars, number of bars2, bars2 precision) for a tier-r bundle."""
+def bundle_precisions(r: int, p: int, engine: str) -> tuple[int, int, int]:
+    """(number of bars, number of bars2, bars2 precision) for a tier-r
+    bundle; the modular bars2 are one digit short at p = 5."""
     n_bars = min(max(r, 1), 4)
     n_bars2 = 2 if r >= 4 else (1 if r == 3 else 0)
-    prec2 = min(r, 2) if p != 5 else min(r - 2, 2)
+    prec2 = min(r, 2) if engine == "exact" or p != 5 else min(r - 2, 2)
     return n_bars, n_bars2, prec2
 
 
@@ -267,8 +294,10 @@ def bundle(
 ) -> DividedBernoulliBundle:
     """Assemble the divided Bernoulli residues needed by a tier-r congruence.
 
-    engine 'modular' costs O(p); engine 'exact' reduces oracle rationals and
-    is the cross-check path. p in {2, 3} is exact-only and limited to r = 1.
+    Every value comes from beta_route(engine, p, table): engine 'modular'
+    costs O(p); engine 'exact' reduces oracle rationals and is the
+    cross-check path. p in {2, 3} is exact-only, p = 2 limited to r = 1 and
+    p = 3 to r = 2. The gates and bars2 precision are per engine.
     """
     if r < 1 or r > 4:
         raise InadmissibleCase("bundle supports 1 <= r <= 4")
@@ -281,35 +310,13 @@ def bundle(
         # exact: p = 2 stops at r = 1, p = 3 at r = 2
         if (p == 2 and r > 1) or (p == 3 and r > 2):
             raise InadmissibleCase(f"r = {r} not defined at p = {p}")
-    n_bars, n_bars2, prec2 = bundle_precisions(r, p)
+    n_bars, n_bars2, prec2 = bundle_precisions(r, p, engine)
+    value = beta_route(engine, p, table)
     ctx = PrimePowerContext(p, r + 2)
-
-    if engine == "exact":
-        if table is None:
-            raise ValueError("exact engine needs a Bernoulli table")
-        bars = tuple(
-            reduce_rational(bar_value(d, p, table), ctx, r)
-            for d in range(1, n_bars + 1)
-        )
-        bars2 = tuple(
-            reduce_rational(bar2_value(d, p, table), ctx, min(r, 2))
-            for d in range(1, n_bars2 + 1)
-        )
-    elif engine == "modular":
-        bars = []
-        for d in range(1, n_bars + 1):
-            bhat = adjusted_bernoulli_mod(d, p, r)
-            v = bhat.scale_fraction(Fraction(1, d * (p - 1)))
-            bars.append(TrackedResidue(ctx, r, v.residue))
-        bars = tuple(bars)
-        bars2 = []
-        for d in range(1, n_bars2 + 1):
-            m = d * (p - 1) - 2
-            v = beta_mod(m, p, prec2)
-            bars2.append(TrackedResidue(ctx, prec2, v.residue))
-        bars2 = tuple(bars2)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    bars = tuple(value(d * (p - 1), r).lift(ctx) for d in range(1, n_bars + 1))
+    bars2 = tuple(
+        value(d * (p - 1) - 2, prec2).lift(ctx) for d in range(1, n_bars2 + 1)
+    )
     return DividedBernoulliBundle(p, r, bars, bars2)
 
 
@@ -355,17 +362,8 @@ def generalized_kummer_check(
         raise HypothesisViolated(f"neither hypothesis holds for n={n}, p={p}, r={r}")
     if r == 0:
         return result.from_values(check_id, p, 0, 0, 0)
-    ctx = PrimePowerContext(p, r + 1)
-    indices = [n + k * (p - 1) for k in range(r + 1)]
-    if engine == "exact":
-        if table is None:
-            raise ValueError("exact engine needs a Bernoulli table")
-        diff = Fraction(0)
-        for k, idx in enumerate(indices):
-            diff += comb(r, k) * (-1) ** (r - k) * beta_value(idx, p, table)
-        lhs = reduce_rational(diff, ctx, r)
-    else:
-        lhs = forward_difference([beta_mod(idx, p, r) for idx in indices])
+    value = beta_route(engine, p, table)
+    lhs = forward_difference([value(n + k * (p - 1), r) for k in range(r + 1)])
     return result.from_residues(
-        check_id, p, r, lhs.truncate(r), ctx.from_int(0, r), f"start index {n}"
+        check_id, p, r, lhs.truncate(r), lhs.ctx.from_int(0, r), f"start index {n}"
     )

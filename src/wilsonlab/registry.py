@@ -5,14 +5,15 @@ returns exactly one result row. Hypothesis gates produce skipped rows so
 reports show what was not claimed rather than silently omitting it; a plain
 "p >= N" gate is declared as the check's p_min and applied by execute_check.
 
-The dual-path checks (the Wilson and power-sum tiers, glaisher_beeger,
-lehmer, lehmer_diff, bundle_kummer_chain) go through one runner: it computes
-the right-hand side by every engine the selection allows, and with engine
-'both' any disagreement between the exact oracle and the modular engine is a
-loud failure. Where only one path is admissible, that path alone is used.
-The gen_kummer_r* checks are not dual-path: with engine 'both' each instance
-runs on the exact table when the table reaches its top index and on the
-modular engine otherwise.
+Engines are chosen in one place: _per_engine runs a value function on each
+engine that _engines lets run at p. The dual-path checks (the Wilson and
+power-sum tiers, glaisher_beeger, lehmer, lehmer_diff, bundle_kummer_chain)
+go through _dual_path on top of it: with engine 'both' any disagreement
+between the exact oracle and the modular engine is a loud failure, and where
+only one path is admissible that path alone is used. prop36, prop37 and
+reduction_chain check each engine's own bundles. The gen_kummer_r* checks
+are not dual-path: with engine 'both' each instance runs on the exact table
+when the table reaches its top index and on the modular engine otherwise.
 """
 
 from __future__ import annotations
@@ -182,15 +183,6 @@ def _bhat(eng: str, mult: int, p: int, env: RunEnv):
     return reduce_rational(adjusted_bernoulli(mult * (p - 1), p, table), ctx, 1)
 
 
-def _bhat_diff(eng: str, p: int, env: RunEnv):
-    """B_{2(p-1)} - B_{p-1} mod p by one engine."""
-    if eng == "modular":
-        return adjusted_bernoulli_mod(2, p, 1) - adjusted_bernoulli_mod(1, p, 1)
-    table = _exact_table(env, 2 * (p - 1), "exact oracle cap")
-    diff = table.bernoulli(2 * (p - 1)) - table.bernoulli(p - 1)
-    return reduce_rational(diff, PrimePowerContext(p, 1), 1)
-
-
 def run_glaisher_beeger(p: int, env: RunEnv) -> CongruenceCheckResult:
     return _dual_path(
         "glaisher_beeger", p, 1, env,
@@ -214,7 +206,8 @@ def run_lehmer(p: int, env: RunEnv) -> CongruenceCheckResult:
 def run_lehmer_diff(p: int, env: RunEnv) -> CongruenceCheckResult:
     return _dual_path(
         "lehmer_diff", p, 1, env,
-        lambda eng: _bhat_diff(eng, p, env), lambda: wilson_quotient(p, 1),
+        lambda eng: _bhat(eng, 2, p, env) - _bhat(eng, 1, p, env),
+        lambda: wilson_quotient(p, 1),
     )
 
 
@@ -260,17 +253,17 @@ def _psi_tier(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResu
 
 
 def run_reduction_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
-    rows = []
-    for eng in _engines(p, env):
-        table = None
-        if eng == "exact":
-            table = _exact_table(env)
-            if table.max_index < (4 if p >= 7 else 3) * (p - 1):
-                continue
+    """The tier chain on each engine's own bundles; a short exact table or
+    an inadmissible modular tier drops that engine."""
+    def chain(eng):
+        top = (4 if p >= 7 else 3) * (p - 1)
+        table = _exact_table(env, top) if eng == "exact" else None
         try:
-            rows.append(reduction_chain_check(p, eng, table))
-        except InadmissibleCase:
-            continue
+            return reduction_chain_check(p, eng, table)
+        except InadmissibleCase as exc:
+            raise _NoRoute(str(exc)) from exc
+
+    rows, _ = _per_engine(p, env, chain)
     return _aggregate("reduction_chain", p, 4, rows)
 
 

@@ -9,7 +9,6 @@ from wilsonlab.bernoulli import (
     DESK_CAP,
     IndexOutOfTable,
     adjusted_bernoulli,
-    bar2_value,
     bar_value,
     bernoulli_polynomial,
     beta_value,
@@ -158,7 +157,7 @@ def test_bar_value_small_prime_fixed_points(small_table, p, expected):
 
 
 def test_divided_examples(small_table):
-    assert bar2_value(1, 7, small_table) == Fraction(-1, 120)
+    assert beta_value(1 * (7 - 1) - 2, 7, small_table) == Fraction(-1, 120)
     assert beta_value(2, 7, small_table) == Fraction(1, 12)
     assert bar_value(1, 5, small_table) == Fraction(-5, 24)
     assert beta_value(6, 5, small_table) == Fraction(1, 252)

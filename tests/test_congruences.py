@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from wilsonlab.bernoulli import IndexOutOfTable, bar2_value, bar_value
+from wilsonlab.bernoulli import IndexOutOfTable, bar_value, beta_value
 from wilsonlab.congruences import (
     InadmissibleTier,
     Q_TIER_PMIN,
@@ -31,7 +31,10 @@ def rational_tier_value(terms, p, table):
     for term in terms:
         mono = Fraction(1)
         for family, d, power in term.monomial:
-            base = bar_value(d, p, table) if family == "bar" else bar2_value(d, p, table)
+            if family == "bar":
+                base = bar_value(d, p, table)
+            else:
+                base = beta_value(d * (p - 1) - 2, p, table)
             mono *= base ** power
         total += (term.const + term.p_lin * p) * Fraction(p) ** term.p_exp * mono
     return total

@@ -13,6 +13,7 @@ from wilsonlab.modular import (
     PreconditionViolated,
     adjusted_bernoulli_mod,
     beta_mod,
+    beta_route,
     bundle,
     folklore_bernoulli_mod,
     generalized_kummer_check,
@@ -200,6 +201,33 @@ def test_beta_mod_p_divides_index(table):
     got = beta_mod(m, p, 1)
     want = reduce_rational(beta_value(m, p, table), PrimePowerContext(p, 1), 1)
     assert got.residue == want.residue
+
+
+def test_beta_route_engines_agree(table):
+    """Wherever beta_mod admits (m, K), the exact and modular routes give
+    the same residue."""
+    compared = 0
+    for p in primes_up_to(47):
+        if p < 5:
+            continue
+        exact, modular = beta_route("exact", p, table), beta_route("modular", p)
+        for m in range(2, min(401, 4 * (p - 1)) + 1, 2):
+            for K in (1, 2, 3, 4):
+                try:
+                    want = modular(m, K)
+                except InadmissibleCase:
+                    continue
+                assert exact(m, K).residue == want.residue, (p, m, K)
+                compared += 1
+    assert compared > 1000
+
+
+def test_beta_route_refusals(table):
+    with pytest.raises(ValueError, match="unknown engine"):
+        beta_route("oracle", 7, table)
+    with pytest.raises(ValueError, match="needs a Bernoulli table"):
+        beta_route("exact", 7)
+    assert beta_route("exact", 2, table)(1, 1).residue == 1  # bar value -1 at p = 2
 
 
 def test_bundle_fixed_points(table):

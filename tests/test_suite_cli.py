@@ -181,6 +181,30 @@ def test_cross_path_mismatch_is_a_fail_row(monkeypatch, check_id):
     assert run_suite(make_spec(check_id, 11, 23, engine="exact")).ok
 
 
+def test_reduction_chain_fails_per_engine(monkeypatch):
+    """A modular p^4 tier that no longer truncates to the p^3 one fails the
+    chain under 'modular' and under 'both', whose exact side still passes."""
+    import wilsonlab.congruences as congruences
+
+    real_bundle = congruences.bundle
+
+    def skewed_bundle(p, r=4, engine="modular", table=None):
+        b = real_bundle(p, r, engine, table)
+        if engine != "modular" or r != 4:
+            return b
+        bars = tuple(v.ctx.from_int(v.residue + p ** 2, v.prec) for v in b.bars)
+        return DividedBernoulliBundle(p, r, bars, b.bars2)
+
+    monkeypatch.setattr(congruences, "bundle", skewed_bundle)
+    for engine in ("modular", "both"):
+        rep = run_suite(make_spec("reduction_chain", 11, 23, engine=engine))
+        assert [r.p for r in rep.results] == [11, 13, 17, 19, 23]
+        for r in rep.results:
+            assert r.status == "fail", (engine, r)
+            assert r.reason == "truncation to p^3 broke", (engine, r)
+    assert run_suite(make_spec("reduction_chain", 11, 23, engine="exact")).ok
+
+
 # sha256 of the sorted-key JSON report without wall_time, first 16 hex digits
 REPORT_DIGESTS = {
     (2, 97, "both"): "989070afd6fc586b",
