@@ -4,6 +4,9 @@ multivariate polynomials expressing the Wilson quotient through them.
 The quotient power sums Q_p(n) come by two independent methods that must
 agree exactly: direct summation of n-th powers of Fermat quotients, and an
 n-th forward difference of integer power sums followed by n backward shifts.
+The direct side keeps its own memo for one prime (the Fermat quotients and
+the sums built from them); it reads nothing of modular's power-sum memo or
+sieve, so a fault there cannot make the two methods agree.
 """
 
 from __future__ import annotations
@@ -127,26 +130,61 @@ def fermat_quotient(a: int, p: int, r: int) -> TrackedResidue:
     return (t - 1).divide_by_p(1)
 
 
+def _fermat_quotients(p: int, R: int) -> list[int]:
+    """q_p(a) mod p^R for a = 1..p-1, one pow(a, p-1, p^(R+1)) each."""
+    m = p ** (R + 1)
+    return [(pow(a, p - 1, m) - 1) // p for a in range(1, p)]
+
+
+class _QuotientMemo:
+    """The direct quotient power sums of one prime p: the Fermat quotients
+    mod p^R at the highest precision R asked so far, and
+    n -> (r, Q_p(n) mod p^r)."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.R = 0
+        self.quotients: list[int] = []
+        self.sums: dict[int, tuple[int, int]] = {}
+
+    def get(self, n: int, r: int) -> int:
+        m = self.p ** r
+        held = self.sums.get(n)
+        if held is not None and held[0] >= r:
+            return held[1] % m
+        if self.R < r:
+            self.quotients = _fermat_quotients(self.p, r)
+            self.R = r
+        value = sum([pow(q, n, m) for q in self.quotients]) % m
+        self.sums[n] = (r, value)
+        return value
+
+
+_memo = _QuotientMemo(0)
+
+
 def q_sum(p: int, n: int, r: int, method: str = "direct") -> TrackedResidue:
     """Sum of n-th powers of the Fermat quotients q_p(1..p-1), mod p^r.
 
-    method 'difference' computes the same value as the n-th forward
-    difference (step p-1) of nu -> S_nu(p) at nu = 0, shifted back by p^n;
-    it needs the power sums at precision r + n. Both methods agree exactly.
+    method 'direct' sums q_p(a)^n, with q_p(a) = (a^(p-1) - 1)/p from one
+    pow per a. The quotients and sums are memoised for one prime at a time
+    (a call at another prime starts the memo afresh): a sum held at
+    precision r or higher is reduced, and a higher r recomputes the
+    quotients at that r, so callers that keep to one prime pay one pow loop
+    per new precision. method 'difference' computes the same value as the
+    n-th forward difference (step p-1) of nu -> S_nu(p) at nu = 0, shifted
+    back by p^n; it needs the power sums at precision r + n. Both methods
+    agree exactly, and neither reads the other's memo.
     """
+    global _memo
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
     if method == "direct":
-        ctx = PrimePowerContext(p, r + 1)
-        m_hi = ctx.modulus
-        m_lo = p ** r
-        acc = 0
-        for a in range(1, p):
-            q = (pow(a, p - 1, m_hi) - 1) // p
-            acc += pow(q, n, m_lo)
-        return ctx.from_int(acc, r)
+        if _memo.p != p:
+            _memo = _QuotientMemo(p)
+        return PrimePowerContext(p, r + 1).from_int(_memo.get(n, r), r)
     if method == "difference":
         values = [power_sum_mod(k * (p - 1), p, r + n) for k in range(n + 1)]
         return forward_difference(values).divide_by_p(n)
@@ -236,8 +274,9 @@ def wilson_via_psi(p: int, r: int) -> TrackedResidue:
     wilson_quotient(p, r) whenever p > r.
 
     The sum over nu of p^(nu-1)/nu! applied to the expansion rows. The
-    quotient power sums enter at uniform precision r (cheap, and immune to
-    off-by-one budgeting); nu! is a unit because p > r >= nu.
+    quotient power sums enter at uniform precision r (immune to off-by-one
+    budgeting, and cheap: the r calls share q_sum's memo, so the Fermat
+    quotients of p are computed once); nu! is a unit because p > r >= nu.
     """
     if r < 1 or r > PSI_MAX:
         raise HypothesisViolated(f"supported range is 1 <= r <= {PSI_MAX}")

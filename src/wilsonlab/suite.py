@@ -61,6 +61,12 @@ class SuiteSpec:
         for cid in self.check_ids:
             if cid not in REGISTRY:
                 raise UnknownCheck(f"unknown check id {cid!r}")
+        if not any(
+            _task_values(REGISTRY[cid], self.p_min, self.p_max) for cid in self.check_ids
+        ):
+            raise UnknownRange(
+                f"no selected check has a value in [{self.p_min}, {self.p_max}]"
+            )
         if self.mod_exp is not None and not any(
             REGISTRY[cid].reads_mod_exp for cid in self.check_ids
         ):

@@ -1,6 +1,10 @@
+from functools import lru_cache
+from itertools import chain, zip_longest
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wilsonlab import quotients
 from wilsonlab.modular import HypothesisViolated
 from wilsonlab.padic import PrimePowerContext, primes_up_to
 from wilsonlab.quotients import (
@@ -103,6 +107,45 @@ def test_q_sum_both_methods_sweep_to_500():
                     q_sum(p, n, r, "direct").residue
                     == q_sum(p, n, r, "difference").residue
                 ), (p, n, r)
+
+
+MEMO_PRIMES = primes_up_to(200) + [1103, 1109]
+
+
+@lru_cache(maxsize=None)
+def _plain_q_sum(p, n, r):
+    m = p ** r
+    return sum(pow((pow(a, p - 1, p ** (r + 1)) - 1) // p, n, m) for a in range(1, p)) % m
+
+
+def _q_requests(p, precisions):
+    return [(p, n, r) for r in precisions for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("order", ["rising", "falling", "interleaved"])
+def test_quotient_memo_matches_plain_loop(monkeypatch, order):
+    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    real = quotients._fermat_quotients
+    loops = []
+
+    def counted(p, R):
+        loops.append((p, R))
+        return real(p, R)
+
+    monkeypatch.setattr(quotients, "_fermat_quotients", counted)
+    if order == "interleaved":  # every request but a list's tail switches prime
+        per_prime = [_q_requests(p, range(1, 7)) for p in MEMO_PRIMES]
+        requests = [t for t in chain(*zip_longest(*per_prime)) if t is not None]
+    else:
+        precisions = range(1, 7) if order == "rising" else range(6, 0, -1)
+        requests = [t for p in MEMO_PRIMES for t in _q_requests(p, precisions)]
+    for p, n, r in requests:
+        got = q_sum(p, n, r)
+        assert (got.prec, got.residue) == (r, _plain_q_sum(p, n, r)), (p, n, r)
+    if order == "rising":  # each higher precision recomputes the quotients
+        assert loops == [(p, r) for p in MEMO_PRIMES for r in range(1, 7)]
+    if order == "falling":  # once per prime, at r = 6; the rest are reductions
+        assert loops == [(p, 6) for p in MEMO_PRIMES]
 
 
 # hand-entered duplicate of the psi rows, typed as plain expressions

@@ -36,6 +36,10 @@ def test_spec_validation():
         SuiteSpec("x", ("lerch",), 2, 10, engine="quantum")
     spec = make_spec("lerch,kummer", 2, 30)
     assert spec.check_ids == ("lerch", "kummer")
+    # a range is rejected only when no selected check has a value in it
+    with pytest.raises(UnknownRange):
+        make_spec("vsc,lerch", 0, 1)
+    assert make_spec("vsc,lerch", 24, 28).check_ids == ("vsc", "lerch")
     # only lemma26_qdiff reads mod_exp; a spec without it rejects one
     with pytest.raises(UnknownRange):
         make_spec("lerch,thm_main_p2", 2, 11, mod_exp=99)
@@ -323,6 +327,26 @@ def test_oracles_never_read_the_power_sum_memo(monkeypatch):
         q_sum(7, 1, 1, "difference")
 
 
+def test_power_sum_side_never_reads_the_quotient_memo(monkeypatch):
+    """The difference method, bundle and the power-sum checks are the
+    right-hand sides: with the Fermat-quotient memo emptied and its kernel
+    patched to raise, they still run, and q_sum(..., "direct") does not."""
+    from wilsonlab import quotients
+    from wilsonlab.modular import bundle
+
+    def boom(p, R):
+        raise AssertionError("Fermat-quotient kernel called")
+
+    monkeypatch.setattr(quotients, "_fermat_quotients", boom)
+    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    assert quotients.q_sum(1103, 2, 3, "difference").prec == 3
+    assert bundle(1103, 4, "modular").r == 4
+    rep = run_suite(make_spec("thm_main_p3,thm_main2_p4,gen_kummer_r4", 5, 60, engine="modular"))
+    assert rep.ok and rep.summary["pass"] > 0
+    with pytest.raises(AssertionError):
+        quotients.q_sum(1103, 2, 3, "direct")
+
+
 def test_a_skewed_power_sum_fails_lemma26(monkeypatch):
     """lemma26_qdiff compares the direct q_sum with the difference method,
     which reads the memo: one wrong sum, S_{2(p-1)}, must fail it."""
@@ -340,6 +364,28 @@ def test_a_skewed_power_sum_fails_lemma26(monkeypatch):
     monkeypatch.setattr(modular, "_sieve_power_sum", skewed)
     monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
     assert [r.status for r in run_suite(spec).results] == ["fail"] * 4
+
+
+def test_a_skewed_fermat_quotient_fails_the_direct_checks(monkeypatch):
+    """The direct q_sum feeds these verdicts through the quotient memo (prop37
+    through its left-hand side p^(n-1) Q_p(n) / n): one wrong Fermat
+    quotient, q_p(2) + 1, must fail every row of each."""
+    from wilsonlab import quotients
+
+    real = quotients._fermat_quotients
+
+    def skewed(p, R):
+        qs = real(p, R)
+        qs[1] += 1
+        return qs
+
+    spec = make_spec("lemma26_qdiff,prop37,thm_main3_q1_r4,thm_kel_psi_r4", 11, 23)
+    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    rep = run_suite(spec)
+    assert len(rep.results) == 20 and rep.summary["pass"] == 20
+    monkeypatch.setattr(quotients, "_fermat_quotients", skewed)
+    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    assert [r.status for r in run_suite(spec).results] == ["fail"] * 20
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -430,6 +476,8 @@ def test_cli_bernoulli_table(capsys):
         ["verify", "--mod-exp", "0"],
         ["verify", "--suite", ","],
         ["verify", "--suite", "lerch,thm_main_p2", "--p-max", "11", "--mod-exp", "99"],
+        ["verify", "--suite", "lerch", "--p-min", "24", "--p-max", "28"],
+        ["verify", "--suite", "vsc", "--p-min", "0", "--p-max", "1"],
     ],
 )
 def test_cli_bad_bernoulli_input_is_usage_error(capsys, argv):
