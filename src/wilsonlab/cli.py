@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .bernoulli import BernoulliTable, IndexOutOfTable, dn_product
 from .congruences import InadmissibleTier, q_sum_via_bernoulli, wilson_via_bernoulli
@@ -31,6 +32,7 @@ from .suite import (
 USAGE_ERROR = 2
 # what a single-value command raises on bad arguments
 _BAD_VALUE = (HypothesisViolated, InadmissibleCase, InadmissibleTier, NotPrime, ValueError)
+_FORMATS = {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}
 
 
 def _usage_error(msg) -> int:
@@ -43,20 +45,17 @@ def cmd_verify(args) -> int:
         return _usage_error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         spec = make_spec(args.suite, args.p_min, args.p_max, args.mod_exp, args.engine)
-    except (UnknownCheck, UnknownRange) as exc:
+        # opened before any check runs, so an unwritable path costs no run
+        sink = open(args.out, "w") if args.out else None
+    except (UnknownCheck, UnknownRange, OSError) as exc:
         return _usage_error(exc)
-    report = run_suite(spec, jobs=args.jobs)
-    if args.format == "json":
-        out = report_to_json(report)
-    elif args.format == "csv":
-        out = report_to_csv(report)
-    else:
-        out = report_to_text(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out if out.endswith("\n") else out + "\n")
+    with sink or nullcontext():
+        report = run_suite(spec, jobs=args.jobs)
+        out = _FORMATS[args.format](report)
+        if sink:
+            sink.write(out)
+        else:
+            sys.stdout.write(out if out.endswith("\n") else out + "\n")
     return 0 if report.ok else 1
 
 
@@ -141,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--mod-exp", type=int, default=None)
     v.add_argument("--engine", choices=["exact", "modular", "both"], default="both")
     v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    v.add_argument("--format", choices=list(_FORMATS), default="text")
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verify)
 

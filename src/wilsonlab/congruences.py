@@ -26,12 +26,7 @@ from .bernoulli import (
     beta_value,
     digit_sum,
 )
-from .modular import (
-    DividedBernoulliBundle,
-    HypothesisViolated,
-    InadmissibleCase,
-    bundle,
-)
+from .modular import DividedBernoulliBundle, HypothesisViolated
 from .padic import (
     PrimePowerContext,
     TrackedResidue,
@@ -287,20 +282,17 @@ def classify_prime(p: int, table: BernoulliTable | None = None) -> PrimeClassifi
 
 
 def reduction_chain_check(
-    p: int,
-    engine: str = "modular",
-    table: BernoulliTable | None = None,
+    p: int, bundles: list[DividedBernoulliBundle]
 ) -> CongruenceCheckResult:
-    """The tier values form a chain: the mod p^4 value truncates to the
-    mod p^t values for t = 3, 2, 1 (top tier 3 at p = 5)."""
+    """The tier values form a chain: the top-tier value truncates to the
+    mod p^t value of every lower tier t. bundles[t-1] is the tier-t bundle,
+    t = 1..top, all from one engine (the suite's top tier is 4, or 3 at
+    p = 5)."""
     check_id = "reduction_chain"
     if p < 5:
         raise HypothesisViolated("chain needs p >= 5")
-    top = 4 if p >= 7 else 3
-    values = {}
-    for t in range(1, top + 1):
-        values[t] = wilson_via_bernoulli(p, t, bundle(p, t, engine, table))
-    lhs = rhs = None
+    top = len(bundles)
+    values = {t: wilson_via_bernoulli(p, t, b) for t, b in enumerate(bundles, 1)}
     for t in range(1, top):
         lhs, rhs = values[top].truncate(t), values[t]
         if lhs.residue != rhs.residue:

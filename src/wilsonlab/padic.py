@@ -88,7 +88,10 @@ def primes_up_to(n: int) -> list[int]:
     """All primes <= n by sieve."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
+    try:
+        sieve = bytearray([1]) * (n + 1)
+    except OverflowError as exc:
+        raise ValueError(f"sieve limit {n} is too large") from exc
     sieve[0] = sieve[1] = 0
     for q in range(2, math.isqrt(n) + 1):
         if sieve[q]:

@@ -5,15 +5,17 @@ returns exactly one result row. Hypothesis gates produce skipped rows so
 reports show what was not claimed rather than silently omitting it; a plain
 "p >= N" gate is declared as the check's p_min and applied by execute_check.
 
-Engines are chosen in one place: _per_engine runs a value function on each
-engine that _engines lets run at p. The dual-path checks (the Wilson and
+Engines are chosen in this module alone: _engines names the engines that
+run at p and _table the table each one reads, while every value comes from
+modular.beta_route, the one place where the engines differ. _per_engine runs
+a value function on each engine. The dual-path checks (the Wilson and
 power-sum tiers, glaisher_beeger, lehmer, lehmer_diff, bundle_kummer_chain)
 go through _dual_path on top of it: with engine 'both' any disagreement
 between the exact oracle and the modular engine is a loud failure, and where
 only one path is admissible that path alone is used. prop36, prop37 and
-reduction_chain check each engine's own bundles. The gen_kummer_r* checks
-are not dual-path: with engine 'both' each instance runs on the exact table
-when the table reaches its top index and on the modular engine otherwise.
+reduction_chain check each engine's own bundles, and each gen_kummer_r*
+instance runs on the first engine with a route. cor35_tiers and folklore
+compare modular functions with the oracle whatever the selection.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .congruences import (
 from .modular import (
     InadmissibleCase,
     adjusted_bernoulli_mod,
+    beta_route,
     bundle,
     folklore_bernoulli_mod,
     generalized_kummer_check,
@@ -141,10 +144,14 @@ def _exact_table(env: RunEnv, n: int = 0, why: str = "needs exact table") -> Ber
     return env.oracle
 
 
+def _table(eng: str, env: RunEnv, n: int = 0, why: str = "needs exact table"):
+    """The table engine eng reads: the run's, reaching index n, or none."""
+    return _exact_table(env, n, why) if eng == "exact" else None
+
+
 def _bundle(p: int, r: int, eng: str, env: RunEnv):
-    table = _exact_table(env) if eng == "exact" else None
     try:
-        return bundle(p, r, eng, table)
+        return bundle(p, r, eng, _table(eng, env))
     except (IndexOutOfTable, InadmissibleCase) as exc:
         raise _NoRoute(f"{eng}: {exc}") from exc
 
@@ -175,12 +182,10 @@ def run_lerch(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 
 def _bhat(eng: str, mult: int, p: int, env: RunEnv):
-    """Adjusted Bernoulli value at mult*(p-1) mod p by one engine."""
-    if eng == "modular":
-        return adjusted_bernoulli_mod(mult, p, 1)
-    table = _exact_table(env, mult * (p - 1), "exact oracle cap")
-    ctx = PrimePowerContext(p, 1)
-    return reduce_rational(adjusted_bernoulli(mult * (p - 1), p, table), ctx, 1)
+    """Adjusted Bernoulli value at m = mult*(p-1) mod p by one engine: the
+    divided value times m, a unit mod p since p > mult."""
+    m = mult * (p - 1)
+    return beta_route(eng, p, _table(eng, env, m, "exact oracle cap"))(m, 1).scale(m)
 
 
 def run_glaisher_beeger(p: int, env: RunEnv) -> CongruenceCheckResult:
@@ -255,15 +260,10 @@ def _psi_tier(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResu
 def run_reduction_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
     """The tier chain on each engine's own bundles; a short exact table or
     an inadmissible modular tier drops that engine."""
-    def chain(eng):
-        top = (4 if p >= 7 else 3) * (p - 1)
-        table = _exact_table(env, top) if eng == "exact" else None
-        try:
-            return reduction_chain_check(p, eng, table)
-        except InadmissibleCase as exc:
-            raise _NoRoute(str(exc)) from exc
-
-    rows, _ = _per_engine(p, env, chain)
+    top = 4 if p >= 7 else 3
+    rows, _ = _per_engine(p, env, lambda eng: reduction_chain_check(
+        p, [_bundle(p, t, eng, env) for t in range(1, top + 1)]
+    ))
     return _aggregate("reduction_chain", p, 4, rows)
 
 
@@ -292,17 +292,16 @@ def _gen_kummer(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckRe
     for d in (1, 2):
         if p > r + d:
             instances.append(d * (p - 1))
-    engines = _engines(p, env)
-    table = _exact_table(env) if "exact" in engines else None
     rows = []
     for n in instances:
-        if table is not None and n + r * (p - 1) <= table.max_index:
-            rows.append(generalized_kummer_check(n, p, r, table, "exact"))
-        elif "modular" in engines:
+        # exact when the table reaches the top index, else modular
+        for eng in _engines(p, env):
             try:
-                rows.append(generalized_kummer_check(n, p, r, None, "modular"))
-            except InadmissibleCase:
+                table = _table(eng, env, n + r * (p - 1))
+                rows.append(generalized_kummer_check(n, p, r, table, eng))
+            except (_NoRoute, InadmissibleCase):
                 continue
+            break
     return _aggregate(check_id, p, r, rows)
 
 

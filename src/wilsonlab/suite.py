@@ -61,9 +61,12 @@ class SuiteSpec:
         for cid in self.check_ids:
             if cid not in REGISTRY:
                 raise UnknownCheck(f"unknown check id {cid!r}")
-        if not any(
-            _task_values(REGISTRY[cid], self.p_min, self.p_max) for cid in self.check_ids
-        ):
+        try:
+            has_values = any(_task_values(REGISTRY[c], self.p_min, self.p_max)
+                             for c in self.check_ids)
+        except (OverflowError, ValueError) as exc:  # a range too large to list
+            raise UnknownRange(f"p_max {self.p_max} is too large") from exc
+        if not has_values:
             raise UnknownRange(
                 f"no selected check has a value in [{self.p_min}, {self.p_max}]"
             )

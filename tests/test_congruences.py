@@ -186,10 +186,16 @@ def test_classify_prime(table):
 
 
 def test_reduction_chain(table):
-    assert reduction_chain_check(7, "modular").passed
-    assert reduction_chain_check(11, "modular").passed
-    assert reduction_chain_check(5, "exact", table).passed
-    assert reduction_chain_check(5, "modular").passed
+    def chain(p, engine, table=None):
+        top = 4 if p >= 7 else 3
+        return reduction_chain_check(
+            p, [bundle(p, t, engine, table) for t in range(1, top + 1)]
+        )
+
+    assert chain(7, "modular").passed
+    assert chain(11, "modular").passed
+    assert chain(5, "exact", table).passed
+    assert chain(5, "modular").passed
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))

@@ -141,31 +141,25 @@ def test_failure_rows_have_error_names(monkeypatch):
 
 
 def _skew_modular_engine(monkeypatch):
-    """Make every modular right-hand side wrong while the exact oracle and
-    the left-hand sides stay right. The bar at d moves by 1 + p*d^3: by the
-    same amount mod p, so the Kummer chains still hold, and by a cubic in d,
-    so the forward differences of the power-sum tiers move as well. The
-    adjusted value at d(p-1) moves by d, so lehmer_diff's difference moves."""
-    import wilsonlab.registry as registry
+    """Make the modular divided value at every index d(p-1) wrong while the
+    exact oracle and the left-hand sides stay right. One patch of
+    modular.beta_mod, the modular side of beta_route, reaches every
+    dual-path check. The value moves by 1 + p*d^3: by the same amount mod
+    p, so the Kummer chains still hold, and by a cubic in d, so the forward
+    differences of the power-sum tiers move as well. The adjusted value at
+    m = d(p-1) moves by m = -d mod p, so lehmer_diff's difference moves."""
+    import wilsonlab.modular as modular
 
-    real_bundle, real_bhat = registry.bundle, registry.adjusted_bernoulli_mod
+    real_beta_mod = modular.beta_mod
 
-    def skewed_bundle(p, r=4, engine="modular", table=None):
-        b = real_bundle(p, r, engine, table)
-        if engine != "modular":
-            return b
-        bars = tuple(
-            v.ctx.from_int(v.residue + 1 + p * d ** 3, v.prec)
-            for d, v in enumerate(b.bars, 1)
-        )
-        return DividedBernoulliBundle(p, r, bars, b.bars2)
+    def skewed_beta_mod(m, p, K):
+        v = real_beta_mod(m, p, K)
+        d, rest = divmod(m, p - 1)
+        if rest:
+            return v
+        return v.ctx.from_int(v.residue + 1 + p * d ** 3, v.prec)
 
-    def skewed_bhat(d, p, r, table=None):
-        v = real_bhat(d, p, r, table)
-        return v.ctx.from_int(v.residue + d, v.prec)
-
-    monkeypatch.setattr(registry, "bundle", skewed_bundle)
-    monkeypatch.setattr(registry, "adjusted_bernoulli_mod", skewed_bhat)
+    monkeypatch.setattr(modular, "beta_mod", skewed_beta_mod)
 
 
 DUAL_PATH_CHECKS = [
@@ -188,9 +182,9 @@ def test_cross_path_mismatch_is_a_fail_row(monkeypatch, check_id):
 def test_reduction_chain_fails_per_engine(monkeypatch):
     """A modular p^4 tier that no longer truncates to the p^3 one fails the
     chain under 'modular' and under 'both', whose exact side still passes."""
-    import wilsonlab.congruences as congruences
+    import wilsonlab.registry as registry
 
-    real_bundle = congruences.bundle
+    real_bundle = registry.bundle
 
     def skewed_bundle(p, r=4, engine="modular", table=None):
         b = real_bundle(p, r, engine, table)
@@ -199,7 +193,7 @@ def test_reduction_chain_fails_per_engine(monkeypatch):
         bars = tuple(v.ctx.from_int(v.residue + p ** 2, v.prec) for v in b.bars)
         return DividedBernoulliBundle(p, r, bars, b.bars2)
 
-    monkeypatch.setattr(congruences, "bundle", skewed_bundle)
+    monkeypatch.setattr(registry, "bundle", skewed_bundle)
     for engine in ("modular", "both"):
         rep = run_suite(make_spec("reduction_chain", 11, 23, engine=engine))
         assert [r.p for r in rep.results] == [11, 13, 17, 19, 23]
@@ -478,10 +472,21 @@ def test_cli_bernoulli_table(capsys):
         ["verify", "--suite", "lerch,thm_main_p2", "--p-max", "11", "--mod-exp", "99"],
         ["verify", "--suite", "lerch", "--p-min", "24", "--p-max", "28"],
         ["verify", "--suite", "vsc", "--p-min", "0", "--p-max", "1"],
+        ["verify", "--out", "{tmp}"],
+        ["verify", "--out", "{tmp}/missing/report.json"],
+        ["verify", "--p-max", str(10**23)],
+        ["scan", "--class", "wilson", "--limit", str(10**23)],
+        ["dn", "--n", str(10**23)],
     ],
 )
-def test_cli_bad_bernoulli_input_is_usage_error(capsys, argv):
-    assert main(argv) == 2
+def test_cli_bad_bernoulli_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    import wilsonlab.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a usage error must be found before any check runs")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
