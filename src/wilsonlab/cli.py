@@ -3,7 +3,8 @@
 Subcommands: verify (suite runs over a prime range), wilson and qsum
 (single values by any method), bernoulli (exact table),
 scan (prime classes), dn (polynomial denominator product). Exit codes:
-0 success, 1 at least one check failed, 2 usage error.
+0 success, 1 at least one check failed or the two paths of a Bernoulli-route
+value disagreed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import sys
 from contextlib import nullcontext
 
 from .bernoulli import BernoulliTable, IndexOutOfTable, dn_product
-from .congruences import InadmissibleTier, q_sum_via_bernoulli, wilson_via_bernoulli
-from .modular import HypothesisViolated, InadmissibleCase, bundle
+from .congruences import q_sum_via_bernoulli, wilson_via_bernoulli
+from .modular import HypothesisViolated, InadmissibleCase
 from .padic import NotPrime
 from .quotients import q_sum, wilson_quotient, wilson_via_psi
-from .registry import ALL_CHECK_IDS
+from .registry import ALL_CHECK_IDS, cross_checked
+from .result import SKIPPED
 from .suite import (
     UnknownCheck,
     UnknownRange,
@@ -31,7 +33,7 @@ from .suite import (
 
 USAGE_ERROR = 2
 # what a single-value command raises on bad arguments
-_BAD_VALUE = (HypothesisViolated, InadmissibleCase, InadmissibleTier, NotPrime, ValueError)
+_BAD_VALUE = (HypothesisViolated, InadmissibleCase, NotPrime, ValueError)
 _FORMATS = {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}
 
 
@@ -59,20 +61,32 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _no_value(row) -> int:
+    """Exit code of a Bernoulli-route row that carries no value: a skip (no
+    engine has a route) is a usage error, a fail (the engines disagree)
+    exits 1."""
+    if row.status == SKIPPED:
+        return _usage_error(row.reason)
+    print(f"fail: {row.check_id} mod {row.p}^{row.mod_exp}: {row.reason}: "
+          f"{row.lhs} vs {row.rhs}", file=sys.stderr)
+    return 1
+
+
 def cmd_wilson(args) -> int:
     p, r = args.p, args.mod_exp
     try:
         if args.method == "direct":
-            value = wilson_quotient(p, r)
+            value = wilson_quotient(p, r).residue
         elif args.method == "psi":
-            value = wilson_via_psi(p, r)
+            value = wilson_via_psi(p, r).residue
         else:
-            engine = "modular" if p >= 5 else "exact"
-            table = BernoulliTable.build(4 * (p - 1)) if engine == "exact" else None
-            value = wilson_via_bernoulli(p, r, bundle(p, r, engine, table))
+            row = cross_checked(f"W_{p}", p, r, r, lambda b: wilson_via_bernoulli(p, r, b))
+            if not row.passed:
+                return _no_value(row)
+            value = row.rhs
     except _BAD_VALUE as exc:
         return _usage_error(exc)
-    print(f"W_{p} = {value.residue} (mod {p}^{r})")
+    print(f"W_{p} = {value} (mod {p}^{r})")
     return 0
 
 
@@ -80,17 +94,17 @@ def cmd_qsum(args) -> int:
     p, n, r = args.p, args.n, args.mod_exp
     try:
         if args.method in ("direct", "difference"):
-            value = q_sum(p, n, r, args.method)
+            value = q_sum(p, n, r, args.method).residue
         else:
             tier = r + n - 1
-            engine = "modular" if p >= 7 else "exact"
-            table = None
-            if engine == "exact":
-                table = BernoulliTable.build(max(4, tier) * (p - 1))
-            value = q_sum_via_bernoulli(p, n, tier, bundle(p, tier, engine, table))
+            row = cross_checked(f"Q_{p}({n})", p, r, tier,
+                                lambda b: q_sum_via_bernoulli(p, n, tier, b))
+            if not row.passed:
+                return _no_value(row)
+            value = row.rhs
     except _BAD_VALUE as exc:
         return _usage_error(exc)
-    print(f"Q_{p}({n}) = {value.residue} (mod {p}^{value.prec})")
+    print(f"Q_{p}({n}) = {value} (mod {p}^{r})")
     return 0
 
 

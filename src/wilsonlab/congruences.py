@@ -38,10 +38,6 @@ from .quotients import q_sum, wilson_quotient
 from .result import CongruenceCheckResult
 
 
-class InadmissibleTier(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class TierTerm:
     """One displayed term: (const + p_lin * p) * p^p_exp * monomial.
@@ -203,7 +199,7 @@ def wilson_via_bernoulli(p: int, r: int, bnd: DividedBernoulliBundle) -> Tracked
     """Wilson quotient mod p^r from divided Bernoulli values; must equal
     wilson_quotient(p, r) for p at or above the tier bound."""
     if r not in WQ_TIERS:
-        raise InadmissibleTier(f"no tier r = {r}")
+        raise HypothesisViolated(f"no tier r = {r}")
     if p < WQ_TIER_PMIN[r]:
         raise HypothesisViolated(f"tier r = {r} needs p >= {WQ_TIER_PMIN[r]}")
     return evaluate_terms(WQ_TIERS[r], p, bnd, r)
@@ -211,7 +207,7 @@ def wilson_via_bernoulli(p: int, r: int, bnd: DividedBernoulliBundle) -> Tracked
 
 def q_tier_rhs(p: int, n: int, r: int, bnd: DividedBernoulliBundle) -> TrackedResidue:
     if (n, r) not in Q_TIERS:
-        raise InadmissibleTier(f"no tier (n, r) = ({n}, {r})")
+        raise HypothesisViolated(f"no tier (n, r) = ({n}, {r})")
     if p < Q_TIER_PMIN[(n, r)]:
         raise HypothesisViolated(
             f"tier (n={n}, r={r}) needs p >= {Q_TIER_PMIN[(n, r)]}"
@@ -258,17 +254,10 @@ class PrimeClassification:
     irregular: bool
     irregular_indices: tuple[int, ...]
 
-    @property
-    def wilson(self) -> bool:
-        """W_p = 0 mod p, from the factorial oracle; computed when read, so
-        that the irregular-prime scan does not pay a factorial per prime."""
-        return wilson_quotient(self.p, 1).residue == 0
-
 
 def classify_prime(p: int, table: BernoulliTable | None = None) -> PrimeClassification:
     """Irregularity by scanning the numerators of B_2..B_{p-3} (needs the
-    exact table that far); the Wilson flag is read from the factorial
-    oracle on access."""
+    exact table that far)."""
     if p == 2:
         raise ValueError("classification is for odd primes")
     indices = []

@@ -19,10 +19,6 @@ from .padic import PrimePowerContext, TrackedResidue, forward_difference, is_pri
 from .result import CongruenceCheckResult
 
 
-class PreconditionViolated(Exception):
-    pass
-
-
 class InadmissibleCase(Exception):
     pass
 
@@ -124,18 +120,18 @@ def folklore_bernoulli_mod(m: int, p: int, K: int) -> TrackedResidue:
     large p (see the test suite).
     """
     if K not in (1, 2):
-        raise PreconditionViolated("K must be 1 or 2")
+        raise InadmissibleCase("K must be 1 or 2")
     if m < 2 or m % 2:
-        raise PreconditionViolated("m must be even and >= 2")
+        raise InadmissibleCase("m must be even and >= 2")
     if p < 5:
-        raise PreconditionViolated("p must be >= 5")
+        raise InadmissibleCase("p must be >= 5")
     if m % (p - 1) == 0:
-        raise PreconditionViolated(f"(p-1) | m for p={p}, m={m}")
+        raise InadmissibleCase(f"(p-1) | m for p={p}, m={m}")
     if K == 2:
         if p < 7:
-            raise PreconditionViolated("K = 2 needs p >= 7")
+            raise InadmissibleCase("K = 2 needs p >= 7")
         if (m - 2) % (p - 1) == 0:
-            raise PreconditionViolated(f"(p-1) | m-2 for p={p}, m={m}")
+            raise InadmissibleCase(f"(p-1) | m-2 for p={p}, m={m}")
     s = power_sum_mod(m, p, K + 1)
     return s.divide_by_p(1)
 
@@ -212,10 +208,7 @@ def beta_mod(m: int, p: int, K: int) -> TrackedResidue:
             raise InadmissibleCase(
                 f"index {m}: needs B mod p^{K + e}, folklore route stops at p^2"
             )
-        try:
-            num = folklore_bernoulli_mod(m, p, K + e)
-        except PreconditionViolated as exc:
-            raise InadmissibleCase(f"index {m}: {exc}") from exc
+        num = folklore_bernoulli_mod(m, p, K + e)
     return num.divide_by_p(e).scale_fraction(Fraction(1, mm)).truncate(K)
 
 
@@ -277,15 +270,6 @@ class DividedBernoulliBundle:
         return self.bars2[d - 1]
 
 
-def bundle_precisions(r: int, p: int, engine: str) -> tuple[int, int, int]:
-    """(number of bars, number of bars2, bars2 precision) for a tier-r
-    bundle; the modular bars2 are one digit short at p = 5."""
-    n_bars = min(max(r, 1), 4)
-    n_bars2 = 2 if r >= 4 else (1 if r == 3 else 0)
-    prec2 = min(r, 2) if engine == "exact" or p != 5 else min(r - 2, 2)
-    return n_bars, n_bars2, prec2
-
-
 def bundle(
     p: int,
     r: int = 4,
@@ -310,13 +294,12 @@ def bundle(
         # exact: p = 2 stops at r = 1, p = 3 at r = 2
         if (p == 2 and r > 1) or (p == 3 and r > 2):
             raise InadmissibleCase(f"r = {r} not defined at p = {p}")
-    n_bars, n_bars2, prec2 = bundle_precisions(r, p, engine)
+    # r - 2 bars2 from r = 3 on, a digit short on the modular engine at p = 5
+    prec2 = min(r, 2) if engine == "exact" or p != 5 else min(r - 2, 2)
     value = beta_route(engine, p, table)
     ctx = PrimePowerContext(p, r + 2)
-    bars = tuple(value(d * (p - 1), r).lift(ctx) for d in range(1, n_bars + 1))
-    bars2 = tuple(
-        value(d * (p - 1) - 2, prec2).lift(ctx) for d in range(1, n_bars2 + 1)
-    )
+    bars = tuple(value(d * (p - 1), r).lift(ctx) for d in range(1, r + 1))
+    bars2 = tuple(value(d * (p - 1) - 2, prec2).lift(ctx) for d in range(1, r - 1))
     return DividedBernoulliBundle(p, r, bars, bars2)
 
 

@@ -12,10 +12,12 @@ a value function on each engine. The dual-path checks (the Wilson and
 power-sum tiers, glaisher_beeger, lehmer, lehmer_diff, bundle_kummer_chain)
 go through _dual_path on top of it: with engine 'both' any disagreement
 between the exact oracle and the modular engine is a loud failure, and where
-only one path is admissible that path alone is used. prop36, prop37 and
-reduction_chain check each engine's own bundles, and each gen_kummer_r*
-instance runs on the first engine with a route. cor35_tiers and folklore
-compare modular functions with the oracle whatever the selection.
+only one path is admissible that path alone is used. The CLI's wilson and
+qsum values by the Bernoulli route come through it as well (cross_checked).
+prop36, prop37 and reduction_chain check each engine's own bundles, and each
+gen_kummer_r* instance runs on the first engine with a route. cor35_tiers
+and folklore compare modular functions with the oracle whatever the
+selection.
 """
 
 from __future__ import annotations
@@ -138,15 +140,14 @@ def _dual_path(check_id, p, r, env, rhs, lhs=None, sub="") -> CongruenceCheckRes
     return result.from_residues(check_id, p, r, lhs() if lhs else last, first, sub)
 
 
-def _exact_table(env: RunEnv, n: int = 0, why: str = "needs exact table") -> BernoulliTable:
+def _table(eng: str, env: RunEnv, n: int = 0, why: str = "needs exact table"):
+    """The table engine eng reads: none for the modular engine, else the
+    run's, which must reach index n."""
+    if eng != "exact":
+        return None
     if env.oracle.max_index < n:
         raise _NoRoute(why)
     return env.oracle
-
-
-def _table(eng: str, env: RunEnv, n: int = 0, why: str = "needs exact table"):
-    """The table engine eng reads: the run's, reaching index n, or none."""
-    return _exact_table(env, n, why) if eng == "exact" else None
 
 
 def _bundle(p: int, r: int, eng: str, env: RunEnv):
@@ -154,6 +155,15 @@ def _bundle(p: int, r: int, eng: str, env: RunEnv):
         return bundle(p, r, eng, _table(eng, env))
     except (IndexOutOfTable, InadmissibleCase) as exc:
         raise _NoRoute(f"{eng}: {exc}") from exc
+
+
+def cross_checked(label: str, p: int, r: int, tier: int, value) -> CongruenceCheckResult:
+    """value(bundle), a residue mod p^r, from the tier bundle of every engine
+    that runs at p under a default RunEnv, as _dual_path's row: a pass
+    carries the value, a fail says that the engines disagree, and a skip
+    says why no engine has a route."""
+    env = RunEnv()
+    return _dual_path(label, p, r, env, lambda eng: value(_bundle(p, tier, eng, env)))
 
 
 def _aggregate(check_id, p, mod_exp, rows) -> CongruenceCheckResult:
@@ -218,7 +228,7 @@ def run_lehmer_diff(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_carlitz(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "carlitz"
-    table = _exact_table(env)
+    table = env.oracle
     rows = []
     for mult, k in CARLITZ_PAIRS:
         index = mult * p ** k * (p - 1)
@@ -272,7 +282,7 @@ def run_reduction_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_kummer(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "kummer"
-    table = _exact_table(env)
+    table = env.oracle
     rows = []
     for n in range(2, min(p - 3, 12) + 1, 2):
         m = n + (p - 1)
@@ -320,7 +330,7 @@ def run_bundle_kummer_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_cor35_tiers(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "cor35_tiers"
-    table = _exact_table(env)
+    table = env.oracle
     rows = []
     for d in (1, 2, 3, 4):
         n = d * (p - 1)
@@ -345,7 +355,7 @@ _FOLKLORE_SAMPLE_EXTRA = (118, 242, 398)
 
 def run_folklore(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "folklore"
-    table = _exact_table(env)
+    table = env.oracle
     cap = min(table.max_index, 400)
     sample = [m for m in range(4, 41, 2) if m <= cap]
     sample += [m for m in _FOLKLORE_SAMPLE_EXTRA if m <= cap]
@@ -364,7 +374,7 @@ def run_folklore(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_prop22(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "prop22"
-    table = _exact_table(env)
+    table = env.oracle
     cap = min(3 * (p - 1), 240, table.max_index)
     ctx = PrimePowerContext(p, 1)
     wq = wilson_quotient(p, 1)
@@ -389,7 +399,7 @@ def run_prop34_remainder(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "prop34_remainder"
     if p > REMAINDER_P_CAP:
         return result.skipped(check_id, p, 0, f"desk-scale gate p <= {REMAINDER_P_CAP}")
-    table = _exact_table(env, 3 * (p - 1), "needs exact table to 3(p-1)")
+    table = _table("exact", env, 3 * (p - 1), "needs exact table to 3(p-1)")
     rows = [remainder_term_check(p, d, table) for d in (1, 2, 3)]
     return _aggregate(check_id, p, 0, rows)
 
@@ -432,7 +442,7 @@ def run_lemma26_qdiff(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_denominators_dn(n: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "denominators_dn"
-    table = _exact_table(env, n + 1)
+    table = _table("exact", env, n + 1)
     tilde = bernoulli_polynomial(n, table).drop_constant()
     r1 = result.from_values(
         check_id, n, 0, tilde.denominator(), dn_product(n), f"denom at n={n}"
@@ -447,7 +457,7 @@ def run_denominators_dn(n: int, env: RunEnv) -> CongruenceCheckResult:
 
 
 def run_vsc(n: int, env: RunEnv) -> CongruenceCheckResult:
-    table = _exact_table(env, n)
+    table = _table("exact", env, n)
     return result.from_values(
         "vsc", n, 0, table.bernoulli(n).denominator, vsc_denominator(n)
     )

@@ -58,9 +58,11 @@ class SuiteSpec:
             raise UnknownRange(f"mod_exp must be >= 1, got {self.mod_exp}")
         if self.engine not in ("exact", "modular", "both"):
             raise UnknownCheck(f"unknown engine {self.engine!r}")
-        for cid in self.check_ids:
+        for i, cid in enumerate(self.check_ids):
             if cid not in REGISTRY:
                 raise UnknownCheck(f"unknown check id {cid!r}")
+            if cid in self.check_ids[:i]:
+                raise UnknownCheck(f"check id {cid!r} named twice")
         try:
             has_values = any(_task_values(REGISTRY[c], self.p_min, self.p_max)
                              for c in self.check_ids)

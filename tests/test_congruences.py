@@ -5,7 +5,6 @@ import pytest
 
 from wilsonlab.bernoulli import IndexOutOfTable, bar_value, beta_value
 from wilsonlab.congruences import (
-    InadmissibleTier,
     Q_TIER_PMIN,
     Q_TIERS,
     WQ_TIERS,
@@ -120,7 +119,7 @@ def test_wilson_tier1_smallest_primes(table):
 def test_wilson_tier_gates(table):
     with pytest.raises(HypothesisViolated):
         wilson_via_bernoulli(5, 4, bundle(5, 4, "exact", table))
-    with pytest.raises(InadmissibleTier):
+    with pytest.raises(HypothesisViolated):
         wilson_via_bernoulli(7, 5, bundle(7, 4, "modular"))
 
 
@@ -174,13 +173,10 @@ def test_carlitz_sweep(table):
 
 
 def test_classify_prime(table):
-    assert classify_prime(5, table).wilson
-    assert classify_prime(13, table).wilson
+    assert [p for p in (5, 7, 11, 13) if wilson_quotient(p, 1).residue == 0] == [5, 13]
     c37 = classify_prime(37, table)
     assert c37.irregular and c37.irregular_indices == (32,)
-    c11 = classify_prime(11, table)
-    assert not c11.wilson and not c11.irregular
-    assert not classify_prime(7, table).wilson
+    assert not classify_prime(11, table).irregular
     with pytest.raises(ValueError):
         classify_prime(2, table)
 

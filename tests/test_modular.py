@@ -10,7 +10,6 @@ from wilsonlab.bernoulli import adjusted_bernoulli, beta_value, power_sum_polyno
 from wilsonlab.modular import (
     HypothesisViolated,
     InadmissibleCase,
-    PreconditionViolated,
     adjusted_bernoulli_mod,
     beta_mod,
     beta_route,
@@ -121,11 +120,11 @@ def test_folklore_fixed_points(table):
     assert b10.residue == reduce_rational(
         Fraction(5, 66), PrimePowerContext(7, 1), 1
     ).residue
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InadmissibleCase):
         folklore_bernoulli_mod(4, 5, 1)  # (p-1) | m
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InadmissibleCase):
         folklore_bernoulli_mod(8, 5, 2)  # K = 2 needs p >= 7
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InadmissibleCase):
         folklore_bernoulli_mod(14, 13, 2)  # (p-1) | m-2
 
 

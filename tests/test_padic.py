@@ -31,6 +31,8 @@ def test_is_prime_small():
     assert not is_prime(561)  # Carmichael
     assert is_prime(2**61 - 1)  # above the trial-division bound
     assert not is_prime(2**67 - 1)
+    # the least strong pseudoprime to the bases 2..37 needs the witness 41
+    assert not is_prime(318665857834031151167461)  # 399165290221 * 798330580441
 
 
 def test_primes_up_to():

@@ -36,6 +36,8 @@ def test_spec_validation():
         SuiteSpec("x", ("lerch",), 2, 10, engine="quantum")
     spec = make_spec("lerch,kummer", 2, 30)
     assert spec.check_ids == ("lerch", "kummer")
+    with pytest.raises(UnknownCheck):
+        make_spec("lerch,kummer,lerch", 2, 30)  # a check named twice
     # a range is rejected only when no selected check has a value in it
     with pytest.raises(UnknownRange):
         make_spec("vsc,lerch", 0, 1)
@@ -436,6 +438,32 @@ def test_cli_qsum_methods(capsys):
     assert out == capsys.readouterr().out  # divided-Bernoulli route agrees
 
 
+def test_cli_bernoulli_route_is_cross_checked(monkeypatch, capsys):
+    """wilson and qsum --method bernoulli run both engines wherever both
+    have a route, as the dual-path checks do: under a skewed modular engine
+    they exit 1 with the cross-path failure instead of printing its value.
+    At p = 563 the default table has no exact route, so the modular value
+    stands alone."""
+    cases = [
+        (["wilson", "--p", "11", "--mod-exp", "4", "--method", "bernoulli"],
+         "W_11 = 7789 (mod 11^4)\n"),
+        (["qsum", "--p", "11", "--n", "2", "--mod-exp", "2", "--method", "bernoulli"],
+         "Q_11(2) = 66 (mod 11^2)\n"),
+    ]
+    for argv, out in cases:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+    assert main(["wilson", "--p", "563", "--mod-exp", "2", "--method", "bernoulli"]) == 0
+    assert capsys.readouterr().out == "W_563 = 163270 (mod 563^2)\n"
+    _skew_modular_engine(monkeypatch)
+    for argv, _ in cases:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "cross-path mismatch (exact vs modular)" in captured.err
+
+
 def test_cli_scan_and_dn(capsys):
     assert main(["scan", "--class", "wilson", "--limit", "600"]) == 0
     assert capsys.readouterr().out.split() == ["5", "13", "563"]
@@ -461,6 +489,9 @@ def test_cli_bernoulli_table(capsys):
         ["dn", "--n", "-3"],
         ["wilson", "--p", "4"],
         ["wilson", "--p", "1", "--method", "bernoulli"],
+        ["wilson", "--p", "4", "--method", "bernoulli"],
+        ["wilson", "--p", "7", "--mod-exp", "5", "--method", "bernoulli"],
+        ["qsum", "--p", "7", "--n", "2", "--mod-exp", "4", "--method", "bernoulli"],
         ["qsum", "--p", "4", "--n", "1"],
         ["wilson", "--p", "7", "--mod-exp", "0"],
         ["scan", "--class", "wilson", "--limit", "-5"],
@@ -469,6 +500,7 @@ def test_cli_bernoulli_table(capsys):
         ["verify", "--mod-exp", "-3"],
         ["verify", "--mod-exp", "0"],
         ["verify", "--suite", ","],
+        ["verify", "--suite", "lerch,lerch", "--p-max", "7"],
         ["verify", "--suite", "lerch,thm_main_p2", "--p-max", "11", "--mod-exp", "99"],
         ["verify", "--suite", "lerch", "--p-min", "24", "--p-max", "28"],
         ["verify", "--suite", "vsc", "--p-min", "0", "--p-max", "1"],
