@@ -2,7 +2,9 @@
 
 Everything here works in arbitrary-precision rationals (``fractions.Fraction``)
 and is meant for desk-scale indices; the O(p) modular engine in
-``wilsonlab.modular`` owns large primes. Sign convention: B_1 = -1/2.
+``wilsonlab.modular`` owns large primes. Sign convention: B_1 = -1/2. The
+polynomial denominators are read from the table by integer gcds
+(``polynomial_denominators``); the Fraction polynomials are their reference.
 
 The table is built from the tangent numbers T_k, computed in integers by the
 in-place recurrence of Brent and Harvey ("Fast computation of Bernoulli,
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .padic import is_prime, ord_p, primes_up_to
 
@@ -160,6 +162,34 @@ def power_sum_polynomial(n: int, table: BernoulliTable) -> RationalPolynomial:
         Fraction(comb(n + 1, k), n + 1) * table.bernoulli(n + 1 - k)
         for k in range(1, n + 2)
     ])
+
+
+def polynomial_denominators(n: int, table: BernoulliTable) -> tuple[int, int]:
+    """Denominators of B_n(x) - B_n and of the power-sum polynomial S_n(m),
+    each the lcm of its coefficient denominators, from integer gcds alone.
+
+    Since gcd(num B_j, den B_j) = 1, the coefficient C(n,k) B_{n-k} has
+    denominator den(B_{n-k}) / gcd(den(B_{n-k}), C(n,k)). The power-sum
+    coefficient C(n+1,k) B_{n+1-k} / (n+1) reduces in the same way, with one
+    more gcd against n+1. The loop runs over the Bernoulli index j (j = n-k,
+    resp. n+1-k, so the binomial is C(n,j), resp. C(n+1,j)), and vanishing
+    coefficients (odd j > 1) add nothing. The Fraction polynomials above
+    are the tests' reference.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n + 1 > table.max_index:
+        raise IndexOutOfTable(f"index {n + 1} beyond table")
+    shifted = power = 1
+    for j in (0, 1, *range(2, n + 1, 2)):
+        b = table.bernoulli(j)
+        den = b.denominator
+        if j < n:
+            shifted = lcm(shifted, den // gcd(den, comb(n, j)))
+        c = comb(n + 1, j)
+        g = gcd(den, c)
+        power = lcm(power, (n + 1) * (den // g) // gcd(c // g * b.numerator, n + 1))
+    return shifted, power
 
 
 def vsc_denominator(n: int) -> int:

@@ -63,12 +63,13 @@ def cmd_verify(args) -> int:
 
 def _no_value(row) -> int:
     """Exit code of a Bernoulli-route row that carries no value: a skip (no
-    engine has a route) is a usage error, a fail (the engines disagree)
-    exits 1."""
+    engine has a route) is a usage error, a fail (the engines disagree, or
+    a guaranteed division failed) exits 1."""
     if row.status == SKIPPED:
         return _usage_error(row.reason)
-    print(f"fail: {row.check_id} mod {row.p}^{row.mod_exp}: {row.reason}: "
-          f"{row.lhs} vs {row.rhs}", file=sys.stderr)
+    values = "" if row.lhs is None else f": {row.lhs} vs {row.rhs}"
+    print(f"fail: {row.check_id} mod {row.p}^{row.mod_exp}: {row.reason}{values}",
+          file=sys.stderr)
     return 1
 
 

@@ -241,6 +241,8 @@ class TrackedResidue:
 
     def scale(self, c: int) -> "TrackedResidue":
         """Multiply by an exact integer; precision grows by ord_p(c)."""
+        if c == 1:
+            return self
         if c == 0:
             return self.ctx.from_int(0, self.ctx.working_exp)
         gain = 0
@@ -253,7 +255,10 @@ class TrackedResidue:
 
     def scale_fraction(self, fr: Fraction) -> "TrackedResidue":
         """Multiply by an exact rational whose denominator is prime to p."""
-        fr = Fraction(fr)
+        if isinstance(fr, int):
+            return self.scale(fr)
+        if not isinstance(fr, Fraction):
+            fr = Fraction(fr)
         if fr.denominator % self.p == 0:
             raise NotPIntegral(f"denominator of {fr} divisible by {self.p}")
         out = self.scale(fr.numerator)
@@ -283,6 +288,8 @@ class TrackedResidue:
         """Forget precision down to K <= prec."""
         if K > self.prec:
             raise PrecisionExhausted(f"cannot raise precision {self.prec} to {K}")
+        if K == self.prec:
+            return self
         return self.ctx.from_int(self.residue, K)
 
     def lift(self, ctx: PrimePowerContext) -> "TrackedResidue":
@@ -309,7 +316,8 @@ class TrackedResidue:
 
 def reduce_rational(x: Fraction, ctx: PrimePowerContext, K: int) -> TrackedResidue:
     """Image of a p-integral rational in Z/p^K."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator % ctx.p == 0:
         raise NotPIntegral(f"{x} has negative {ctx.p}-adic valuation")
     if K == 0:

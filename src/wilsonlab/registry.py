@@ -31,9 +31,8 @@ from .bernoulli import (
     BernoulliTable,
     IndexOutOfTable,
     adjusted_bernoulli,
-    bernoulli_polynomial,
     dn_product,
-    power_sum_polynomial,
+    polynomial_denominators,
     vsc_denominator,
 )
 from .congruences import (
@@ -57,7 +56,7 @@ from .modular import (
     generalized_kummer_check,
     kummer_check,
 )
-from .padic import PrimePowerContext, ord_p, reduce_rational
+from .padic import NotDivisible, PrimePowerContext, ord_p, reduce_rational
 from .quotients import q_sum, wilson_quotient, wilson_via_psi
 from .result import FAIL, CongruenceCheckResult
 
@@ -112,15 +111,19 @@ def _engines(p: int, env: RunEnv) -> tuple[str, ...]:
 
 def _per_engine(p: int, env: RunEnv, value):
     """value(engine) for every engine that runs at p, and the joined reasons
-    of those that raised _NoRoute."""
+    of those that raised _NoRoute. A reason that every engine gives, once
+    each engine's own "eng: " prefix is dropped, is said once."""
     values = []
     reasons = []
     for eng in _engines(p, env):
         try:
             values.append(value(eng))
         except _NoRoute as exc:
-            reasons.append(str(exc))
-    return values, "; ".join(reasons)
+            reasons.append((eng, str(exc)))
+    shared = {why.removeprefix(f"{eng}: ") for eng, why in reasons}
+    if len(reasons) > 1 and len(shared) == 1:
+        return values, shared.pop()
+    return values, "; ".join(why for _, why in reasons)
 
 
 def _dual_path(check_id, p, r, env, rhs, lhs=None, sub="") -> CongruenceCheckResult:
@@ -159,11 +162,22 @@ def _bundle(p: int, r: int, eng: str, env: RunEnv):
 
 def cross_checked(label: str, p: int, r: int, tier: int, value) -> CongruenceCheckResult:
     """value(bundle), a residue mod p^r, from the tier bundle of every engine
-    that runs at p under a default RunEnv, as _dual_path's row: a pass
-    carries the value, a fail says that the engines disagree, and a skip
-    says why no engine has a route."""
-    env = RunEnv()
-    return _dual_path(label, p, r, env, lambda eng: value(_bundle(p, tier, eng, env)))
+    that runs at p, as _dual_path's row: a pass carries the value, a fail
+    says that the engines disagree, and a skip says why no engine has a
+    route. A division that the congruence guarantees but the bundle's
+    value does not allow is a fail as well. The exact side reads a table
+    built to tier*(p-1), the top index of the bundle, when that is at most
+    AUTO_ORACLE_CAP; beyond it the run is modular only and builds no
+    table."""
+    top = tier * (p - 1)
+    if top <= AUTO_ORACLE_CAP:
+        env = RunEnv(table=BernoulliTable.build(max(top, 0)))
+    else:
+        env = RunEnv(engine="modular")
+    try:
+        return _dual_path(label, p, r, env, lambda eng: value(_bundle(p, tier, eng, env)))
+    except NotDivisible as exc:
+        return result.error_fail(label, p, r, exc)
 
 
 def _aggregate(check_id, p, mod_exp, rows) -> CongruenceCheckResult:
@@ -442,16 +456,14 @@ def run_lemma26_qdiff(p: int, env: RunEnv) -> CongruenceCheckResult:
 
 def run_denominators_dn(n: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "denominators_dn"
-    table = _table("exact", env, n + 1)
-    tilde = bernoulli_polynomial(n, table).drop_constant()
+    shifted, power = polynomial_denominators(n, _table("exact", env, n + 1))
     r1 = result.from_values(
-        check_id, n, 0, tilde.denominator(), dn_product(n), f"denom at n={n}"
+        check_id, n, 0, shifted, dn_product(n), f"denom at n={n}"
     )
     if not r1.passed:
         return r1
-    spoly = power_sum_polynomial(n, table)
     return result.from_values(
-        check_id, n, 0, spoly.denominator(), (n + 1) * dn_product(n + 1),
+        check_id, n, 0, power, (n + 1) * dn_product(n + 1),
         f"power-sum denom at n={n}",
     )
 

@@ -14,6 +14,7 @@ from wilsonlab.bernoulli import (
     beta_value,
     digit_sum,
     dn_product,
+    polynomial_denominators,
     power_sum_polynomial,
     vsc_denominator,
 )
@@ -138,6 +139,21 @@ def test_digit_sum_and_dn(small_table):
     assert dn_product(1) == 1
     with pytest.raises(ValueError):
         dn_product(-3)
+
+
+def test_integer_denominators_match_the_fraction_polynomials():
+    """The gcd route gives the denominators of the Fraction polynomials,
+    which are D_n and (n+1) D_{n+1}, at every index the 450 table serves."""
+    table = BernoulliTable.build(450)
+    for n in range(1, 450):
+        shifted = bernoulli_polynomial(n, table).drop_constant().denominator()
+        power = power_sum_polynomial(n, table).denominator()
+        assert polynomial_denominators(n, table) == (shifted, power), n
+        assert (shifted, power) == (dn_product(n), (n + 1) * dn_product(n + 1)), n
+    with pytest.raises(IndexOutOfTable):
+        polynomial_denominators(450, table)
+    with pytest.raises(ValueError):
+        polynomial_denominators(0, table)
 
 
 def test_adjusted_bernoulli_examples(small_table):

@@ -175,3 +175,35 @@ def test_forward_difference_annihilates_low_degree(p, n, coeffs):
     ctx = PrimePowerContext(p, 6)
     values = [ctx.from_int(f(s), 6) for s in range(n + 1)]
     assert forward_difference(values).residue == 0
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-50, max_value=50),
+)
+def test_unchanging_operations_match_the_general_path(p, R, value, c):
+    """truncate(prec), scale(1) and scale_fraction(int) return the residue
+    itself, with the (prec, residue) that rebuilding it gives, at precision
+    0, at the working exponent and between."""
+    ctx = PrimePowerContext(p, R)
+    for K in sorted({0, R // 2, R}):
+        x = ctx.from_int(value, K)
+        rebuilt = ctx.from_int(x.residue, K)
+        for same in (x.truncate(K), x.scale(1), x.scale_fraction(1)):
+            assert same is x
+            assert (same.prec, same.residue) == (rebuilt.prec, rebuilt.residue)
+        by_int, by_fraction = x.scale_fraction(c), x.scale_fraction(Fraction(c))
+        assert (by_int.prec, by_int.residue) == (by_fraction.prec, by_fraction.residue)
+        # the errors of the general path still raise
+        if K < R:
+            with pytest.raises(PrecisionExhausted):
+                x.truncate(K + 1)
+        with pytest.raises(NotPIntegral):
+            x.scale_fraction(Fraction(1, p))
+        with pytest.raises(NotPIntegral):
+            reduce_rational(Fraction(1, p), ctx, K)
+        if K and value % p:
+            with pytest.raises(NotDivisible):
+                x.divide_by_p()

@@ -5,11 +5,12 @@ import re
 import signal
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wilsonlab.bernoulli import BernoulliTable
 from wilsonlab.cli import main
 from wilsonlab.modular import DividedBernoulliBundle
-from wilsonlab.padic import primes_up_to
+from wilsonlab.padic import is_prime, primes_up_to
 from wilsonlab.quotients import wilson_quotient
 from wilsonlab.registry import ALL_CHECK_IDS, AUTO_ORACLE_CAP
 from wilsonlab.result import CongruenceCheckResult
@@ -462,6 +463,112 @@ def test_cli_bernoulli_route_is_cross_checked(monkeypatch, capsys):
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "cross-path mismatch (exact vs modular)" in captured.err
+
+
+def test_cli_bernoulli_route_builds_only_the_table_it_reads(monkeypatch, capsys):
+    """The exact side of a Bernoulli-route value reads B_0..B_{tier(p-1)}:
+    a table to that index is built when it is at most AUTO_ORACLE_CAP, and
+    none beyond it, where the modular value stands alone."""
+    builds = _count_table_builds(monkeypatch)
+    assert main(["wilson", "--p", "10007", "--mod-exp", "4", "--method", "bernoulli"]) == 0
+    assert capsys.readouterr().out == "W_10007 = 8314285110207079 (mod 10007^4)\n"
+    assert builds == []
+    assert main(["wilson", "--p", "11", "--mod-exp", "4", "--method", "bernoulli"]) == 0
+    assert capsys.readouterr().out == "W_11 = 7789 (mod 11^4)\n"
+    assert len(builds) == 1 and builds[0] <= 40
+
+
+def test_a_reason_every_engine_gives_is_said_once(capsys):
+    assert main(["wilson", "--p", "7", "--mod-exp", "5", "--method", "bernoulli"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bundle supports 1 <= r <= 4\n"
+    # different reasons still each name their engine
+    rep = run_suite(make_spec("thm_main3_q2_r4", 5, 5), table=BernoulliTable.build(10))
+    [row] = rep.results
+    assert row.status == "skipped"
+    assert row.reason.startswith("exact: ")
+    assert "; modular: modular r = 4 needs p >= 7" in row.reason
+
+
+# primes to 240 lie on both sides of the auto-built table's reach at tiers
+# 2 to 4, 563 and 10007 past it at every tier; the integers add bad input
+_CLI_P = st.one_of(st.sampled_from(primes_up_to(240) + [563, 10007]), st.integers(-3, 240))
+
+
+@st.composite
+def _value_command(draw):
+    """A wilson or qsum command line, with its tier: the bundle depth that
+    its Bernoulli route reads."""
+    p, r = draw(_CLI_P), draw(st.integers(-1, 6))
+    if draw(st.booleans()):
+        method = draw(st.sampled_from(["direct", "psi", "bernoulli"]))
+        return ["wilson", "--p", str(p), "--mod-exp", str(r), "--method", method], r
+    n = draw(st.integers(-1, 5))
+    method = draw(st.sampled_from(["direct", "difference", "bernoulli"]))
+    argv = ["qsum", "--p", str(p), "--n", str(n), "--mod-exp", str(r), "--method", method]
+    return argv, r + n - 1
+
+
+def _outcome(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _both_paths_run(argv, tier) -> bool:
+    """Both engines have a route: a prime p >= 5 (p >= 7 at tier 4, the
+    modular engine's gate) whose bundle reaches no index past the auto-built
+    table's."""
+    p = int(argv[2])
+    return (argv[-1] == "bernoulli" and p >= 5 and is_prime(p)
+            and 1 <= tier <= 4 and tier * (p - 1) <= AUTO_ORACLE_CAP
+            and (tier < 4 or p >= 7))
+
+
+_CLI_SETTINGS = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@given(_value_command())
+@_CLI_SETTINGS
+def test_cli_value_commands_keep_the_exit_code_contract(capsys, command):
+    """Exit 0 prints one value line; exit 2 prints one error line and
+    nothing else; no input raises (a traceback) or exits 1."""
+    argv, _ = command
+    code, out, err = _outcome(capsys, argv)
+    assert code in (0, 2), (argv, code, err)
+    if code == 0:
+        assert re.fullmatch(r"(W_\d+|Q_\d+\(\d+\)) = \d+ \(mod \d+\^\d+\)\n", out), out
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@given(_value_command())
+@settings(_CLI_SETTINGS, max_examples=400)
+def test_cli_skewed_modular_engine_fails_where_both_paths_run(capsys, command):
+    """Under a skewed modular engine, a command whose two paths both run
+    exits 1 with one fail line, unless the skew leaves its value unchanged
+    (qsum --p 7 --n 2 --mod-exp 1 is the one such input among the primes
+    to 457); it never prints a wrong value. No command raises."""
+    argv, tier = command
+    plain = _outcome(capsys, argv)
+    with pytest.MonkeyPatch.context() as mp:
+        _skew_modular_engine(mp)
+        code, out, err = _outcome(capsys, argv)
+    if argv[-1] != "bernoulli":
+        assert (code, out, err) == plain
+    elif _both_paths_run(argv, tier) and plain[0] == 0:
+        if (code, out, err) != plain:
+            assert code == 1, (argv, code, out, err)
+            assert out == ""
+            assert err.startswith("fail: ") and err.count("\n") == 1, err
+    else:
+        assert code in (0, 1, 2), (argv, code)
 
 
 def test_cli_scan_and_dn(capsys):
