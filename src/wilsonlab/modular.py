@@ -56,23 +56,40 @@ def _sieve_power_sum(n: int, m: int, spf: list[int]) -> int:
 
 class _PowerSumMemo:
     """The power sums of one prime p: n -> (K, S_n(p) mod p^K), and the
-    smallest-prime-factor sieve below p, built on the first miss."""
+    smallest-prime-factor sieve below p, built on the first miss.
 
-    def __init__(self, p: int):
+    Every request is also recorded by the shape (d, j) of its index,
+    n = d(p-1) + j with d = ceil(n/(p-1)) and -(p-1) < j <= 0: asked maps a
+    shape to the highest K asked for it at p. The memo of the next prime
+    takes that record as its plan, and a miss computes its sum at the
+    planned precision when that is higher than the one asked, since
+    consecutive primes of a run ask for the same shapes at the same
+    precisions. The plan changes only which precision a sum is held at,
+    never a returned value.
+    """
+
+    def __init__(self, p: int, plan: dict[tuple[int, int], int] | None = None):
         self.p = p
         self.sums: dict[int, tuple[int, int]] = {}
         self.spf: list[int] | None = None
+        self.plan = plan or {}
+        self.asked: dict[tuple[int, int], int] = {}
 
     def get(self, n: int, K: int) -> int:
+        d = -(-n // (self.p - 1))
+        shape = (d, n - d * (self.p - 1))
+        if self.asked.get(shape, 0) < K:
+            self.asked[shape] = K
         m = self.p ** K
         held = self.sums.get(n)
         if held is not None and held[0] >= K:
             return held[1] % m
         if self.spf is None:
             self.spf = _smallest_prime_factors(self.p)
-        value = _sieve_power_sum(n, m, self.spf)
-        self.sums[n] = (K, value)
-        return value
+        work = max(K, self.plan.get(shape, 0))
+        value = _sieve_power_sum(n, self.p ** work, self.spf)
+        self.sums[n] = (work, value)
+        return value % m
 
 
 _memo = _PowerSumMemo(0)
@@ -81,10 +98,14 @@ _memo = _PowerSumMemo(0)
 def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
     """1^n + ... + (p-1)^n mod p^K, with the convention that n = 0 gives p - 1.
 
-    Sums are memoised for one prime at a time (a call at another prime
-    starts the memo afresh), so callers that keep to one prime reuse them:
-    a sum held at precision K or higher is reduced, one held lower is
-    recomputed at K. A miss costs pow at the primes below p only, through a
+    Sums are memoised for one prime at a time, so callers that keep to one
+    prime reuse them: a sum held at precision K or higher is reduced, one
+    held lower is recomputed. A call at another prime starts a fresh memo
+    whose plan is what the previous prime asked for (see _PowerSumMemo): a
+    miss computes the sum at the higher of K and the precision the previous
+    prime asked for the same index shape. So when a run asks each prime the
+    same sums at rising K, each sum is computed once, from the second prime
+    on. A miss costs pow at the primes below p only, through a
     smallest-prime-factor sieve (see _sieve_power_sum).
     """
     global _memo
@@ -94,7 +115,7 @@ def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
     if n == 0:
         return ctx.from_int(p - 1, K)
     if _memo.p != p:
-        _memo = _PowerSumMemo(p)
+        _memo = _PowerSumMemo(p, _memo.asked)
     return ctx.from_int(_memo.get(n, K), K)
 
 

@@ -168,7 +168,10 @@ def cross_checked(label: str, p: int, r: int, tier: int, value) -> CongruenceChe
     value does not allow is a fail as well. The exact side reads a table
     built to tier*(p-1), the top index of the bundle, when that is at most
     AUTO_ORACLE_CAP; beyond it the run is modular only and builds no
-    table."""
+    table. A tier that bundle refuses on every engine is a skip that builds
+    no table and names no engine, whichever engines would have run."""
+    if not 1 <= tier <= 4:
+        return result.skipped(label, p, r, "bundle supports 1 <= r <= 4")
     top = tier * (p - 1)
     if top <= AUTO_ORACLE_CAP:
         env = RunEnv(table=BernoulliTable.build(max(top, 0)))
@@ -444,11 +447,13 @@ def run_lemma26_qdiff(p: int, env: RunEnv) -> CongruenceCheckResult:
         return result.skipped(check_id, p, 0, "odd primes only")
     r = 4 if env.mod_exp is None else env.mod_exp
     rows = []
-    for n in (1, 2, 3, 4):
+    # n = 4 first: its power sums are asked at the highest precision, r + 4,
+    # so the smaller n reduce them instead of computing them again
+    for n in (4, 3, 2, 1):
         direct = q_sum(p, n, r, "direct")
         diff = q_sum(p, n, r, "difference")
         rows.append(result.from_residues(check_id, p, r, direct, diff, f"n={n}"))
-    return _aggregate(check_id, p, r, rows)
+    return _aggregate(check_id, p, r, rows[::-1])
 
 
 # -- index-domain checks ------------------------------------------------------

@@ -69,6 +69,12 @@ def _requests(p, precisions):
     return [(n, p, K) for K in precisions for n in _memo_exponents(p)]
 
 
+def _shape(n, p):
+    """(d, j) with n = d(p-1) + j and -(p-1) < j <= 0."""
+    d = -(-n // (p - 1))
+    return d, n - d * (p - 1)
+
+
 @pytest.mark.parametrize("order", ["rising", "falling", "interleaved"])
 def test_power_sum_memo_matches_plain_loop(monkeypatch, order):
     monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
@@ -90,10 +96,43 @@ def test_power_sum_memo_matches_plain_loop(monkeypatch, order):
         got = power_sum_mod(n, p, K)
         assert (got.prec, got.residue) == (K, _plain_power_sum(n, p, K)), (n, p, K)
     computed = [(n, p, K) for n, p, K in requests if n > 0]
-    if order == "rising":  # each higher precision recomputes the sum
-        assert len(misses) == len(computed)
+    if order == "rising":
+        # a sum whose shape the previous prime asked is computed once, at
+        # its first request and the previous prime's K = 8; the rest rise
+        asked = {p: {_shape(n, p) for n in _memo_exponents(p) if n > 0} for p in MEMO_PRIMES}
+        planned = {(n, p) for prev, p in zip(MEMO_PRIMES, MEMO_PRIMES[1:])
+                   for n in _memo_exponents(p) if n > 0 and _shape(n, p) in asked[prev]}
+        assert misses == [(n, p, p ** (8 if (n, p) in planned else K))
+                          for n, p, K in computed if (n, p) not in planned or K == 1]
+        # that is every d(p-1) and d(p-1) - 2 of a bundle from p = 7 on; the
+        # small n keep their shape only across a prime gap smaller than n
+        assert {(d * (p - 1) - j, p) for p in MEMO_PRIMES[3:]
+                for d in range(1, 7) for j in (0, 2)} <= planned
     if order == "falling":  # once per (p, n), at K = 8; the rest are reductions
         assert sorted(misses) == sorted((n, p, p ** 8) for n, p, K in computed if K == 8)
+
+
+def test_power_sum_plan_is_one_prime_deep(monkeypatch):
+    """A prime's misses take the precisions the previous prime asked, and
+    only those: K = 8 at p1 plans p2's sum at p2^8, but p2 asked K = 2
+    alone, so p3 computes at p3^2."""
+    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    real = modular._sieve_power_sum
+    moduli = []
+
+    def counted(n, m, spf):
+        moduli.append(m)
+        return real(n, m, spf)
+
+    monkeypatch.setattr(modular, "_sieve_power_sum", counted)
+    for p, K in ((1103, 8), (1109, 2), (1117, 2)):
+        got = power_sum_mod(2 * (p - 1), p, K)
+        assert (got.prec, got.residue) == (K, _plain_power_sum(2 * (p - 1), p, K))
+    assert moduli == [1103 ** 8, 1109 ** 8, 1117 ** 2]
+    # a planned miss holds the sum at the plan's precision, and returns it mod p^K
+    memo = modular._PowerSumMemo(1109, {(2, 0): 8})
+    assert memo.get(2 * 1108, 2) == _plain_power_sum(2 * 1108, 1109, 2)
+    assert memo.sums[2 * 1108][0] == 8
 
 
 def test_sh_value_examples():

@@ -324,6 +324,35 @@ def test_oracles_never_read_the_power_sum_memo(monkeypatch):
         q_sum(7, 1, 1, "difference")
 
 
+TIER_CHECK_IDS = (
+    "thm_main_p3,thm_main2_p4,thm_main3_q1_r4,thm_main3_q2_r4,thm_main3_q3_r4,"
+    "thm_main3_q4_r4,prop37,reduction_chain,gen_kummer_r4,lemma26_qdiff,"
+    "thm_kel_psi_r4,bundle_kummer_chain"
+)
+
+
+def test_tier_checks_compute_each_power_sum_once_past_the_first_prime(monkeypatch):
+    """The twelve tier checks at 1103..1117 ask 36 distinct power sums. The
+    first prime raises some of them from K = 4 up to 8 and from 2 to 3; the
+    next two compute each at the precision the first one reached (81 kernel
+    runs when every rise recomputed)."""
+    from wilsonlab import modular
+
+    real = modular._sieve_power_sum
+    runs = []
+
+    def counted(n, m, spf):
+        runs.append((n, len(spf)))
+        return real(n, m, spf)
+
+    monkeypatch.setattr(modular, "_sieve_power_sum", counted)
+    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    rep = run_suite(make_spec(TIER_CHECK_IDS, 1103, 1117, engine="modular"))
+    assert rep.summary == {"pass": 36, "fail": 0, "skipped": 0}
+    assert len(set(runs)) == 36
+    assert len(runs) == 46
+
+
 def test_power_sum_side_never_reads_the_quotient_memo(monkeypatch):
     """The difference method, bundle and the power-sum checks are the
     right-hand sides: with the Fermat-quotient memo emptied and its kernel
@@ -489,6 +518,20 @@ def test_a_reason_every_engine_gives_is_said_once(capsys):
     assert row.status == "skipped"
     assert row.reason.startswith("exact: ")
     assert "; modular: modular r = 4 needs p >= 7" in row.reason
+
+
+@pytest.mark.parametrize("argv", [
+    ["wilson", "--p", "7", "--mod-exp", "5", "--method", "bernoulli"],
+    ["wilson", "--p", "10007", "--mod-exp", "5", "--method", "bernoulli"],
+    ["qsum", "--p", "3", "--n", "300", "--method", "bernoulli"],
+])
+def test_a_tier_no_bundle_supports_builds_no_table(monkeypatch, capsys, argv):
+    """Below p = 5 only the exact engine runs, and past the table cap only
+    the modular one; either way the refusal names no engine, and no table
+    is built for a value that no bundle can give."""
+    builds = _count_table_builds(monkeypatch)
+    assert _outcome(capsys, argv) == (2, "", "error: bundle supports 1 <= r <= 4\n")
+    assert builds == []
 
 
 # primes to 240 lie on both sides of the auto-built table's reach at tiers
