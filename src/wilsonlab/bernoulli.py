@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .padic import is_prime, ord_p, primes_up_to
+from .padic import is_prime, primes_up_to
 
 # Exact values above this index are refused rather than silently thrashing:
 # numerators grow like n log n digits and the modular engine owns that range.
@@ -132,10 +132,6 @@ class RationalPolynomial:
         for c in self.coeffs:
             d = lcm(d, c.denominator)
         return d
-
-    def min_ord(self, p: int):
-        """Minimum p-adic valuation over the nonzero coefficients."""
-        return min((ord_p(c, p) for c in self.coeffs if c != 0), default=None)
 
 
 def bernoulli_polynomial(n: int, table: BernoulliTable) -> RationalPolynomial:

@@ -75,6 +75,8 @@ def _no_value(row) -> int:
 
 def cmd_wilson(args) -> int:
     p, r = args.p, args.mod_exp
+    if r < 1:  # checked before the method, so that every method gives this line
+        return _usage_error("r must be >= 1")
     try:
         if args.method == "direct":
             value = wilson_quotient(p, r).residue
@@ -93,6 +95,8 @@ def cmd_wilson(args) -> int:
 
 def cmd_qsum(args) -> int:
     p, n, r = args.p, args.n, args.mod_exp
+    if n < 1 or r < 1:
+        return _usage_error("need n >= 1 and r >= 1")
     try:
         if args.method in ("direct", "difference"):
             value = q_sum(p, n, r, args.method).residue

@@ -42,10 +42,6 @@ class MixedContext(PadicError):
     pass
 
 
-class NotInvertible(PadicError):
-    pass
-
-
 # Deterministic Miller-Rabin witness set: the primes to 41 decide every
 # n < 3.3 * 10^24 (without 41, only n < 3.18 * 10^23).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -324,13 +320,6 @@ def reduce_rational(x: Fraction, ctx: PrimePowerContext, K: int) -> TrackedResid
         return TrackedResidue(ctx, 0, 0)
     m = ctx.p ** K
     return ctx.from_int(x.numerator * pow(x.denominator, -1, m), K)
-
-
-def inv_mod(a: int, ctx: PrimePowerContext, K: int) -> TrackedResidue:
-    """Inverse of an exact integer mod p^K."""
-    if a % ctx.p == 0:
-        raise NotInvertible(f"{a} is divisible by {ctx.p}")
-    return ctx.from_int(pow(a, -1, ctx.p ** K), K)
 
 
 def forward_difference(values: Sequence[TrackedResidue]) -> TrackedResidue:

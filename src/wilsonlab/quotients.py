@@ -1,5 +1,6 @@
 """Wilson and Fermat quotients, power sums of Fermat quotients, and the
-multivariate polynomials expressing the Wilson quotient through them.
+Wilson quotient through them by the log/exp series of
+((p-1)!)^(p-1) = prod_a a^(p-1).
 
 The quotient power sums Q_p(n) come by two independent methods that must
 agree exactly: direct summation of n-th powers of Fermat quotients, and an
@@ -11,17 +12,15 @@ sieve, so a fault there cannot make the two methods agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb, factorial, gcd, prod
+from fractions import Fraction
+from math import gcd, prod
 from typing import Sequence
 
 from .modular import HypothesisViolated, power_sum_mod
 from .padic import (
-    MixedContext,
     PrimePowerContext,
     TrackedResidue,
     forward_difference,
-    inv_mod,
     is_prime,
 )
 
@@ -191,105 +190,33 @@ def q_sum(p: int, n: int, r: int, method: str = "direct") -> TrackedResidue:
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class PsiPolynomial:
-    """One row of the quotient-expansion table: integer polynomial in
-    x_1..x_nu with no constant term, stored as (coefficient, exponent
-    vector) terms."""
-
-    nu: int
-    terms: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def evaluate(self, args: Sequence[TrackedResidue]) -> TrackedResidue:
-        if len(args) != self.nu:
-            raise ValueError(f"need exactly {self.nu} arguments")
-        ps = {a.p for a in args}
-        if len(ps) > 1:
-            raise MixedContext(f"mixed primes {sorted(ps)}")
-        acc = None
-        for coeff, exps in self.terms:
-            term = None
-            for x, e in zip(args, exps):
-                if e == 0:
-                    continue
-                pw = x ** e
-                term = pw if term is None else term * pw
-            term = args[0].ctx.from_int(coeff, args[0].prec) if term is None else term.scale(coeff)
-            acc = term if acc is None else acc + term
-        return acc
-
-
-# The first four expansion polynomials. These are data, not code: r > 4 has
-# no table row here and requests beyond it fail instead of extrapolating.
-PSI_TABLE: dict[int, PsiPolynomial] = {
-    1: PsiPolynomial(1, ((1, (1,)),)),
-    2: PsiPolynomial(
-        2,
-        (
-            (2, (1, 0)),
-            (-1, (2, 0)),
-            (-1, (0, 1)),
-        ),
-    ),
-    3: PsiPolynomial(
-        3,
-        (
-            (6, (1, 0, 0)),
-            (-6, (2, 0, 0)),
-            (1, (3, 0, 0)),
-            (3, (1, 1, 0)),
-            (-3, (0, 1, 0)),
-            (2, (0, 0, 1)),
-        ),
-    ),
-    4: PsiPolynomial(
-        4,
-        (
-            (24, (1, 0, 0, 0)),
-            (-36, (2, 0, 0, 0)),
-            (12, (3, 0, 0, 0)),
-            (-1, (4, 0, 0, 0)),
-            (-6, (2, 1, 0, 0)),
-            (24, (1, 1, 0, 0)),
-            (-8, (1, 0, 1, 0)),
-            (-12, (0, 1, 0, 0)),
-            (-3, (0, 2, 0, 0)),
-            (8, (0, 0, 1, 0)),
-            (-6, (0, 0, 0, 1)),
-        ),
-    ),
-}
-
-PSI_MAX = max(PSI_TABLE)
-
-
-def psi_eval(nu: int, args: Sequence[TrackedResidue]) -> TrackedResidue:
-    if nu not in PSI_TABLE:
-        raise HypothesisViolated(f"no expansion polynomial for nu = {nu}")
-    return PSI_TABLE[nu].evaluate(args)
-
-
 def wilson_via_psi(p: int, r: int) -> TrackedResidue:
-    """Wilson quotient mod p^r from quotient power sums; must equal
-    wilson_quotient(p, r) whenever p > r.
+    """Wilson quotient mod p^r from the quotient power sums Q_p(1..r); must
+    equal wilson_quotient(p, r) whenever p > r.
 
-    The sum over nu of p^(nu-1)/nu! applied to the expansion rows. The
-    quotient power sums enter at uniform precision r (immune to off-by-one
-    budgeting, and cheap: the r calls share q_sum's memo, so the Fermat
-    quotients of p are computed once); nu! is a unit because p > r >= nu.
+    With a^(p-1) = 1 + p q_p(a) and (p-1)! = -(1 - pW_p), the logarithm of
+    ((p-1)!)^(p-1) = prod_a (1 + p q_p(a)) gives 1 - pW_p = exp(x), where
+    x = L/(p-1) and L = sum_k (-1)^(k-1) p^k Q_p(k)/k. So
+    W_p = -(1/p) sum_n x^n/n!. Both series stop at their r-th term and run
+    mod p^(r+1); 1/(k(p-1)) and 1/n! are units because p > r. Expanded in
+    the Q_p(k), the series is sum_nu p^(nu-1)/nu! Psi_nu(Q_p(1..nu)) with the
+    classical expansion polynomials Psi_nu. The quotient power sums enter at
+    precision r and share q_sum's memo, so the Fermat quotients of p are
+    computed once.
     """
-    if r < 1 or r > PSI_MAX:
-        raise HypothesisViolated(f"supported range is 1 <= r <= {PSI_MAX}")
+    # the checks and the tests' reference rows stop at r = 4; past it each r
+    # adds a q_sum pass at p^r
+    if r < 1 or r > 4:
+        raise HypothesisViolated("supported range is 1 <= r <= 4")
     if p <= r or p == 2:
         raise HypothesisViolated(f"need an odd prime p > r, got p={p}, r={r}")
-    ctx = PrimePowerContext(p, r + 2)
-    qs = [
-        TrackedResidue(ctx, r, q_sum(p, nu, r).residue) for nu in range(1, r + 1)
-    ]
-    acc = ctx.from_int(0, ctx.working_exp)
-    for nu in range(1, r + 1):
-        term = psi_eval(nu, qs[:nu])
-        term = term.scale(p ** (nu - 1))
-        term = term * inv_mod(factorial(nu), ctx, term.prec)
+    ctx = PrimePowerContext(p, r + 1)
+    x = ctx.from_int(0)
+    for k in range(1, r + 1):
+        term = q_sum(p, k, r).lift(ctx).scale(p**k)
+        x = x + term.scale_fraction(Fraction((-1) ** (k - 1), k * (p - 1)))
+    term = acc = x
+    for n in range(2, r + 1):
+        term = (term * x).scale_fraction(Fraction(1, n))
         acc = acc + term
-    return acc.truncate(r)
+    return (-acc).divide_by_p(1)

@@ -7,12 +7,10 @@ from hypothesis import given, strategies as st
 from wilsonlab.padic import (
     MixedContext,
     NotDivisible,
-    NotInvertible,
     NotPIntegral,
     PrecisionExhausted,
     PrimePowerContext,
     forward_difference,
-    inv_mod,
     is_prime,
     ord_p,
     primes_up_to,
@@ -106,13 +104,6 @@ def test_forward_difference_mixed_context():
     b = PrimePowerContext(7, 2).from_int(1, 2)
     with pytest.raises(MixedContext):
         forward_difference([a, b])
-
-
-def test_pow_inv_examples():
-    ctx = PrimePowerContext(5, 2)
-    assert inv_mod(12, ctx, 2).residue == 23
-    with pytest.raises(NotInvertible):
-        inv_mod(10, ctx, 2)
 
 
 def test_precision_rules():

@@ -1,5 +1,7 @@
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,9 @@ from wilsonlab.modular import HypothesisViolated
 from wilsonlab.padic import PrimePowerContext, primes_up_to
 from wilsonlab.quotients import (
     NotCoprime,
-    PSI_TABLE,
     factorial_mod,
     factorials_mod,
     fermat_quotient,
-    psi_eval,
     q_sum,
     wilson_quotient,
     wilson_via_psi,
@@ -148,7 +148,8 @@ def test_quotient_memo_matches_plain_loop(monkeypatch, order):
         assert loops == [(p, 6) for p in MEMO_PRIMES]
 
 
-# hand-entered duplicate of the psi rows, typed as plain expressions
+# the expansion polynomials Psi_1..Psi_4, typed by hand as plain expressions:
+# the reference that the log/exp series of wilson_via_psi is checked against
 _PSI_BY_HAND = {
     1: lambda x1: x1,
     2: lambda x1, x2: 2 * x1 - x1**2 - x2,
@@ -159,32 +160,29 @@ _PSI_BY_HAND = {
 }
 
 
-def test_psi_table_invariants():
-    for nu, poly in PSI_TABLE.items():
-        assert poly.nu == nu
-        for coeff, exps in poly.terms:
-            assert len(exps) == nu
-            assert any(e > 0 for e in exps), "constant term forbidden"
-            assert coeff != 0
+@given(
+    st.sampled_from((5, 7, 11, 1009)),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.integers(min_value=0, max_value=10**13), min_size=4, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_psi_series_matches_hand_entered_rows(p, r, qs):
+    """For any values of Q_p(1..4), the series equals
+    sum_nu p^(nu-1)/nu! Psi_nu(Q_p(1..nu)) mod p^r."""
 
+    def fake_q_sum(p_, n, r_):
+        assert (p_, r_) == (p, r)
+        return PrimePowerContext(p, r + 1).from_int(qs[n - 1], r)
 
-@given(st.lists(st.integers(min_value=-20, max_value=20), min_size=4, max_size=4))
-@settings(max_examples=100)
-def test_psi_table_matches_hand_entered_duplicate(xs):
-    ctx = PrimePowerContext(1009, 4)
-    args = [ctx.from_int(x, 4) for x in xs]
-    for nu in (1, 2, 3, 4):
-        want = _PSI_BY_HAND[nu](*xs[:nu]) % ctx.modulus
-        assert psi_eval(nu, args[:nu]).residue == want
-
-
-def test_psi_eval_examples():
-    ctx = PrimePowerContext(11, 2)
-    assert psi_eval(1, [ctx.from_int(7, 2)]).residue == 7
-    zeros = [ctx.from_int(0, 2)] * 4
-    assert psi_eval(4, zeros).residue == 0
-    ones = [ctx.from_int(1, 2)] * 3
-    assert psi_eval(3, ones).residue == 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quotients, "q_sum", fake_q_sum)
+        got = wilson_via_psi(p, r)
+    want = sum(
+        Fraction(p ** (nu - 1), factorial(nu)) * _PSI_BY_HAND[nu](*qs[:nu])
+        for nu in range(1, r + 1)
+    )
+    m = p**r
+    assert (got.prec, got.residue) == (r, want.numerator * pow(want.denominator, -1, m) % m)
 
 
 def test_wilson_via_psi_examples():
@@ -198,7 +196,7 @@ def test_wilson_via_psi_examples():
         wilson_via_psi(2, 1)
 
 
-@pytest.mark.parametrize("p", ODD_PRIMES_TO_100)
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_100 + [1009, 10007])
 def test_psi_route_agrees_with_factorial_oracle(p):
     for r in (1, 2, 3, 4):
         if p <= r:

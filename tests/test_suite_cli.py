@@ -659,6 +659,11 @@ def test_cli_bernoulli_table(capsys):
         ["verify", "--p-max", str(10**23)],
         ["scan", "--class", "wilson", "--limit", str(10**23)],
         ["dn", "--n", str(10**23)],
+        ["wilson", "--p", "7", "--mod-exp", "0", "--method", "psi"],
+        ["wilson", "--p", "7", "--mod-exp", "0", "--method", "bernoulli"],
+        ["qsum", "--p", "7", "--n", "2", "--mod-exp", "0", "--method", "bernoulli"],
+        ["qsum", "--p", "7", "--n", "0", "--mod-exp", "2", "--method", "bernoulli"],
+        ["qsum", "--p", "7", "--n", "-1", "--mod-exp", "2", "--method", "bernoulli"],
     ],
 )
 def test_cli_bad_bernoulli_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
@@ -673,6 +678,29 @@ def test_cli_bad_bernoulli_input_is_usage_error(capsys, monkeypatch, tmp_path, a
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+_METHODS = {"wilson": ("direct", "psi", "bernoulli"),
+            "qsum": ("direct", "difference", "bernoulli")}
+_BAD_N_OR_R = {"wilson": "error: r must be >= 1\n",
+               "qsum": "error: need n >= 1 and r >= 1\n"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wilson", "--p", "7", "--mod-exp", "0"],
+        ["wilson", "--p", "7", "--mod-exp", "-3"],
+        ["qsum", "--p", "7", "--n", "2", "--mod-exp", "0"],
+        ["qsum", "--p", "7", "--n", "0", "--mod-exp", "2"],
+        ["qsum", "--p", "7", "--n", "-1", "--mod-exp", "2"],
+    ],
+)
+def test_cli_bad_n_or_r_gives_one_line_whatever_the_method(capsys, argv):
+    for method in _METHODS[argv[0]]:
+        assert main(argv + ["--method", method]) == 2, method
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", _BAD_N_OR_R[argv[0]]), method
 
 
 def test_cli_usage_exit_code():
