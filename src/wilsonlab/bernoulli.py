@@ -29,16 +29,11 @@ class IndexOutOfTable(Exception):
     pass
 
 
-class BadTableFile(Exception):
-    pass
-
-
 class BernoulliTable:
     """Exact Bernoulli numbers B_0..B_N."""
 
     def __init__(self, values: list[Fraction]):
         self._values = list(values)
-        self._validate_basics()
 
     @classmethod
     def build(cls, n_max: int) -> "BernoulliTable":
@@ -71,18 +66,6 @@ class BernoulliTable:
             values[2 * k] = Fraction(sign * 2 * k * t[k], four_k * (four_k - 1))
         return cls(values)
 
-    def _validate_basics(self):
-        v = self._values
-        if not v or v[0] != 1:
-            raise BadTableFile("B_0 must be 1")
-        if len(v) > 1 and v[1] != Fraction(-1, 2):
-            raise BadTableFile("B_1 must be -1/2")
-        if len(v) > 2 and v[2] != Fraction(1, 6):
-            raise BadTableFile("B_2 must be 1/6")
-        for n in range(3, len(v), 2):
-            if v[n] != 0:
-                raise BadTableFile(f"B_{n} must vanish (odd index)")
-
     @property
     def max_index(self) -> int:
         return len(self._values) - 1
@@ -93,9 +76,6 @@ class BernoulliTable:
         if n > self.max_index:
             raise IndexOutOfTable(f"B_{n} beyond table (max {self.max_index})")
         return self._values[n]
-
-    def __len__(self):
-        return len(self._values)
 
 
 @dataclass(frozen=True)

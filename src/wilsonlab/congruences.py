@@ -242,8 +242,7 @@ def carlitz_check(p: int, mult: int, k: int, table: BernoulliTable) -> Congruenc
         raise ValueError("need mult >= 1 and k >= 0")
     index = mult * p ** k * (p - 1)
     rhs_exact = (table.bernoulli(index) + Fraction(1, p) - 1) / p ** k
-    ctx = PrimePowerContext(p, 1)
-    rhs = reduce_rational(rhs_exact, ctx, 1)
+    rhs = reduce_rational(rhs_exact, PrimePowerContext(p), 1)
     lhs = wilson_quotient(p, 1).scale(mult)
     return result.from_residues("carlitz", p, 1, lhs, rhs, f"mult={mult}, k={k}")
 

@@ -111,7 +111,7 @@ def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
     global _memo
     if n < 0 or K < 1:
         raise ValueError("need n >= 0 and K >= 1")
-    ctx = PrimePowerContext(p, K)
+    ctx = PrimePowerContext(p)
     if n == 0:
         return ctx.from_int(p - 1, K)
     if _memo.p != p:
@@ -190,10 +190,9 @@ def adjusted_bernoulli_mod(
             f"p={p} below bound max(5, {r}+3-{delta}) for precision {r}"
         )
     n = d * (p - 1)
-    ctx = PrimePowerContext(p, r + 2)
-    acc = sh_value(n, p, r).lift(ctx)
+    acc = sh_value(n, p, r)
     if 3 <= r <= 4:
-        b2 = folklore_bernoulli_mod(n - 2, p, r - 2).lift(ctx)
+        b2 = folklore_bernoulli_mod(n - 2, p, r - 2)
         acc = acc - b2.scale_fraction(_binom_coeff_times_b(n, 2)).scale(p ** 2)
     elif r >= 5:
         if table is None or table.max_index < n - 2:
@@ -202,7 +201,7 @@ def adjusted_bernoulli_mod(
             )
         for nu, prec in ((2, r - 2), (4, r - 4)):
             corr = _binom_coeff_times_b(n, nu) * table.bernoulli(n - nu)
-            acc = acc - reduce_rational(corr, ctx, prec).scale(p ** nu)
+            acc = acc - reduce_rational(corr, acc.ctx, prec).scale(p ** nu)
     return acc.truncate(r)
 
 
@@ -252,7 +251,7 @@ def beta_route(
 
     def exact(m: int, K: int) -> TrackedResidue:
         value = bar_value(m, p, table) if p == 2 else beta_value(m, p, table)
-        return reduce_rational(value, PrimePowerContext(p, K), K)
+        return reduce_rational(value, PrimePowerContext(p), K)
 
     return exact
 
@@ -262,10 +261,9 @@ class DividedBernoulliBundle:
     """Divided Bernoulli residues feeding the quotient congruences.
 
     ``bars[d-1]`` holds the divided adjusted value at index d(p-1), mod p^r;
-    ``bars2[d-1]`` the divided value at index d(p-1)-2, at precision
-    min(r, 2) (one less on the modular engine at p = 5, where the
-    strengthened folklore route is unavailable; every consumer multiplies
-    bars2 by p^2, so nothing is lost). Both come from beta_route. The Kummer
+    ``bars2[d-1]`` the divided value at index d(p-1)-2, mod p^(r-2), on
+    both engines and at every prime (every consumer multiplies bars2 by p^2
+    or more, so nothing is lost). Both come from beta_route. The Kummer
     chains (all bars pairwise congruent mod p, likewise bars2) are asserted
     at construction.
     """
@@ -302,7 +300,8 @@ def bundle(
     Every value comes from beta_route(engine, p, table): engine 'modular'
     costs O(p); engine 'exact' reduces oracle rationals and is the
     cross-check path. p in {2, 3} is exact-only, p = 2 limited to r = 1 and
-    p = 3 to r = 2. The gates and bars2 precision are per engine.
+    p = 3 to r = 2. The gates are per engine; the precisions, r for the
+    bars and r - 2 for the bars2, are the same on both.
     """
     if r < 1 or r > 4:
         raise InadmissibleCase("bundle supports 1 <= r <= 4")
@@ -315,12 +314,9 @@ def bundle(
         # exact: p = 2 stops at r = 1, p = 3 at r = 2
         if (p == 2 and r > 1) or (p == 3 and r > 2):
             raise InadmissibleCase(f"r = {r} not defined at p = {p}")
-    # r - 2 bars2 from r = 3 on, a digit short on the modular engine at p = 5
-    prec2 = min(r, 2) if engine == "exact" or p != 5 else min(r - 2, 2)
     value = beta_route(engine, p, table)
-    ctx = PrimePowerContext(p, r + 2)
-    bars = tuple(value(d * (p - 1), r).lift(ctx) for d in range(1, r + 1))
-    bars2 = tuple(value(d * (p - 1) - 2, prec2).lift(ctx) for d in range(1, r - 1))
+    bars = tuple(value(d * (p - 1), r) for d in range(1, r + 1))
+    bars2 = tuple(value(d * (p - 1) - 2, r - 2) for d in range(1, r - 1))
     return DividedBernoulliBundle(p, r, bars, bars2)
 
 
@@ -337,7 +333,7 @@ def kummer_check(n: int, m: int, p: int, table: BernoulliTable) -> CongruenceChe
         raise HypothesisViolated(
             f"need n = m (mod p-1) and (p-1) does not divide n; got n={n}, m={m}, p={p}"
         )
-    ctx = PrimePowerContext(p, 1)
+    ctx = PrimePowerContext(p)
     lhs = reduce_rational(table.bernoulli(n) / n, ctx, 1)
     rhs = reduce_rational(table.bernoulli(m) / m, ctx, 1)
     return result.from_residues("kummer", p, 1, lhs, rhs, f"indices {n}, {m}")

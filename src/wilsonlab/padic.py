@@ -2,8 +2,10 @@
 
 A ``TrackedResidue`` is an integer known modulo ``p**K``; every operation
 propagates the precision ``K`` so that a congruence proved at precision r
-really was computed at precision >= r. Dividing by p costs one unit of
-precision and is only legal when the residue is divisible; silent
+really was computed at precision >= r. The precision belongs to the residue
+alone: its context is just the prime, with no ceiling, so a multiplication
+by p^j keeps every one of the j units it gains. Dividing by p costs one unit
+of precision and is only legal when the residue is divisible; silent
 precision loss is the main correctness hazard in this kind of computation,
 so it is an error here, never a truncation.
 """
@@ -118,30 +120,17 @@ def ord_p(x: Union[int, Fraction], p: int) -> Union[int, float]:
 
 @dataclass(frozen=True)
 class PrimePowerContext:
-    """The ring Z/p^R: a prime p and a working precision exponent R."""
+    """A validated prime p: the residues mod p^K, for every K, share it."""
 
     p: int
-    working_exp: int
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
-        if self.working_exp < 1:
-            raise ValueError("working_exp must be >= 1")
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.working_exp
-
-    def one(self, prec: int | None = None) -> "TrackedResidue":
-        return self.from_int(1, prec)
-
-    def from_int(self, value: int, prec: int | None = None) -> "TrackedResidue":
-        """Embed an exact integer at the given precision (default: full R)."""
-        K = self.working_exp if prec is None else prec
-        if not 0 <= K <= self.working_exp:
-            raise PrecisionExhausted(f"precision {K} outside [0, {self.working_exp}]")
-        return TrackedResidue(self, K, value % self.p ** K if K else 0)
+    def from_int(self, value: int, prec: int) -> "TrackedResidue":
+        """Embed an exact integer at precision prec >= 0."""
+        return TrackedResidue(self, prec, value % self.p ** prec if prec > 0 else 0)
 
 
 @dataclass(frozen=True)
@@ -149,9 +138,9 @@ class TrackedResidue:
     """An integer known modulo p^prec. Immutable; all arithmetic is pure.
 
     Binary operations take the minimum of the operand precisions.
-    Multiplying by an exact integer c gains ord_p(c) of precision (capped
-    at the context's working exponent): this covers the p^j shift used when
-    assembling congruences with p-power prefactors.
+    Multiplying by an exact integer c gains all ord_p(c) units of precision:
+    this covers the p^j shift used when assembling congruences with p-power
+    prefactors.
     """
 
     ctx: PrimePowerContext
@@ -159,10 +148,8 @@ class TrackedResidue:
     residue: int
 
     def __post_init__(self):
-        if not 0 <= self.prec <= self.ctx.working_exp:
-            raise PrecisionExhausted(
-                f"precision {self.prec} outside [0, {self.ctx.working_exp}]"
-            )
+        if self.prec < 0:
+            raise PrecisionExhausted(f"negative precision {self.prec}")
         if self.prec == 0:
             if self.residue != 0:
                 raise ValueError("zero-precision residue must store 0")
@@ -179,11 +166,10 @@ class TrackedResidue:
     def modulus(self) -> int:
         return self.p ** self.prec
 
-    def _join(self, other: "TrackedResidue") -> tuple[PrimePowerContext, int]:
+    def _join(self, other: "TrackedResidue") -> int:
         if self.p != other.p:
             raise MixedContext(f"mixed primes {self.p} and {other.p}")
-        ctx = self.ctx if self.ctx.working_exp >= other.ctx.working_exp else other.ctx
-        return ctx, min(self.prec, other.prec)
+        return min(self.prec, other.prec)
 
     def _coerce(self, other) -> "TrackedResidue":
         if isinstance(other, TrackedResidue):
@@ -198,8 +184,7 @@ class TrackedResidue:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ctx, K = self._join(other)
-        return ctx.from_int(self.residue + other.residue, K)
+        return self.ctx.from_int(self.residue + other.residue, self._join(other))
 
     __radd__ = __add__
 
@@ -207,8 +192,7 @@ class TrackedResidue:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ctx, K = self._join(other)
-        return ctx.from_int(self.residue - other.residue, K)
+        return self.ctx.from_int(self.residue - other.residue, self._join(other))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -221,8 +205,7 @@ class TrackedResidue:
             return self.scale(other)
         if not isinstance(other, TrackedResidue):
             return NotImplemented
-        ctx, K = self._join(other)
-        return ctx.from_int(self.residue * other.residue, K)
+        return self.ctx.from_int(self.residue * other.residue, self._join(other))
 
     __rmul__ = __mul__
 
@@ -230,7 +213,7 @@ class TrackedResidue:
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if e == 0:
-            return self.ctx.one()
+            return self.ctx.from_int(1, self.prec)
         if self.prec == 0:
             return self
         return self.ctx.from_int(pow(self.residue, e, self.modulus), self.prec)
@@ -240,13 +223,12 @@ class TrackedResidue:
         if c == 1:
             return self
         if c == 0:
-            return self.ctx.from_int(0, self.ctx.working_exp)
-        gain = 0
+            return self.ctx.from_int(0, self.prec)
+        K = self.prec
         cc = c
         while cc % self.p == 0:
             cc //= self.p
-            gain += 1
-        K = min(self.prec + gain, self.ctx.working_exp)
+            K += 1
         return self.ctx.from_int(c * self.residue, K)
 
     def scale_fraction(self, fr: Fraction) -> "TrackedResidue":
@@ -287,12 +269,6 @@ class TrackedResidue:
         if K == self.prec:
             return self
         return self.ctx.from_int(self.residue, K)
-
-    def lift(self, ctx: PrimePowerContext) -> "TrackedResidue":
-        """Move into a wider context (same p, same knowledge, more headroom)."""
-        if ctx.p != self.p:
-            raise MixedContext(f"mixed primes {self.p} and {ctx.p}")
-        return TrackedResidue(ctx, self.prec, self.residue)
 
     def agrees_with(self, other: "TrackedResidue", K: int) -> bool:
         """True when both values are congruent mod p^K (both must know K digits)."""

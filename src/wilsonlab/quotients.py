@@ -33,8 +33,8 @@ def factorial_mod(p: int, K: int) -> TrackedResidue:
     """(p-1)! mod p^K by direct product."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    ctx = PrimePowerContext(p, K)
-    m = ctx.modulus
+    ctx = PrimePowerContext(p)
+    m = p**K
     acc = 1
     for a in range(2, p):
         acc = acc * a % m
@@ -124,8 +124,7 @@ def fermat_quotient(a: int, p: int, r: int) -> TrackedResidue:
         raise NotCoprime(f"gcd({a}, {p}) != 1")
     if r < 1:
         raise ValueError("r must be >= 1")
-    ctx = PrimePowerContext(p, r + 1)
-    t = ctx.from_int(pow(a, p - 1, ctx.modulus), r + 1)
+    t = PrimePowerContext(p).from_int(pow(a, p - 1, p ** (r + 1)), r + 1)
     return (t - 1).divide_by_p(1)
 
 
@@ -183,7 +182,7 @@ def q_sum(p: int, n: int, r: int, method: str = "direct") -> TrackedResidue:
     if method == "direct":
         if _memo.p != p:
             _memo = _QuotientMemo(p)
-        return PrimePowerContext(p, r + 1).from_int(_memo.get(n, r), r)
+        return PrimePowerContext(p).from_int(_memo.get(n, r), r)
     if method == "difference":
         values = [power_sum_mod(k * (p - 1), p, r + n) for k in range(n + 1)]
         return forward_difference(values).divide_by_p(n)
@@ -210,10 +209,9 @@ def wilson_via_psi(p: int, r: int) -> TrackedResidue:
         raise HypothesisViolated("supported range is 1 <= r <= 4")
     if p <= r or p == 2:
         raise HypothesisViolated(f"need an odd prime p > r, got p={p}, r={r}")
-    ctx = PrimePowerContext(p, r + 1)
-    x = ctx.from_int(0)
+    x = PrimePowerContext(p).from_int(0, r + 1)
     for k in range(1, r + 1):
-        term = q_sum(p, k, r).lift(ctx).scale(p**k)
+        term = q_sum(p, k, r).scale(p**k)
         x = x + term.scale_fraction(Fraction((-1) ** (k - 1), k * (p - 1)))
     term = acc = x
     for n in range(2, r + 1):

@@ -348,6 +348,7 @@ def run_bundle_kummer_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
 def run_cor35_tiers(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "cor35_tiers"
     table = env.oracle
+    ctx = PrimePowerContext(p)
     rows = []
     for d in (1, 2, 3, 4):
         n = d * (p - 1)
@@ -359,7 +360,6 @@ def run_cor35_tiers(p: int, env: RunEnv) -> CongruenceCheckResult:
                 got = adjusted_bernoulli_mod(d, p, r, table)
             except InadmissibleCase:
                 continue
-            ctx = PrimePowerContext(p, r)
             want = reduce_rational(exact, ctx, r)
             rows.append(result.from_residues(
                 check_id, p, r, got, want, f"d={d}, r={r}"
@@ -376,15 +376,15 @@ def run_folklore(p: int, env: RunEnv) -> CongruenceCheckResult:
     cap = min(table.max_index, 400)
     sample = [m for m in range(4, 41, 2) if m <= cap]
     sample += [m for m in _FOLKLORE_SAMPLE_EXTRA if m <= cap]
+    ctx = PrimePowerContext(p)
     rows = []
     for m in sample:
         for K in (1, 2):
-            if m % (p - 1) == 0:
+            try:
+                got = folklore_bernoulli_mod(m, p, K)
+            except InadmissibleCase:
                 continue
-            if K == 2 and (p < 7 or (m - 2) % (p - 1) == 0):
-                continue
-            got = folklore_bernoulli_mod(m, p, K)
-            want = reduce_rational(table.bernoulli(m), PrimePowerContext(p, K), K)
+            want = reduce_rational(table.bernoulli(m), ctx, K)
             rows.append(result.from_residues(check_id, p, K, got, want, f"m={m}, K={K}"))
     return _aggregate(check_id, p, 2, rows)
 
@@ -393,7 +393,7 @@ def run_prop22(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "prop22"
     table = env.oracle
     cap = min(3 * (p - 1), 240, table.max_index)
-    ctx = PrimePowerContext(p, 1)
+    ctx = PrimePowerContext(p)
     wq = wilson_quotient(p, 1)
     rows = []
     for n in range(2, cap + 1, 2):

@@ -241,7 +241,7 @@ def test_prop22_branches(table):
     """Divided adjusted values reduce to the Wilson quotient (index multiple
     of p-1) or to a fixed low-index divided value, mod p."""
     for p in (5, 7, 11, 13):
-        ctx = PrimePowerContext(p, 1)
+        ctx = PrimePowerContext(p)
         wq = wilson_quotient(p, 1)
         for n in range(2, 3 * (p - 1) + 1, 2):
             from wilsonlab.bernoulli import adjusted_bernoulli

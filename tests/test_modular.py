@@ -157,7 +157,7 @@ def test_folklore_fixed_points(table):
     assert folklore_bernoulli_mod(4, 7, 2).residue == 31
     b10 = folklore_bernoulli_mod(10, 7, 1)
     assert b10.residue == reduce_rational(
-        Fraction(5, 66), PrimePowerContext(7, 1), 1
+        Fraction(5, 66), PrimePowerContext(7), 1
     ).residue
     with pytest.raises(InadmissibleCase):
         folklore_bernoulli_mod(4, 5, 1)  # (p-1) | m
@@ -175,7 +175,7 @@ def test_folklore_agrees_with_oracle_dense(table):
         for m in range(4, 101, 2):
             if m % (p - 1) == 0:
                 continue
-            ctx = PrimePowerContext(p, 2)
+            ctx = PrimePowerContext(p)
             assert folklore_bernoulli_mod(m, p, 1).residue == reduce_rational(
                 table.bernoulli(m), ctx, 1
             ).residue
@@ -208,7 +208,7 @@ def test_adjusted_mod_agrees_with_oracle(table, p, d):
             got = adjusted_bernoulli_mod(d, p, r, table)
         except InadmissibleCase:
             continue
-        ctx = PrimePowerContext(p, r)
+        ctx = PrimePowerContext(p)
         assert got.residue == reduce_rational(exact, ctx, r).residue, (p, d, r)
 
 
@@ -218,14 +218,14 @@ def test_adjusted_mod_delta_zero_case(table):
     exact = adjusted_bernoulli(d * (p - 1), p, table)
     for r in (1, 2):
         got = adjusted_bernoulli_mod(d, p, r)
-        assert got.residue == reduce_rational(exact, PrimePowerContext(p, r), r).residue
+        assert got.residue == reduce_rational(exact, PrimePowerContext(p), r).residue
     with pytest.raises(InadmissibleCase):
         adjusted_bernoulli_mod(d, p, 3)  # delta = 0: p >= r+3 fails
 
 
 @pytest.mark.parametrize("p", (7, 11, 13))
 def test_beta_mod_routes(table, p):
-    ctx2 = PrimePowerContext(p, 2)
+    ctx2 = PrimePowerContext(p)
     for m in (p - 3, 2 * p - 4, p - 1, 2 * (p - 1), 4 * (p - 1)):
         got = beta_mod(m, p, 2)
         want = reduce_rational(beta_value(m, p, table), ctx2, 2)
@@ -237,7 +237,7 @@ def test_beta_mod_p_divides_index(table):
     p = 7
     m = p * (p - 1)
     got = beta_mod(m, p, 1)
-    want = reduce_rational(beta_value(m, p, table), PrimePowerContext(p, 1), 1)
+    want = reduce_rational(beta_value(m, p, table), PrimePowerContext(p), 1)
     assert got.residue == want.residue
 
 
@@ -278,8 +278,30 @@ def test_bundle_fixed_points(table):
         assert b7.bar2(d).truncate(2).residue == b7e.bar2(d).truncate(2).residue
     b5 = bundle(5, 3, "exact", table)
     assert b5.bar(1).residue == reduce_rational(
-        Fraction(-5, 24), PrimePowerContext(5, 3), 3
+        Fraction(-5, 24), PrimePowerContext(5), 3
     ).residue
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 1009))
+def test_bundle_precisions_are_the_same_on_both_engines(small_table, p):
+    """Wherever bundle admits (p, r): every bar mod p^r and every bar2 mod
+    p^(r-2), on each engine, and the engines' residues agree."""
+    engines = ("modular",) if p == 1009 else ("exact", "modular")
+    built = 0
+    for r in (1, 2, 3, 4):
+        bundles = []
+        for eng in engines:
+            try:
+                bundles.append(bundle(p, r, eng, small_table))
+            except InadmissibleCase:
+                continue
+        for b in bundles:
+            assert [v.prec for v in b.bars] == [r] * r
+            assert [v.prec for v in b.bars2] == [r - 2] * max(r - 2, 0)
+        residues = {tuple(v.residue for v in b.bars + b.bars2) for b in bundles}
+        assert len(residues) <= 1, (p, r)
+        built += len(bundles)
+    assert built == {5: 7, 1009: 4}.get(p, 8)
 
 
 def test_bundle_gates():

@@ -62,14 +62,11 @@ def test_ord_p_multiplicative_and_ultrametric(p, x, y):
 
 def test_context_validation():
     with pytest.raises(Exception):
-        PrimePowerContext(6, 2)
-    with pytest.raises(ValueError):
-        PrimePowerContext(5, 0)
-    assert PrimePowerContext(5, 3).modulus == 125
+        PrimePowerContext(6)
 
 
 def test_reduce_rational_examples():
-    ctx = PrimePowerContext(5, 3)
+    ctx = PrimePowerContext(5)
     assert reduce_rational(Fraction(1, 6), ctx, 2).residue == 21
     assert reduce_rational(Fraction(0), ctx, 2).residue == 0
     with pytest.raises(NotPIntegral):
@@ -77,7 +74,7 @@ def test_reduce_rational_examples():
 
 
 def test_divide_by_p_examples():
-    ctx = PrimePowerContext(5, 3)
+    ctx = PrimePowerContext(5)
     x = ctx.from_int(70, 3)
     y = x.divide_by_p()
     assert (y.residue, y.prec) == (14, 2)
@@ -90,7 +87,7 @@ def test_divide_by_p_examples():
 
 
 def test_forward_difference_examples():
-    ctx = PrimePowerContext(5, 4)
+    ctx = PrimePowerContext(5)
     f = [ctx.from_int(v, 4) for v in (0, 1, 4)]
     assert forward_difference(f).residue == 2
     single = [ctx.from_int(9, 4)]
@@ -100,22 +97,22 @@ def test_forward_difference_examples():
 
 
 def test_forward_difference_mixed_context():
-    a = PrimePowerContext(5, 2).from_int(1, 2)
-    b = PrimePowerContext(7, 2).from_int(1, 2)
+    a = PrimePowerContext(5).from_int(1, 2)
+    b = PrimePowerContext(7).from_int(1, 2)
     with pytest.raises(MixedContext):
         forward_difference([a, b])
 
 
 def test_precision_rules():
-    ctx = PrimePowerContext(5, 4)
+    ctx = PrimePowerContext(5)
     a = ctx.from_int(7, 3)
     b = ctx.from_int(2, 2)
     assert (a + b).prec == 2
     assert (a * b).prec == 2
     assert (a - 1).prec == 3
-    # multiplying by p^j gains j, capped at the working exponent
+    # multiplying by p^j gains j, with no ceiling
     assert a.scale(5).prec == 4
-    assert a.scale(25).prec == 4
+    assert a.scale(25).prec == 5
     assert a.scale(3).prec == 3
     assert a.truncate(1).residue == 7 % 5
     with pytest.raises(PrecisionExhausted):
@@ -132,7 +129,7 @@ def test_reduction_is_ring_homomorphism(p, K, x, y):
     for v in (x, y, x * y, x + y):
         if v != 0 and ord_p(v, p) < 0:
             return
-    ctx = PrimePowerContext(p, K)
+    ctx = PrimePowerContext(p)
     rx, ry = reduce_rational(x, ctx, K), reduce_rational(y, ctx, K)
     assert (rx * ry).residue == reduce_rational(x * y, ctx, K).residue
     assert (rx + ry).residue == reduce_rational(x + y, ctx, K).residue
@@ -144,13 +141,29 @@ def test_reduction_is_ring_homomorphism(p, K, x, y):
     st.integers(min_value=1, max_value=3),
 )
 def test_divide_undoes_prime_power_scaling(p, value, j):
-    ctx = PrimePowerContext(p, 6)
+    ctx = PrimePowerContext(p)
     x = ctx.from_int(value, 3)
     back = x.scale(p ** j).divide_by_p(j)
-    assert back.prec == min(3 + j, 6) - j
+    assert back.prec == 3
     assert back.residue == value % p ** back.prec
 
 
+@given(
+    st.sampled_from((2, 3, 5, 7, 1009)),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_scaling_by_p_power_keeps_every_unit(p, K, j, value, u):
+    """Multiplying by u * p^j, u a unit, gains exactly j units at any K and
+    j, and dividing by p^j and u gives the value back mod p^K."""
+    if u % p == 0:
+        u += 1
+    x = PrimePowerContext(p).from_int(value, K).scale(u * p**j)
+    assert x.prec == K + j
+    back = x.divide_by_p(j).scale_fraction(Fraction(1, u))
+    assert (back.prec, back.residue) == (K, value % p**K)
 @given(
     st.sampled_from((3, 5, 7)),
     st.integers(min_value=1, max_value=4),
@@ -163,7 +176,7 @@ def test_forward_difference_annihilates_low_degree(p, n, coeffs):
     def f(x):
         return sum(c * x ** i for i, c in enumerate(poly))
 
-    ctx = PrimePowerContext(p, 6)
+    ctx = PrimePowerContext(p)
     values = [ctx.from_int(f(s), 6) for s in range(n + 1)]
     assert forward_difference(values).residue == 0
 
@@ -177,8 +190,8 @@ def test_forward_difference_annihilates_low_degree(p, n, coeffs):
 def test_unchanging_operations_match_the_general_path(p, R, value, c):
     """truncate(prec), scale(1) and scale_fraction(int) return the residue
     itself, with the (prec, residue) that rebuilding it gives, at precision
-    0, at the working exponent and between."""
-    ctx = PrimePowerContext(p, R)
+    0, at R and between."""
+    ctx = PrimePowerContext(p)
     for K in sorted({0, R // 2, R}):
         x = ctx.from_int(value, K)
         rebuilt = ctx.from_int(x.residue, K)

@@ -172,7 +172,7 @@ def test_psi_series_matches_hand_entered_rows(p, r, qs):
 
     def fake_q_sum(p_, n, r_):
         assert (p_, r_) == (p, r)
-        return PrimePowerContext(p, r + 1).from_int(qs[n - 1], r)
+        return PrimePowerContext(p).from_int(qs[n - 1], r)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quotients, "q_sum", fake_q_sum)
