@@ -39,8 +39,8 @@ def _smallest_prime_factors(p: int) -> list[int]:
     return spf
 
 
-def _sieve_power_sum(n: int, m: int, spf: list[int]) -> int:
-    """1^n + ... + (p-1)^n mod m, where p = len(spf).
+def _sieve_powers(n: int, m: int, spf: list[int]) -> list[int]:
+    """pw[a] = a^n mod m for 0 <= a < p, where p = len(spf).
 
     a -> a^n is completely multiplicative, so pow runs at prime a only and
     a composite a = b * (a // b), b its smallest prime factor, is the
@@ -51,12 +51,19 @@ def _sieve_power_sum(n: int, m: int, spf: list[int]) -> int:
     for a in range(2, len(spf)):
         b = spf[a]
         pw[a] = pow(a, n, m) if b == a else pw[b] * pw[a // b] % m
-    return sum(pw) % m
+    return pw
+
+
+def _step_powers(n: int, below: list[int], t: list[int], m: int) -> list[int]:
+    """pw[a] = a^n mod m from below[a] = a^(n-(p-1)) and t[a] = a^(p-1),
+    both held mod a multiple of m: one multiplication per a. n names the
+    list made; the product does not read it."""
+    return [x * y % m for x, y in zip(below, t)]
 
 
 class _PowerSumMemo:
     """The power sums of one prime p: n -> (K, S_n(p) mod p^K), and the
-    smallest-prime-factor sieve below p, built on the first miss.
+    smallest-prime-factor sieve below p, built on the first sieve pass.
 
     Every request is also recorded by the shape (d, j) of its index,
     n = d(p-1) + j with d = ceil(n/(p-1)) and -(p-1) < j <= 0: asked maps a
@@ -66,6 +73,13 @@ class _PowerSumMemo:
     consecutive primes of a run ask for the same shapes at the same
     precisions. The plan changes only which precision a sum is held at,
     never a returned value.
+
+    A miss at (d, j) and precision W is a step, not a sieve pass, when the
+    memo holds the power list a -> a^((d-1)(p-1)+j) and t: a -> a^(p-1),
+    both mod p^W or finer: a^(d(p-1)+j) = a^((d-1)(p-1)+j) * a^(p-1). t is
+    the list of shape (1, 0), and columns maps j to the latest list of
+    shape (d, j) computed, as (d, precision, list). Any other miss runs the
+    sieve; none runs only to make t.
     """
 
     def __init__(self, p: int, plan: dict[tuple[int, int], int] | None = None):
@@ -74,20 +88,32 @@ class _PowerSumMemo:
         self.spf: list[int] | None = None
         self.plan = plan or {}
         self.asked: dict[tuple[int, int], int] = {}
+        self.t: tuple[int, list[int]] | None = None
+        self.columns: dict[int, tuple[int, int, list[int]]] = {}
 
     def get(self, n: int, K: int) -> int:
         d = -(-n // (self.p - 1))
-        shape = (d, n - d * (self.p - 1))
-        if self.asked.get(shape, 0) < K:
-            self.asked[shape] = K
+        j = n - d * (self.p - 1)
+        if self.asked.get((d, j), 0) < K:
+            self.asked[d, j] = K
         m = self.p ** K
         held = self.sums.get(n)
         if held is not None and held[0] >= K:
             return held[1] % m
-        if self.spf is None:
-            self.spf = _smallest_prime_factors(self.p)
-        work = max(K, self.plan.get(shape, 0))
-        value = _sieve_power_sum(n, self.p ** work, self.spf)
+        work = max(K, self.plan.get((d, j), 0))
+        M = self.p ** work
+        below = self.columns.get(j)
+        if (below is not None and below[0] == d - 1 and below[1] >= work
+                and self.t is not None and self.t[0] >= work):
+            pw = _step_powers(n, below[2], self.t[1], M)
+        else:
+            if self.spf is None:
+                self.spf = _smallest_prime_factors(self.p)
+            pw = _sieve_powers(n, M, self.spf)
+        if (d, j) == (1, 0):
+            self.t = (work, pw)
+        self.columns[j] = (d, work, pw)
+        value = sum(pw) % M
         self.sums[n] = (work, value)
         return value % m
 
@@ -105,8 +131,11 @@ def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
     miss computes the sum at the higher of K and the precision the previous
     prime asked for the same index shape. So when a run asks each prime the
     same sums at rising K, each sum is computed once, from the second prime
-    on. A miss costs pow at the primes below p only, through a
-    smallest-prime-factor sieve (see _sieve_power_sum).
+    on. A miss one step of p - 1 above a power list that the memo holds,
+    with t: a -> a^(p-1), at the miss's precision or finer costs one
+    multiplication per a (see _step_powers); any other miss costs pow at
+    the primes below p only, through a smallest-prime-factor sieve (see
+    _sieve_powers). Values are a pure function of (n, p, K) either way.
     """
     global _memo
     if n < 0 or K < 1:

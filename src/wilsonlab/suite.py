@@ -5,10 +5,13 @@ and, within one value, in the spec's check order, so that each process
 works through one prime at a time and power_sum_mod's per-prime memo stays
 warm. With jobs > 1 the ordered list is cut into contiguous slices of about
 equal weight (a task weighs its value); the calling process runs the first
-slice and one forked process runs each other slice. Processes share
-nothing: each builds its own exact table the first time one of its tasks
-needs it, and the report is sorted after collection so the output is
-byte-identical for any worker count (apart from the wall_time field).
+slice and one process made by os.fork runs each other slice, sending its
+rows back pickled over an os.pipe (no process-pool library: its lazy
+imports made a pool pass's first fork cost several times a later one).
+Processes share nothing: each builds its own exact table the first time
+one of its tasks needs it, and the report is sorted after collection so
+the output is byte-identical for any worker count (apart from the
+wall_time field).
 """
 
 from __future__ import annotations
@@ -16,8 +19,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
+import os
+import pickle
+import signal
+import sys
 import time
+import traceback
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -144,10 +151,41 @@ def _run_tasks(tasks, env: RunEnv) -> list[CongruenceCheckResult]:
     return [execute_check(cid, v, env) for cid, v in tasks]
 
 
-def _child(tasks, env: RunEnv, conn) -> None:
-    """Body of a forked worker: run one slice and send its rows back."""
-    conn.send(_run_tasks(tasks, env))
-    conn.close()
+def _child(tasks, env: RunEnv, fd: int) -> None:
+    """Body of a forked worker: run one slice and write its pickled rows to
+    the pipe's write end fd."""
+    with os.fdopen(fd, "wb") as out:
+        out.write(pickle.dumps(_run_tasks(tasks, env)))
+
+
+def _fork_worker(tasks, env: RunEnv) -> tuple[int, io.BufferedReader]:
+    """Fork a worker that runs _child on one slice; return its pid and the
+    read end of its pipe. The worker leaves by os._exit: code 0 once its
+    rows are written, 1 (after printing the traceback) on any exception, so
+    it never returns into the caller's code."""
+    sys.stdout.flush()  # or the worker would write the buffered text again
+    sys.stderr.flush()
+    recv, send = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(recv)
+        os.close(send)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(recv)
+            _child(tasks, env, send)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    os.close(send)  # so that recv sees EOF when the worker exits
+    return pid, os.fdopen(recv, "rb")
 
 
 def run_suite(
@@ -161,10 +199,13 @@ def run_suite(
     table to registry.AUTO_ORACLE_CAP the first time a check needs it, once
     per process, and never when no check does; exact comparisons past the
     table appear as skipped rows. With jobs > 1 the calling process runs
-    one slice of the tasks and min(jobs, tasks) - 1 forked processes run
-    the others; a worker that dies without sending its rows is a
-    RuntimeError. Results are sorted by (check, p), so reports do not
-    depend on the worker count.
+    one slice of the tasks and min(jobs, tasks) - 1 workers, each made by
+    os.fork, run the others and send their rows back pickled over an
+    os.pipe. The caller reads each pipe to EOF; a worker that exits
+    without sending its rows is a RuntimeError naming its exit code. On
+    any error the live workers get SIGTERM, and every worker is reaped
+    before run_suite returns or raises. Results are sorted by (check, p),
+    so reports do not depend on the worker count.
     """
     t0 = time.monotonic()
     env = RunEnv(engine=spec.engine, table=table, mod_exp=spec.mod_exp)
@@ -175,33 +216,31 @@ def run_suite(
         key=lambda t: t[1],
     )
     first, *rest = _slices(tasks, max(1, min(jobs, len(tasks))))
-    ctx = multiprocessing.get_context("fork")
-    workers = []
+    workers = {}  # pid -> read end, for every worker not yet reaped
     try:
         for part in rest:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_child, args=(part, env, send))
-            proc.start()
-            send.close()  # so that recv sees EOF if the worker dies
-            workers.append((proc, recv))
+            pid, recv = _fork_worker(part, env)
+            workers[pid] = recv
         results = _run_tasks(first, env)
-        for proc, recv in workers:
-            try:
-                results += recv.recv()
-            except EOFError:
-                proc.join()
+        for pid, recv in list(workers.items()):
+            data = recv.read()
+            if not data:
+                recv.close()
+                del workers[pid]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 raise RuntimeError(
-                    f"suite worker exited with code {proc.exitcode} "
+                    f"suite worker exited with code {code} "
                     "without sending its rows"
-                ) from None
+                )
+            results += pickle.loads(data)
     except BaseException:
-        for proc, _ in workers:
-            proc.terminate()
+        for pid in workers:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for proc, recv in workers:
+        for pid, recv in workers.items():
             recv.close()
-            proc.join()
+            os.waitpid(pid, 0)
     results.sort(key=lambda r: (r.check_id, r.p))
     return SuiteReport(spec, results, wall_time=time.monotonic() - t0)
 

@@ -13,3 +13,26 @@ def table():
 @pytest.fixture(scope="session")
 def small_table():
     return BernoulliTable.build(60)
+
+
+@pytest.fixture
+def power_sum_runs(monkeypatch):
+    """Empty the power-sum memo and record every power list it computes,
+    as (kind, n, p, modulus) with kind "sieve" or "step"."""
+    from wilsonlab import modular
+
+    runs = []
+    sieve, step = modular._sieve_powers, modular._step_powers
+
+    def sieved(n, m, spf):
+        runs.append(("sieve", n, len(spf), m))
+        return sieve(n, m, spf)
+
+    def stepped(n, below, t, m):
+        runs.append(("step", n, len(t), m))
+        return step(n, below, t, m)
+
+    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    monkeypatch.setattr(modular, "_sieve_powers", sieved)
+    monkeypatch.setattr(modular, "_step_powers", stepped)
+    return runs

@@ -75,17 +75,14 @@ def _shape(n, p):
     return d, n - d * (p - 1)
 
 
+def _kind(n, p):
+    """How the memo makes a miss in these request orders: a step from the
+    list one column entry below when d >= 2, a sieve pass when d = 1."""
+    return "step" if _shape(n, p)[0] >= 2 else "sieve"
+
+
 @pytest.mark.parametrize("order", ["rising", "falling", "interleaved"])
-def test_power_sum_memo_matches_plain_loop(monkeypatch, order):
-    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
-    real = modular._sieve_power_sum
-    misses = []
-
-    def counted(n, m, spf):
-        misses.append((n, len(spf), m))
-        return real(n, m, spf)
-
-    monkeypatch.setattr(modular, "_sieve_power_sum", counted)
+def test_power_sum_memo_matches_plain_loop(power_sum_runs, order):
     if order == "interleaved":  # every request but a list's tail switches prime
         per_prime = [_requests(p, range(1, 9)) for p in MEMO_PRIMES]
         requests = [t for t in chain(*zip_longest(*per_prime)) if t is not None]
@@ -98,41 +95,90 @@ def test_power_sum_memo_matches_plain_loop(monkeypatch, order):
     computed = [(n, p, K) for n, p, K in requests if n > 0]
     if order == "rising":
         # a sum whose shape the previous prime asked is computed once, at
-        # its first request and the previous prime's K = 8; the rest rise
+        # its first request and the previous prime's K = 8; the rest rise.
+        # Each index is asked after the one p - 1 below it, at the same K
+        # or the same plan, so every sum past d = 1 is a step
         asked = {p: {_shape(n, p) for n in _memo_exponents(p) if n > 0} for p in MEMO_PRIMES}
         planned = {(n, p) for prev, p in zip(MEMO_PRIMES, MEMO_PRIMES[1:])
                    for n in _memo_exponents(p) if n > 0 and _shape(n, p) in asked[prev]}
-        assert misses == [(n, p, p ** (8 if (n, p) in planned else K))
-                          for n, p, K in computed if (n, p) not in planned or K == 1]
+        assert power_sum_runs == [(_kind(n, p), n, p, p ** (8 if (n, p) in planned else K))
+                                  for n, p, K in computed if (n, p) not in planned or K == 1]
+        assert sum(kind == "step" for kind, *_ in power_sum_runs) == 589
         # that is every d(p-1) and d(p-1) - 2 of a bundle from p = 7 on; the
         # small n keep their shape only across a prime gap smaller than n
         assert {(d * (p - 1) - j, p) for p in MEMO_PRIMES[3:]
                 for d in range(1, 7) for j in (0, 2)} <= planned
     if order == "falling":  # once per (p, n), at K = 8; the rest are reductions
-        assert sorted(misses) == sorted((n, p, p ** 8) for n, p, K in computed if K == 8)
+        assert power_sum_runs == [(_kind(n, p), n, p, p ** 8)
+                                  for n, p, K in computed if K == 8]
+        assert sum(kind == "step" for kind, *_ in power_sum_runs) == 477
+    if order == "interleaved":  # a new memo per request: nothing to step from
+        assert {kind for kind, *_ in power_sum_runs} == {"sieve"}
 
 
-def test_power_sum_plan_is_one_prime_deep(monkeypatch):
+def test_power_sum_plan_is_one_prime_deep(power_sum_runs):
     """A prime's misses take the precisions the previous prime asked, and
     only those: K = 8 at p1 plans p2's sum at p2^8, but p2 asked K = 2
-    alone, so p3 computes at p3^2."""
-    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
-    real = modular._sieve_power_sum
-    moduli = []
-
-    def counted(n, m, spf):
-        moduli.append(m)
-        return real(n, m, spf)
-
-    monkeypatch.setattr(modular, "_sieve_power_sum", counted)
+    alone, so p3 computes at p3^2. No prime holds S_{p-1}, so each is a
+    sieve pass."""
     for p, K in ((1103, 8), (1109, 2), (1117, 2)):
         got = power_sum_mod(2 * (p - 1), p, K)
         assert (got.prec, got.residue) == (K, _plain_power_sum(2 * (p - 1), p, K))
-    assert moduli == [1103 ** 8, 1109 ** 8, 1117 ** 2]
+    assert power_sum_runs == [("sieve", 2 * 1102, 1103, 1103 ** 8),
+                              ("sieve", 2 * 1108, 1109, 1109 ** 8),
+                              ("sieve", 2 * 1116, 1117, 1117 ** 2)]
     # a planned miss holds the sum at the plan's precision, and returns it mod p^K
     memo = modular._PowerSumMemo(1109, {(2, 0): 8})
     assert memo.get(2 * 1108, 2) == _plain_power_sum(2 * 1108, 1109, 2)
     assert memo.sums[2 * 1108][0] == 8
+
+
+STEP_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# runs of requests at one prime: a switch of prime starts a new memo with
+# the previous one's plan, and steps happen only within a run. A request
+# walks one column j: it names -j (the bundle's 0 and 2, or any other,
+# reduced mod p - 1) and a move of d from the column's last request, mostly
+# +1 so that the memo can step, or a jump (folklore's m = 398 at p = 7 is
+# d = 67); d starts at 0 and stays >= 1
+_step_requests = st.lists(
+    st.tuples(
+        st.sampled_from(STEP_PRIMES),
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from((0, 2)), st.integers(1, 11)),
+                st.one_of(st.just(1), st.integers(-3, 66)),
+                st.integers(1, 8),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def test_power_sum_steps_match_plain_loop(power_sum_runs):
+    """Any request sequence, over prime switches, rises and falls of K,
+    sparse d and columns j other than 0 and -2, gives the plain loop's
+    value, whether the memo steps or sieves."""
+
+    @given(_step_requests)
+    @settings(max_examples=300, deadline=None)
+    def check(requests):
+        modular._memo = modular._PowerSumMemo(0)
+        for p, run in requests:
+            last_d = {}
+            for minus_j, move, K in run:
+                j = -(minus_j % (p - 1))
+                d = last_d[j] = max(1, last_d.get(j, 0) + move)
+                n = d * (p - 1) + j
+                got = power_sum_mod(n, p, K)
+                assert (got.prec, got.residue) == (K, _plain_power_sum(n, p, K)), (n, p, K)
+
+    check()
+    assert {kind for kind, *_ in power_sum_runs} == {"sieve", "step"}
 
 
 def test_sh_value_examples():

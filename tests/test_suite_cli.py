@@ -3,6 +3,10 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -81,21 +85,84 @@ def test_slices_are_contiguous_nonempty_and_balanced():
     assert _slices([("a", 1103)] * 36, 2) == [[("a", 1103)] * 18] * 2
 
 
-def test_a_worker_that_dies_without_sending_is_an_error(monkeypatch):
-    import wilsonlab.suite as suite
+@contextmanager
+def _deadline(seconds=60):
+    """Raise TimeoutError in the calling process if the block outlives the
+    deadline, so a worker that never exits fails the test, not the run."""
 
     def hung(signum, frame):
         raise TimeoutError("run_suite did not return")
 
-    monkeypatch.setattr(suite, "_child", lambda tasks, env, conn: os._exit(3))
     previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
+    signal.alarm(seconds)
     try:
-        with pytest.raises(RuntimeError, match="exited with code 3"):
-            run_suite(make_spec("lerch", 2, 60), jobs=3)
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_worker_that_dies_without_sending_is_an_error(monkeypatch):
+    import wilsonlab.suite as suite
+
+    monkeypatch.setattr(suite, "_child", lambda tasks, env, fd: os._exit(3))
+    with _deadline(), pytest.raises(RuntimeError, match="exited with code 3"):
+        run_suite(make_spec("lerch", 2, 60), jobs=3)
+
+
+def _raise_in(monkeypatch, where):
+    """Make the slice of the calling process ('parent') or of every forked
+    worker ('worker') raise. With the parent's slice raising, the workers
+    sleep past the deadline instead, so that only SIGTERM ends them in time."""
+    import time
+    import wilsonlab.suite as suite
+
+    parent, real = os.getpid(), suite._run_tasks
+
+    def run_tasks(tasks, env):
+        in_parent = os.getpid() == parent
+        if in_parent == (where == "parent"):
+            raise ZeroDivisionError(f"slice raised in the {where}")
+        if not in_parent:
+            time.sleep(120)
+        return real(tasks, env)
+
+    monkeypatch.setattr(suite, "_run_tasks", run_tasks)
+
+
+def test_a_worker_whose_slice_raises_is_an_error(monkeypatch, capfd):
+    _raise_in(monkeypatch, "worker")
+    with _deadline(), pytest.raises(RuntimeError, match="exited with code 1 "):
+        run_suite(make_spec("lerch", 2, 60), jobs=3)
+    # the worker printed its traceback and left without running pytest's code
+    assert "ZeroDivisionError: slice raised in the worker" in capfd.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_error_in_the_callers_slice_leaves_no_worker_behind(monkeypatch):
+    _raise_in(monkeypatch, "parent")
+    with _deadline(), pytest.raises(ZeroDivisionError, match="in the parent"):
+        run_suite(make_spec("lerch", 2, 60), jobs=3)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_text_buffered_before_the_fork_is_written_once():
+    """Standard output to a pipe is block-buffered: a worker forked with
+    the text still in the buffer would write it again when it flushes."""
+    script = (
+        "import sys\n"
+        "from wilsonlab.suite import make_spec, run_suite\n"
+        "sys.stdout.write('before the fork\\n')\n"
+        "run_suite(make_spec('lerch', 2, 60), jobs=3)\n"
+    )
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env.pop("PYTHONUNBUFFERED", None)  # it would write the text at once
+    out = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "before the fork\n"
 
 
 def test_summary_counts_match_rows():
@@ -304,15 +371,17 @@ def test_checks_never_read_the_remainder_tree(monkeypatch):
 
 def test_oracles_never_read_the_power_sum_memo(monkeypatch):
     """factorial_mod, fermat_quotient and q_sum(..., "direct") are the
-    left-hand-side oracles: with the memo emptied and its kernel patched to
-    raise, they and the checks built on them alone still run."""
-    from wilsonlab import modular
+    left-hand-side oracles: with the memo emptied and its sieve and step
+    patched to raise, they and the checks built on them alone still run,
+    and a memo holding a wrong t: a -> a^(p-1) does not move them."""
+    from wilsonlab import modular, quotients
     from wilsonlab.quotients import factorial_mod, fermat_quotient, q_sum
 
-    def boom(n, m, spf):
+    def boom(*args):
         raise AssertionError("power-sum kernel called")
 
-    monkeypatch.setattr(modular, "_sieve_power_sum", boom)
+    monkeypatch.setattr(modular, "_sieve_powers", boom)
+    monkeypatch.setattr(modular, "_step_powers", boom)
     monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
     for p in (5, 7, 101, 1103):
         assert (factorial_mod(p, 3).residue + 1) % p == 0
@@ -323,6 +392,21 @@ def test_oracles_never_read_the_power_sum_memo(monkeypatch):
     with pytest.raises(AssertionError):
         q_sum(7, 1, 1, "difference")
 
+    def wrong_t(n, m, spf):  # 2^(p-1) + p in t, the list of n = p - 1: q_p(2) + 1
+        pw = [pow(a, n, m) for a in range(len(spf))]
+        if n == len(spf) - 1:
+            pw[2] = (pw[2] + len(spf)) % m
+        return pw
+
+    monkeypatch.setattr(modular, "_sieve_powers", wrong_t)
+    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    p = 101
+    modular.power_sum_mod(p - 1, p, 8)  # the memo now holds t mod p^8
+    assert modular._memo.p == p
+    for n in (1, 2, 3):
+        qs = [(pow(a, p - 1, p ** 4) - 1) // p for a in range(1, p)]
+        assert q_sum(p, n, 3, "direct").residue == sum(q ** n for q in qs) % p ** 3
+
 
 TIER_CHECK_IDS = (
     "thm_main_p3,thm_main2_p4,thm_main3_q1_r4,thm_main3_q2_r4,thm_main3_q3_r4,"
@@ -331,26 +415,17 @@ TIER_CHECK_IDS = (
 )
 
 
-def test_tier_checks_compute_each_power_sum_once_past_the_first_prime(monkeypatch):
+def test_tier_checks_compute_each_power_sum_once_past_the_first_prime(power_sum_runs):
     """The twelve tier checks at 1103..1117 ask 36 distinct power sums. The
     first prime raises some of them from K = 4 up to 8 and from 2 to 3; the
     next two compute each at the precision the first one reached (81 kernel
-    runs when every rise recomputed)."""
-    from wilsonlab import modular
-
-    real = modular._sieve_power_sum
-    runs = []
-
-    def counted(n, m, spf):
-        runs.append((n, len(spf)))
-        return real(n, m, spf)
-
-    monkeypatch.setattr(modular, "_sieve_power_sum", counted)
-    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    runs when every rise recomputed). All but 9 are steps, one product per
+    a from the list p - 1 below (46 sieve passes without the step rule)."""
     rep = run_suite(make_spec(TIER_CHECK_IDS, 1103, 1117, engine="modular"))
     assert rep.summary == {"pass": 36, "fail": 0, "skipped": 0}
-    assert len(set(runs)) == 36
-    assert len(runs) == 46
+    assert len({(n, p) for _, n, p, _ in power_sum_runs}) == 36
+    kinds = [kind for kind, *_ in power_sum_runs]
+    assert (kinds.count("sieve"), kinds.count("step")) == (9, 37)
 
 
 def test_power_sum_side_never_reads_the_quotient_memo(monkeypatch):
@@ -373,23 +448,31 @@ def test_power_sum_side_never_reads_the_quotient_memo(monkeypatch):
         quotients.q_sum(1103, 2, 3, "direct")
 
 
-def test_a_skewed_power_sum_fails_lemma26(monkeypatch):
+def test_a_skewed_power_sum_fails_lemma26(monkeypatch, power_sum_runs):
     """lemma26_qdiff compares the direct q_sum with the difference method,
-    which reads the memo: one wrong sum, S_{2(p-1)}, must fail it."""
+    which reads the memo: one wrong sum, S_{2(p-1)}, must fail it, whether
+    the memo sieves or steps it."""
     from wilsonlab import modular
 
-    real = modular._sieve_power_sum
-
-    def skewed(n, m, spf):
-        v = real(n, m, spf)
-        return (v + 1) % m if n == 2 * (len(spf) - 1) else v
-
     spec = make_spec("lemma26_qdiff", 5, 13)
-    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
     assert run_suite(spec).ok
-    monkeypatch.setattr(modular, "_sieve_power_sum", skewed)
+    sieve, step = modular._sieve_powers, modular._step_powers
+
+    def skew(n, p, pw):
+        # entry 0 (0^n = 0) is no term of the sum, and a step multiplies it
+        # by t[0] = 0, so the skew reaches S_{2(p-1)} alone
+        if n == 2 * (p - 1):
+            pw[0] = 1
+        return pw
+
+    monkeypatch.setattr(modular, "_sieve_powers",
+                        lambda n, m, spf: skew(n, len(spf), sieve(n, m, spf)))
+    monkeypatch.setattr(modular, "_step_powers",
+                        lambda n, below, t, m: skew(n, len(t), step(n, below, t, m)))
+    power_sum_runs.clear()
     monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
     assert [r.status for r in run_suite(spec).results] == ["fail"] * 4
+    assert {kind for kind, n, p, _ in power_sum_runs if n == 2 * (p - 1)} == {"step"}
 
 
 def test_a_skewed_fermat_quotient_fails_the_direct_checks(monkeypatch):
