@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .padic import is_prime, primes_up_to
+from .padic import TrackedResidue, is_prime, primes_up_to
 
 # Exact values above this index are refused rather than silently thrashing:
 # numerators grow like n log n digits and the modular engine owns that range.
@@ -30,10 +30,16 @@ class IndexOutOfTable(Exception):
 
 
 class BernoulliTable:
-    """Exact Bernoulli numbers B_0..B_N."""
+    """Exact Bernoulli numbers B_0..B_N.
+
+    ``reduced`` is the memo of modular.beta_route's exact engine: (p, m) ->
+    the divided value at index m reduced mod p^K, K the highest precision
+    asked. It belongs to the table, so it lives and dies with it.
+    """
 
     def __init__(self, values: list[Fraction]):
         self._values = list(values)
+        self.reduced: dict[tuple[int, int], TrackedResidue] = {}
 
     @classmethod
     def build(cls, n_max: int) -> "BernoulliTable":

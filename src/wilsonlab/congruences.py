@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Union
 
 from . import result
 from .bernoulli import (
@@ -43,18 +44,19 @@ class TierTerm:
     """One displayed term: (const + p_lin * p) * p^p_exp * monomial.
 
     The monomial is a product of divided Bernoulli values: family 'bar' or
-    'bar2', multiplier d, integer power.
+    'bar2', multiplier d, integer power. const and p_lin are ints where the
+    display has an integer, so that evaluating the term builds no Fraction.
     """
 
     label: str
     p_exp: int
-    const: Fraction
-    p_lin: Fraction
+    const: Union[int, Fraction]
+    p_lin: int
     monomial: tuple[tuple[str, int, int], ...]
 
 
 def _t(label, p_exp, const, monomial, p_lin=0):
-    return TierTerm(label, p_exp, Fraction(const), Fraction(p_lin), monomial)
+    return TierTerm(label, p_exp, const, p_lin, monomial)
 
 
 B1 = (("bar", 1, 1),)
@@ -185,7 +187,7 @@ def evaluate_terms(
             base = bnd.bar(d) if family == "bar" else bnd.bar2(d)
             f = base ** power
             val = f if val is None else val * f
-        coeff = term.const + term.p_lin * p
+        coeff = term.const + term.p_lin * p if term.p_lin else term.const
         val = val.scale_fraction(coeff).scale(p ** term.p_exp)
         acc = val if acc is None else acc + val
     if acc.prec < prec:

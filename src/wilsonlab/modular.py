@@ -268,6 +268,11 @@ def beta_route(
     mod p^K, by one engine: beta_mod for 'modular', the oracle's rational
     reduced for 'exact' (at p = 2 the index-1 value -1 of bar_value).
 
+    The exact route keeps what it reduces in table.reduced, one residue per
+    (p, m) at the highest K asked, and answers a K at or below it by
+    truncation; every route on the same table shares it. The modular route
+    keeps nothing above power_sum_mod's memo.
+
     bundle and generalized_kummer_check take every value from here, so
     their two engines differ in this one place.
     """
@@ -277,10 +282,14 @@ def beta_route(
         raise ValueError(f"unknown engine {engine!r}")
     if table is None:
         raise ValueError("exact engine needs a Bernoulli table")
+    memo = table.reduced
 
     def exact(m: int, K: int) -> TrackedResidue:
-        value = bar_value(m, p, table) if p == 2 else beta_value(m, p, table)
-        return reduce_rational(value, PrimePowerContext(p), K)
+        held = memo.get((p, m))
+        if held is None or held.prec < K:
+            value = bar_value(m, p, table) if p == 2 else beta_value(m, p, table)
+            held = memo[p, m] = reduce_rational(value, PrimePowerContext(p), K)
+        return held.truncate(K)
 
     return exact
 

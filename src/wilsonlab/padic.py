@@ -8,12 +8,16 @@ by p^j keeps every one of the j units it gains. Dividing by p costs one unit
 of precision and is only legal when the residue is divisible; silent
 precision loss is the main correctness hazard in this kind of computation,
 so it is an error here, never a truncation.
+
+A residue is stored in three slots: its context, its precision K and its
+integer in [0, p^K). It stays immutable: assigning to a slot raises, and
+every operation returns a new residue.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -130,10 +134,11 @@ class PrimePowerContext:
 
     def from_int(self, value: int, prec: int) -> "TrackedResidue":
         """Embed an exact integer at precision prec >= 0."""
-        return TrackedResidue(self, prec, value % self.p ** prec if prec > 0 else 0)
+        if prec < 0:
+            raise PrecisionExhausted(f"negative precision {prec}")
+        return _reduced(self, prec, value % self.p ** prec)
 
 
-@dataclass(frozen=True)
 class TrackedResidue:
     """An integer known modulo p^prec. Immutable; all arithmetic is pure.
 
@@ -141,20 +146,42 @@ class TrackedResidue:
     Multiplying by an exact integer c gains all ord_p(c) units of precision:
     this covers the p^j shift used when assembling congruences with p-power
     prefactors.
+
+    The constructor checks that 0 <= residue < p^prec. from_int and the
+    arithmetic reduce each result themselves and build it through _reduced,
+    which skips that check and so keeps a residue's creation cheap.
     """
 
-    ctx: PrimePowerContext
-    prec: int
-    residue: int
+    __slots__ = ("ctx", "prec", "residue")
 
-    def __post_init__(self):
-        if self.prec < 0:
-            raise PrecisionExhausted(f"negative precision {self.prec}")
-        if self.prec == 0:
-            if self.residue != 0:
+    def __init__(self, ctx: PrimePowerContext, prec: int, residue: int):
+        if prec < 0:
+            raise PrecisionExhausted(f"negative precision {prec}")
+        if prec == 0:
+            if residue != 0:
                 raise ValueError("zero-precision residue must store 0")
-        elif not 0 <= self.residue < self.ctx.p ** self.prec:
+        elif not 0 <= residue < ctx.p ** prec:
             raise ValueError("residue not reduced mod p^prec")
+        _set_ctx(self, ctx)
+        _set_prec(self, prec)
+        _set_residue(self, residue)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.prec, self.residue) == (other.ctx, other.prec, other.residue)
+
+    def __hash__(self):
+        return hash((self.ctx, self.prec, self.residue))
+
+    def __reduce__(self):
+        return TrackedResidue, (self.ctx, self.prec, self.residue)
 
     # -- helpers ------------------------------------------------------
 
@@ -162,74 +189,82 @@ class TrackedResidue:
     def p(self) -> int:
         return self.ctx.p
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.prec
-
     def _join(self, other: "TrackedResidue") -> int:
-        if self.p != other.p:
+        if self.ctx.p != other.ctx.p:
             raise MixedContext(f"mixed primes {self.p} and {other.p}")
         return min(self.prec, other.prec)
 
-    def _coerce(self, other) -> "TrackedResidue":
-        if isinstance(other, TrackedResidue):
-            return other
-        if isinstance(other, int):
-            return self.ctx.from_int(other, self.prec)
-        return NotImplemented
-
     # -- ring operations ----------------------------------------------
+    # An int operand is exact, so the result keeps self's precision.
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, TrackedResidue):
+            prec = self._join(other)
+            other = other.residue
+        elif isinstance(other, int):
+            prec = self.prec
+        else:
             return NotImplemented
-        return self.ctx.from_int(self.residue + other.residue, self._join(other))
+        ctx = self.ctx
+        return _reduced(ctx, prec, (self.residue + other) % ctx.p ** prec)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, TrackedResidue):
+            prec = self._join(other)
+            other = other.residue
+        elif isinstance(other, int):
+            prec = self.prec
+        else:
             return NotImplemented
-        return self.ctx.from_int(self.residue - other.residue, self._join(other))
+        ctx = self.ctx
+        return _reduced(ctx, prec, (self.residue - other) % ctx.p ** prec)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        if not isinstance(other, int):
+            return NotImplemented
+        ctx = self.ctx
+        return _reduced(ctx, self.prec, (other - self.residue) % ctx.p ** self.prec)
 
     def __neg__(self):
-        return self.ctx.from_int(-self.residue, self.prec)
+        ctx = self.ctx
+        return _reduced(ctx, self.prec, -self.residue % ctx.p ** self.prec)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, TrackedResidue):
             return NotImplemented
-        return self.ctx.from_int(self.residue * other.residue, self._join(other))
+        prec = self._join(other)
+        ctx = self.ctx
+        return _reduced(ctx, prec, self.residue * other.residue % ctx.p ** prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if e == 0:
-            return self.ctx.from_int(1, self.prec)
-        if self.prec == 0:
+        if e == 1:
             return self
-        return self.ctx.from_int(pow(self.residue, e, self.modulus), self.prec)
+        ctx = self.ctx
+        return _reduced(ctx, self.prec, pow(self.residue, e, ctx.p ** self.prec))
 
     def scale(self, c: int) -> "TrackedResidue":
         """Multiply by an exact integer; precision grows by ord_p(c)."""
         if c == 1:
             return self
-        if c == 0:
-            return self.ctx.from_int(0, self.prec)
+        ctx = self.ctx
+        p = ctx.p
         K = self.prec
-        cc = c
-        while cc % self.p == 0:
-            cc //= self.p
-            K += 1
-        return self.ctx.from_int(c * self.residue, K)
+        if c % p == 0:
+            if c == 0:
+                return _reduced(ctx, K, 0)
+            cc = c
+            while cc % p == 0:
+                cc //= p
+                K += 1
+        return _reduced(ctx, K, c * self.residue % p ** K)
 
     def scale_fraction(self, fr: Fraction) -> "TrackedResidue":
         """Multiply by an exact rational whose denominator is prime to p."""
@@ -237,13 +272,14 @@ class TrackedResidue:
             return self.scale(fr)
         if not isinstance(fr, Fraction):
             fr = Fraction(fr)
-        if fr.denominator % self.p == 0:
+        den = fr.denominator
+        if den % self.ctx.p == 0:
             raise NotPIntegral(f"denominator of {fr} divisible by {self.p}")
         out = self.scale(fr.numerator)
-        if fr.denominator != 1:
-            inv = pow(fr.denominator, -1, self.p ** max(out.prec, 1)) if out.prec else 0
-            out = self.ctx.from_int(out.residue * inv, out.prec)
-        return out
+        if den == 1 or out.prec == 0:
+            return out
+        m = out.ctx.p ** out.prec
+        return _reduced(out.ctx, out.prec, out.residue * pow(den, -1, m) % m)
 
     def divide_by_p(self, j: int = 1) -> "TrackedResidue":
         """Exact division by p^j; costs j units of precision."""
@@ -255,12 +291,13 @@ class TrackedResidue:
             raise PrecisionExhausted(
                 f"need {j} precision units for division, have {self.prec}"
             )
-        if self.residue % self.p ** j != 0:
+        pj = self.ctx.p ** j
+        if self.residue % pj != 0:
             raise NotDivisible(
                 f"{self.residue} is not divisible by {self.p}^{j} "
                 f"(known mod {self.p}^{self.prec})"
             )
-        return self.ctx.from_int(self.residue // self.p ** j, self.prec - j)
+        return _reduced(self.ctx, self.prec - j, self.residue // pj)
 
     def truncate(self, K: int) -> "TrackedResidue":
         """Forget precision down to K <= prec."""
@@ -268,12 +305,17 @@ class TrackedResidue:
             raise PrecisionExhausted(f"cannot raise precision {self.prec} to {K}")
         if K == self.prec:
             return self
-        return self.ctx.from_int(self.residue, K)
+        if K < 0:
+            raise PrecisionExhausted(f"negative precision {K}")
+        ctx = self.ctx
+        return _reduced(ctx, K, self.residue % ctx.p ** K)
 
     def agrees_with(self, other: "TrackedResidue", K: int) -> bool:
         """True when both values are congruent mod p^K (both must know K digits)."""
         if self.p != other.p:
             raise MixedContext(f"mixed primes {self.p} and {other.p}")
+        if K < 0:
+            raise PrecisionExhausted(f"negative precision {K}")
         if self.prec < K or other.prec < K:
             raise PrecisionExhausted(
                 f"comparison mod p^{K} needs precision {K}, "
@@ -286,16 +328,32 @@ class TrackedResidue:
         return f"{self.residue} (mod {self.p}^{self.prec})"
 
 
+_new_residue = object.__new__
+_set_ctx = TrackedResidue.ctx.__set__
+_set_prec = TrackedResidue.prec.__set__
+_set_residue = TrackedResidue.residue.__set__
+
+
+def _reduced(ctx: PrimePowerContext, prec: int, residue: int) -> TrackedResidue:
+    """A residue that the caller has already reduced mod p^prec, prec >= 0:
+    the constructor without its range check."""
+    r = _new_residue(TrackedResidue)
+    _set_ctx(r, ctx)
+    _set_prec(r, prec)
+    _set_residue(r, residue)
+    return r
+
+
 def reduce_rational(x: Fraction, ctx: PrimePowerContext, K: int) -> TrackedResidue:
     """Image of a p-integral rational in Z/p^K."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
     if x.denominator % ctx.p == 0:
         raise NotPIntegral(f"{x} has negative {ctx.p}-adic valuation")
-    if K == 0:
-        return TrackedResidue(ctx, 0, 0)
+    if K < 0:
+        raise PrecisionExhausted(f"negative precision {K}")
     m = ctx.p ** K
-    return ctx.from_int(x.numerator * pow(x.denominator, -1, m), K)
+    return _reduced(ctx, K, x.numerator * pow(x.denominator, -1, m) % m)
 
 
 def forward_difference(values: Sequence[TrackedResidue]) -> TrackedResidue:

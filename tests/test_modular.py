@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wilsonlab import modular
-from wilsonlab.bernoulli import adjusted_bernoulli, beta_value, power_sum_polynomial
+from wilsonlab.bernoulli import (
+    BernoulliTable,
+    adjusted_bernoulli,
+    beta_value,
+    power_sum_polynomial,
+)
 from wilsonlab.modular import (
     HypothesisViolated,
     InadmissibleCase,
@@ -312,6 +317,56 @@ def test_beta_route_refusals(table):
     with pytest.raises(ValueError, match="needs a Bernoulli table"):
         beta_route("exact", 7)
     assert beta_route("exact", 2, table)(1, 1).residue == 1  # bar value -1 at p = 2
+
+
+def _count_oracle_values(monkeypatch):
+    """Record (m, p) for every rational that the exact route computes."""
+    calls = []
+
+    def counted(n, p, table):
+        calls.append((n, p))
+        return beta_value(n, p, table)
+
+    monkeypatch.setattr(modular, "beta_value", counted)
+    return calls
+
+
+def test_exact_route_memo_lives_on_its_table(monkeypatch):
+    """The exact route computes a rational once per (p, m) and precision
+    rise, keeps one residue per (p, m) on the table it reads, and answers a
+    second route on that table from it; another table starts empty."""
+    calls = _count_oracle_values(monkeypatch)
+    first, second = BernoulliTable.build(48), BernoulliTable.build(48)
+    ms = range(2, 4 * 12 + 1, 2)
+    asks = [(m, K) for m in ms for K in (1, 4, 2, 0)]  # a rise, then two hits
+
+    got = [beta_route("exact", 13, first)(m, K) for m, K in asks]
+    assert calls == [(m, 13) for m in ms for _ in range(2)]
+    assert set(first.reduced) == {(13, m) for m in ms}
+    assert all(v.prec == 4 for v in first.reduced.values())
+
+    calls.clear()
+    assert [beta_route("exact", 13, first)(m, K) for m, K in asks] == got
+    assert calls == []
+
+    assert second.reduced == {}
+    assert [beta_route("exact", 13, second)(m, K) for m, K in asks] == got
+    assert calls == [(m, 13) for m in ms for _ in range(2)]
+    assert first.reduced is not second.reduced
+    assert all(second.reduced[k] is not v for k, v in first.reduced.items())
+
+
+def test_exact_route_memo_matches_the_uncached_oracle():
+    """At every even m <= 4(p-1) and K <= 4 for 5 <= p <= 113, asked in an
+    order that rises, truncates and hits, the memo gives what reducing the
+    oracle's rational gives."""
+    table = BernoulliTable.build(4 * 112)
+    for p in primes_up_to(113)[2:]:
+        route, ctx = beta_route("exact", p, table), PrimePowerContext(p)
+        for m in range(2, 4 * (p - 1) + 1, 2):
+            value = beta_value(m, p, table)
+            for K in (2, 0, 4, 1, 3, 4):
+                assert route(m, K) == reduce_rational(value, ctx, K), (p, m, K)
 
 
 def test_bundle_fixed_points(table):

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from wilsonlab.padic import (
     NotPIntegral,
     PrecisionExhausted,
     PrimePowerContext,
+    TrackedResidue,
     forward_difference,
     is_prime,
     ord_p,
@@ -71,6 +74,79 @@ def test_reduce_rational_examples():
     assert reduce_rational(Fraction(0), ctx, 2).residue == 0
     with pytest.raises(NotPIntegral):
         reduce_rational(Fraction(1, 5), ctx, 2)
+    with pytest.raises(PrecisionExhausted, match="negative precision -1"):
+        reduce_rational(Fraction(1, 6), ctx, -1)
+
+
+def test_negative_precision_is_refused_everywhere():
+    """A precision below 0 is PrecisionExhausted wherever it is asked, never
+    a float modulus or a TypeError from pow."""
+    ctx = PrimePowerContext(5)
+    a, b = ctx.from_int(7, 3), ctx.from_int(3, 2)
+    for K in (-1, -3):
+        with pytest.raises(PrecisionExhausted):
+            a.agrees_with(b, K)
+        with pytest.raises(PrecisionExhausted):
+            reduce_rational(Fraction(1, 6), ctx, K)
+        with pytest.raises(PrecisionExhausted):
+            ctx.from_int(7, K)
+        with pytest.raises(PrecisionExhausted):
+            a.truncate(K)
+    assert a.agrees_with(b, 0)
+    assert not a.agrees_with(b, 1)
+
+
+def test_constructor_keeps_its_validation():
+    ctx = PrimePowerContext(5)
+    assert TrackedResidue(ctx, 2, 24) == ctx.from_int(24, 2)
+    assert TrackedResidue(ctx=ctx, prec=0, residue=0) == ctx.from_int(3, 0)
+    with pytest.raises(ValueError, match="not reduced"):
+        TrackedResidue(ctx, 2, 25)
+    with pytest.raises(ValueError, match="not reduced"):
+        TrackedResidue(ctx, 2, -1)
+    with pytest.raises(PrecisionExhausted, match="negative precision"):
+        TrackedResidue(ctx, -1, 0)
+    with pytest.raises(ValueError, match="zero-precision"):
+        TrackedResidue(ctx, 0, 3)
+
+
+def test_residues_are_immutable():
+    x = PrimePowerContext(7).from_int(10, 2)
+    for name, value in (("residue", 11), ("prec", 3), ("ctx", PrimePowerContext(5)),
+                        ("other", 1)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, value)
+    with pytest.raises(FrozenInstanceError):
+        del x.residue
+    assert (x.ctx.p, x.prec, x.residue) == (7, 2, 10)
+    assert not hasattr(x, "__dict__")
+
+
+def test_equality_and_hashing():
+    """A residue equals a residue with the same prime, precision and
+    integer, whichever context object it holds, and nothing else: not the
+    tuple of its fields, not its integer."""
+    x = PrimePowerContext(7).from_int(10, 2)
+    same = TrackedResidue(PrimePowerContext(7), 2, 10)
+    assert x == same and not x != same
+    assert hash(x) == hash(same) == hash((x.ctx, 2, 10))
+    for other in (PrimePowerContext(7).from_int(10, 3), PrimePowerContext(11).from_int(10, 2),
+                  PrimePowerContext(7).from_int(11, 2)):
+        assert x != other
+    for other in ((x.ctx, 2, 10), (7, 2, 10), 10, None):
+        assert x != other and other != x
+    assert len({x, same, x.truncate(1)}) == 2
+    with pytest.raises(TypeError):
+        x < same
+
+
+def test_residues_survive_pickling():
+    for p, K, v in ((2, 0, 0), (5, 3, 124), (1009, 4, 10**11)):
+        x = PrimePowerContext(p).from_int(v, K)
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and back is not x
+        assert (back.ctx, back.prec, back.residue) == (x.ctx, x.prec, x.residue)
+        assert back + 1 == x + 1
 
 
 def test_divide_by_p_examples():
@@ -211,3 +287,53 @@ def test_unchanging_operations_match_the_general_path(p, R, value, c):
         if K and value % p:
             with pytest.raises(NotDivisible):
                 x.divide_by_p()
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7, 1009)),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_ring_operations_agree_with_integer_arithmetic(p, K, L, a, b, c, d):
+    """Every operation gives plain integer arithmetic reduced mod p^prec,
+    at the precision the rules say: the minimum of the operands for a
+    binary op, self's for an exact int operand, + ord_p(c) for scale and
+    scale_fraction, - j for divide_by_p, and the asked K for truncate."""
+    ctx = PrimePowerContext(p)
+    x, y = ctx.from_int(a, K), ctx.from_int(b, L)
+
+    def same(r, prec, value):
+        assert r.__class__ is TrackedResidue
+        assert (r.ctx.p, r.prec, r.residue) == (p, prec, value % p**prec)
+
+    low = min(K, L)
+    same(x + y, low, a + b)
+    same(x - y, low, a - b)
+    same(x * y, low, a * b)
+    same(x + c, K, a + c)
+    same(c + x, K, a + c)
+    same(x - c, K, a - c)
+    same(c - x, K, c - a)
+    same(-x, K, -a)
+    same(x ** 3, K, a**3)
+    same(x ** 0, K, 1)
+    if c:
+        same(x.scale(c), K + ord_p(c, p), a * c)
+        same(x * c, K + ord_p(c, p), a * c)
+    else:
+        same(x.scale(0), K, 0)
+    if d % p:
+        fr = Fraction(c, d)
+        prec = K + (ord_p(fr, p) if c else 0)
+        inverse = pow(fr.denominator, -1, p**prec)
+        same(x.scale_fraction(fr), prec, fr.numerator * a * inverse)
+    for j in range(0, 3):
+        z = ctx.from_int(a * p**j, K + j)
+        same(z.divide_by_p(j), K, a)
+    for T in range(0, K + 1):
+        same(x.truncate(T), T, a)
+

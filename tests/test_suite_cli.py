@@ -165,6 +165,32 @@ def test_text_buffered_before_the_fork_is_written_once():
     assert out == "before the fork\n"
 
 
+def test_the_package_imports_only_the_standard_library(tmp_path):
+    """Every module that importing the CLI and a small dual-path verify add
+    to a bare interpreter is wilsonlab's own or the standard library's:
+    the package has no runtime dependency, numpy included."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import wilsonlab.cli\n"
+        "code = wilsonlab.cli.main(['verify', '--suite', 'all', '--p-max', '13',\n"
+        "                           '--engine', 'both', '--format', 'json',\n"
+        "                           '--out', sys.argv[1]])\n"
+        "print(code, *sorted(set(sys.modules) - before))\n"
+    )
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "report.json")],
+                         env=env, timeout=60, capture_output=True, text=True,
+                         check=True).stdout.split()
+    code, added = out[0], out[1:]
+    assert code == "0"
+    assert "wilsonlab.cli" in added and "wilsonlab.padic" in added
+    foreign = [name for name in added
+               if name.partition(".")[0] not in sys.stdlib_module_names | {"wilsonlab"}]
+    assert foreign == []
+
+
 def test_summary_counts_match_rows():
     rep = run_suite(make_spec("all", 2, 13))
     s = rep.summary
@@ -247,6 +273,20 @@ def test_cross_path_mismatch_is_a_fail_row(monkeypatch, check_id):
         assert r.status == "fail", r
         assert r.reason == "cross-path mismatch (exact vs modular)" + sub, r
     assert run_suite(make_spec(check_id, 11, 23, engine="exact")).ok
+
+
+def test_a_warm_exact_memo_keeps_every_cross_path_mismatch(monkeypatch):
+    """The dual-path checks of one run read one table, so from the first
+    check on the exact side answers from the table's memo; every row of the
+    skewed modular engine still fails."""
+    _skew_modular_engine(monkeypatch)
+    table = BernoulliTable.build(AUTO_ORACLE_CAP)
+    rep = run_suite(make_spec(",".join(DUAL_PATH_CHECKS), 11, 23), table=table)
+    assert len(rep.results) == 5 * len(DUAL_PATH_CHECKS) == 90
+    for r in rep.results:
+        assert r.status == "fail", r
+        assert r.reason.startswith("cross-path mismatch (exact vs modular)"), r
+    assert table.reduced
 
 
 def test_reduction_chain_fails_per_engine(monkeypatch):
