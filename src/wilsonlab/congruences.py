@@ -27,14 +27,8 @@ from .bernoulli import (
     beta_value,
     digit_sum,
 )
-from .modular import DividedBernoulliBundle, HypothesisViolated
-from .padic import (
-    PrimePowerContext,
-    TrackedResidue,
-    forward_difference,
-    ord_p,
-    reduce_rational,
-)
+from .modular import DividedBernoulliBundle, HypothesisViolated, beta_route
+from .padic import TrackedResidue, forward_difference, ord_p
 from .quotients import q_sum, wilson_quotient
 from .result import CongruenceCheckResult
 
@@ -239,12 +233,13 @@ def q_sum_via_bernoulli(
 
 
 def carlitz_check(p: int, mult: int, k: int, table: BernoulliTable) -> CongruenceCheckResult:
-    """mult * W_p = (B_{mult p^k (p-1)} + 1/p - 1) / p^k mod p."""
+    """mult * W_p = (B_{mult p^k (p-1)} + 1/p - 1) / p^k mod p, the right side
+    read as the exact route's divided value times mult*(p-1). At p = 2 the
+    route (modular.beta_route) knows index 1 only: mult = 1, k = 0."""
     if mult < 1 or k < 0:
         raise ValueError("need mult >= 1 and k >= 0")
     index = mult * p ** k * (p - 1)
-    rhs_exact = (table.bernoulli(index) + Fraction(1, p) - 1) / p ** k
-    rhs = reduce_rational(rhs_exact, PrimePowerContext(p), 1)
+    rhs = beta_route("exact", p, table)(index, 1).scale(mult * (p - 1))
     lhs = wilson_quotient(p, 1).scale(mult)
     return result.from_residues("carlitz", p, 1, lhs, rhs, f"mult={mult}, k={k}")
 
@@ -368,8 +363,7 @@ def remainder_term_check(p: int, d: int, table: BernoulliTable) -> CongruenceChe
     if p < 5:
         raise HypothesisViolated("need p >= 5")
     n = d * (p - 1)
-    s = sum(Fraction(a) ** n for a in range(1, p))
-    sh = (s - (p - 1)) / p
+    sh = Fraction(sum(a ** n for a in range(1, p)) - (p - 1), p)
     corr = Fraction(0)
     for nu in range(2, p - 2, 2):
         corr += comb(n, nu + 1) * beta_value(n - nu, p, table) * p ** nu

@@ -186,14 +186,6 @@ def folklore_bernoulli_mod(m: int, p: int, K: int) -> TrackedResidue:
     return s.divide_by_p(1)
 
 
-def _binom_coeff_times_b(n: int, nu: int) -> Fraction:
-    """C(n, nu+1) / (n - nu) as a fraction: the cofactor multiplying B_{n-nu}."""
-    # C(n,nu+1) * B_{n-nu}/(n-nu) == [C(n,nu+1)/(n-nu)] * B_{n-nu}; the
-    # denominator n-nu cancels into the binomial, keeping everything
-    # p-integral even when p | n-nu.
-    return Fraction(comb(n, nu + 1), n - nu)
-
-
 def adjusted_bernoulli_mod(
     d: int, p: int, r: int, table: BernoulliTable | None = None
 ) -> TrackedResidue:
@@ -203,9 +195,10 @@ def adjusted_bernoulli_mod(
     and d = 1 mod p; r <= 6. For r <= 4 the single correction input
     B_{n-2} mod p^{r-2} comes from the folklore route and the computation
     is O(p) with no exact values at all. The r = 5, 6 rows need divided
-    inputs at precision 3 and up, beyond any fast route: they require the
-    exact table and exist for small p only. That restriction is deliberate
-    and not silently relaxed.
+    inputs at precision 3 and up, beyond any fast route: they read the
+    divided values at n-2 and n-4 from the exact route of beta_route over
+    the given table and exist for small p only. That restriction is
+    deliberate and not silently relaxed.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -221,16 +214,17 @@ def adjusted_bernoulli_mod(
     n = d * (p - 1)
     acc = sh_value(n, p, r)
     if 3 <= r <= 4:
+        # C(n, 3) B_{n-2}/(n-2): n-2 cancels into the binomial
         b2 = folklore_bernoulli_mod(n - 2, p, r - 2)
-        acc = acc - b2.scale_fraction(_binom_coeff_times_b(n, 2)).scale(p ** 2)
+        acc = acc - b2.scale_fraction(Fraction(comb(n, 3), n - 2)).scale(p ** 2)
     elif r >= 5:
         if table is None or table.max_index < n - 2:
             raise InadmissibleCase(
                 f"r = {r} needs exact correction inputs up to index {n - 2}"
             )
+        oracle = beta_route("exact", p, table)
         for nu, prec in ((2, r - 2), (4, r - 4)):
-            corr = _binom_coeff_times_b(n, nu) * table.bernoulli(n - nu)
-            acc = acc - reduce_rational(corr, acc.ctx, prec).scale(p ** nu)
+            acc = acc - oracle(n - nu, prec).scale(comb(n, nu + 1) * p ** nu)
     return acc.truncate(r)
 
 
@@ -268,13 +262,17 @@ def beta_route(
     mod p^K, by one engine: beta_mod for 'modular', the oracle's rational
     reduced for 'exact' (at p = 2 the index-1 value -1 of bar_value).
 
-    The exact route keeps what it reduces in table.reduced, one residue per
+    The exact route is the one place that turns an oracle rational into a
+    residue. It keeps what it reduces in table.reduced, one residue per
     (p, m) at the highest K asked, and answers a K at or below it by
     truncation; every route on the same table shares it. The modular route
     keeps nothing above power_sum_mod's memo.
 
     bundle and generalized_kummer_check take every value from here, so
-    their two engines differ in this one place.
+    their two engines differ in this one place. The exact-only checks
+    (kummer_check, congruences.carlitz_check, the registry's cor35_tiers,
+    folklore and prop22) and the r >= 5 corrections of
+    adjusted_bernoulli_mod read the exact route too.
     """
     if engine == "modular":
         return lambda m, K: beta_mod(m, p, K)
@@ -282,13 +280,13 @@ def beta_route(
         raise ValueError(f"unknown engine {engine!r}")
     if table is None:
         raise ValueError("exact engine needs a Bernoulli table")
-    memo = table.reduced
+    memo, ctx = table.reduced, PrimePowerContext(p)
 
     def exact(m: int, K: int) -> TrackedResidue:
         held = memo.get((p, m))
         if held is None or held.prec < K:
             value = bar_value(m, p, table) if p == 2 else beta_value(m, p, table)
-            held = memo[p, m] = reduce_rational(value, PrimePowerContext(p), K)
+            held = memo[p, m] = reduce_rational(value, ctx, K)
         return held.truncate(K)
 
     return exact
@@ -362,7 +360,8 @@ def bundle(
 
 
 def kummer_check(n: int, m: int, p: int, table: BernoulliTable) -> CongruenceCheckResult:
-    """B_n/n = B_m/m mod p for even n = m (mod p-1) not divisible by p-1."""
+    """B_n/n = B_m/m mod p for even n = m (mod p-1) not divisible by p-1,
+    both sides the exact route's divided values (beta_route)."""
     if p < 5:
         raise HypothesisViolated("p must be >= 5")
     if n < 2 or m < 2 or n % 2 or m % 2:
@@ -371,10 +370,8 @@ def kummer_check(n: int, m: int, p: int, table: BernoulliTable) -> CongruenceChe
         raise HypothesisViolated(
             f"need n = m (mod p-1) and (p-1) does not divide n; got n={n}, m={m}, p={p}"
         )
-    ctx = PrimePowerContext(p)
-    lhs = reduce_rational(table.bernoulli(n) / n, ctx, 1)
-    rhs = reduce_rational(table.bernoulli(m) / m, ctx, 1)
-    return result.from_residues("kummer", p, 1, lhs, rhs, f"indices {n}, {m}")
+    value = beta_route("exact", p, table)
+    return result.from_residues("kummer", p, 1, value(n, 1), value(m, 1), f"indices {n}, {m}")
 
 
 def generalized_kummer_check(

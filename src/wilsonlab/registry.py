@@ -17,7 +17,9 @@ qsum values by the Bernoulli route come through it as well (cross_checked).
 prop36, prop37 and reduction_chain check each engine's own bundles, and each
 gen_kummer_r* instance runs on the first engine with a route. cor35_tiers
 and folklore compare modular functions with the oracle whatever the
-selection.
+selection. Every oracle residue, theirs and those of the exact-only checks
+(kummer, carlitz, prop22) included, is read from beta_route's exact side,
+which keeps one reduced residue per (p, m) in the table's memo.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .modular import (
     generalized_kummer_check,
     kummer_check,
 )
-from .padic import NotDivisible, PrimePowerContext, ord_p, reduce_rational
+from .padic import NotDivisible, NotPIntegral, ord_p
 from .quotients import q_sum, wilson_quotient, wilson_via_psi
 from .result import FAIL, CongruenceCheckResult
 
@@ -348,19 +350,18 @@ def run_bundle_kummer_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
 def run_cor35_tiers(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "cor35_tiers"
     table = env.oracle
-    ctx = PrimePowerContext(p)
+    oracle = beta_route("exact", p, table)
     rows = []
     for d in (1, 2, 3, 4):
         n = d * (p - 1)
         if n > table.max_index:
             continue
-        exact = adjusted_bernoulli(n, p, table)
+        want = oracle(n, 6).scale(n)  # the adjusted B_n, read at r <= 6
         for r in (1, 2, 3, 4, 5, 6):
             try:
                 got = adjusted_bernoulli_mod(d, p, r, table)
             except InadmissibleCase:
                 continue
-            want = reduce_rational(exact, ctx, r)
             rows.append(result.from_residues(
                 check_id, p, r, got, want, f"d={d}, r={r}"
             ))
@@ -376,15 +377,15 @@ def run_folklore(p: int, env: RunEnv) -> CongruenceCheckResult:
     cap = min(table.max_index, 400)
     sample = [m for m in range(4, 41, 2) if m <= cap]
     sample += [m for m in _FOLKLORE_SAMPLE_EXTRA if m <= cap]
-    ctx = PrimePowerContext(p)
+    oracle = beta_route("exact", p, table)
     rows = []
     for m in sample:
+        want = oracle(m, 2).scale(m)  # B_m, read at K <= 2
         for K in (1, 2):
             try:
                 got = folklore_bernoulli_mod(m, p, K)
             except InadmissibleCase:
                 continue
-            want = reduce_rational(table.bernoulli(m), ctx, K)
             rows.append(result.from_residues(check_id, p, K, got, want, f"m={m}, K={K}"))
     return _aggregate(check_id, p, 2, rows)
 
@@ -393,21 +394,21 @@ def run_prop22(p: int, env: RunEnv) -> CongruenceCheckResult:
     check_id = "prop22"
     table = env.oracle
     cap = min(3 * (p - 1), 240, table.max_index)
-    ctx = PrimePowerContext(p)
+    value = beta_route("exact", p, table)
     wq = wilson_quotient(p, 1)
     rows = []
     for n in range(2, cap + 1, 2):
-        bhat = adjusted_bernoulli(n, p, table)
-        o_b, o_n = ord_p(bhat, p), ord_p(n, p)
-        rows.append(result.from_values(
-            check_id, p, 0, min(o_b, o_n), o_n, f"ord at n={n}: {o_b} < {o_n}"
-        ))
-        lhs = reduce_rational(-bhat / n, ctx, 1)
+        try:
+            lhs = -value(n, 1)
+        except NotPIntegral:
+            # B_n adjusted has lower p-order than n
+            o_b, o_n = ord_p(adjusted_bernoulli(n, p, table), p), ord_p(n, p)
+            rows.append(result.from_values(
+                check_id, p, 0, o_b, o_n, f"ord at n={n}: {o_b} < {o_n}"
+            ))
+            continue
         np_ = n % (p - 1)
-        if np_ == 0:
-            rhs = wq
-        else:
-            rhs = reduce_rational(-table.bernoulli(np_) / np_, ctx, 1)
+        rhs = wq if np_ == 0 else -value(np_, 1)
         rows.append(result.from_residues(check_id, p, 1, lhs, rhs, f"branch at n={n}"))
     return _aggregate(check_id, p, 1, rows)
 

@@ -1,6 +1,8 @@
+import ast
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,6 +369,22 @@ def test_exact_route_memo_matches_the_uncached_oracle():
             value = beta_value(m, p, table)
             for K in (2, 0, 4, 1, 3, 4):
                 assert route(m, K) == reduce_rational(value, ctx, K), (p, m, K)
+
+
+def test_only_the_exact_route_reduces_an_oracle_rational():
+    """Every oracle residue in the package comes from beta_route's exact
+    side: reduce_rational is called nowhere else."""
+    src = Path(modular.__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name == "reduce_rational":
+                        callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("modular", "beta_route")}
 
 
 def test_bundle_fixed_points(table):

@@ -6,17 +6,18 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wilsonlab.bernoulli import BernoulliTable
+from wilsonlab.bernoulli import BernoulliTable, beta_value
 from wilsonlab.cli import main
 from wilsonlab.modular import DividedBernoulliBundle
-from wilsonlab.padic import is_prime, primes_up_to
+from wilsonlab.padic import PrimePowerContext, is_prime, primes_up_to, reduce_rational
 from wilsonlab.quotients import wilson_quotient
-from wilsonlab.registry import ALL_CHECK_IDS, AUTO_ORACLE_CAP
+from wilsonlab.registry import ALL_CHECK_IDS, AUTO_ORACLE_CAP, RunEnv, execute_check
 from wilsonlab.result import CongruenceCheckResult
 from wilsonlab.suite import (
     SuiteSpec,
@@ -287,6 +288,55 @@ def test_a_warm_exact_memo_keeps_every_cross_path_mismatch(monkeypatch):
         assert r.status == "fail", r
         assert r.reason.startswith("cross-path mismatch (exact vs modular)"), r
     assert table.reduced
+
+
+EXACT_ONLY_REASONS = {
+    "kummer": "indices 4, 14",
+    "carlitz": "mult=1, k=0",
+    "cor35_tiers": "d=1, r=1",
+    "folklore": "m=4, K=1",
+    "prop22": "branch at n=10",
+}
+
+
+def test_one_exact_route_feeds_every_exact_only_check():
+    """kummer, carlitz and prop22, and the oracle side of cor35_tiers and
+    folklore, read their residues from the exact route's memo on the run's
+    table: one skewed entry at (11, 4) and one at (11, 10) fail all five.
+    The tables are this test's own, since the memo lives on its table."""
+
+    def rows(table):
+        env = RunEnv(table=table)
+        return {cid: execute_check(cid, 11, env) for cid in EXACT_ONLY_REASONS}
+
+    assert all(r.passed for r in rows(BernoulliTable.build(AUTO_ORACLE_CAP)).values())
+    table = BernoulliTable.build(AUTO_ORACLE_CAP)
+    ctx = PrimePowerContext(11)
+    for m in (4, 10):
+        true = reduce_rational(beta_value(m, 11, table), ctx, 6)
+        table.reduced[11, m] = ctx.from_int(true.residue + 1, 6)
+    got = {cid: (r.status, r.reason) for cid, r in rows(table).items()}
+    assert got == {cid: ("fail", why) for cid, why in EXACT_ONLY_REASONS.items()}
+
+
+def test_prop22_reports_a_short_order_as_its_ord_row():
+    """A table whose B_14 is 1/7 (the true value is 7/6): B_14/14 has no
+    residue mod 7, and prop22's row says which order falls short."""
+    values = [BernoulliTable.build(60).bernoulli(n) for n in range(61)]
+    values[14] = Fraction(1, 7)
+    row = execute_check("prop22", 7, RunEnv(table=BernoulliTable(values)))
+    assert (row.status, row.reason) == ("fail", "ord at n=14: -1 < 1")
+    assert (row.mod_exp, row.lhs, row.rhs) == (0, -1, 1)
+
+
+def test_the_readme_library_example_runs():
+    """The python block under the README's "Library use" heading runs as
+    written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "bundle(p, 4" in code
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_reduction_chain_fails_per_engine(monkeypatch):
