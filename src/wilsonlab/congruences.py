@@ -1,10 +1,13 @@
 """Evaluators for the named congruence families.
 
-The right-hand side of every quotient congruence is transcribed
+The right-hand side of every power-sum congruence is transcribed
 term-by-term: one ``TierTerm`` per displayed term, each carrying a label, so
 a transcription error localizes to a single term in test failures. The
-left-hand sides always come from the direct oracles (factorial product,
-direct Fermat-quotient power sum).
+Wilson quotient tiers are derived from them: the power-sum tiers give
+L = sum_k (-1)^(k-1) p^k Q_p(k)/k mod p^(r+1), and quotients.wilson_series
+turns L into W_p mod p^r, as it does for the Psi route. The left-hand sides
+always come from the direct oracles (factorial product, direct
+Fermat-quotient power sum).
 
 Note on admissibility: the fourth-order congruence for the first quotient
 power sum is gated at p >= 7 here. Checked exactly, it fails at p = 5 with
@@ -29,7 +32,7 @@ from .bernoulli import (
 )
 from .modular import DividedBernoulliBundle, HypothesisViolated, beta_route
 from .padic import TrackedResidue, forward_difference, ord_p
-from .quotients import q_sum, wilson_quotient
+from .quotients import q_sum, wilson_quotient, wilson_series
 from .result import CongruenceCheckResult
 
 
@@ -59,44 +62,6 @@ B3 = (("bar", 3, 1),)
 B4 = (("bar", 4, 1),)
 C1 = (("bar2", 1, 1),)
 C2 = (("bar2", 2, 1),)
-
-
-# Wilson quotient mod p^r in divided Bernoulli values; prime bounds per tier.
-WQ_TIER_PMIN = {1: 2, 2: 5, 3: 5, 4: 7}
-
-WQ_TIERS: dict[int, tuple[TierTerm, ...]] = {
-    1: (_t("-W1", 0, -1, B1),),
-    2: (
-        _t("-2*W1", 0, -2, B1),
-        _t("+W2", 0, 1, B2),
-        _t("-1/2*p*W1^2", 1, Fraction(-1, 2), (("bar", 1, 2),)),
-    ),
-    3: (
-        _t("-3*W1", 0, -3, B1),
-        _t("+3*W2", 0, 3, B2),
-        _t("-W3", 0, -1, B3),
-        _t("-3/2*p*W1^2", 1, Fraction(-3, 2), (("bar", 1, 2),)),
-        _t("+p*W1*W2", 1, 1, (("bar", 1, 1), ("bar", 2, 1))),
-        _t("-1/6*p^2*W1^3", 2, Fraction(-1, 6), (("bar", 1, 3),)),
-        _t("-1/3*p^2*V1", 2, Fraction(-1, 3), C1),
-    ),
-    4: (
-        _t("-4*W1", 0, -4, B1),
-        _t("+6*W2", 0, 6, B2),
-        _t("-4*W3", 0, -4, B3),
-        _t("+W4", 0, 1, B4),
-        _t("-3*p*W1^2", 1, -3, (("bar", 1, 2),)),
-        _t("+4*p*W1*W2", 1, 4, (("bar", 1, 1), ("bar", 2, 1))),
-        _t("-p*W1*W3", 1, -1, (("bar", 1, 1), ("bar", 3, 1))),
-        _t("-1/2*p*W2^2", 1, Fraction(-1, 2), (("bar", 2, 2),)),
-        _t("-2/3*p^2*W1^3", 2, Fraction(-2, 3), (("bar", 1, 3),)),
-        _t("+1/2*p^2*W1^2*W2", 2, Fraction(1, 2), (("bar", 1, 2), ("bar", 2, 1))),
-        _t("-2/3*p^2*V1", 2, Fraction(-2, 3), C1),
-        _t("+1/3*p^2*V2", 2, Fraction(1, 3), C2),
-        _t("-1/24*p^3*W1^4", 3, Fraction(-1, 24), (("bar", 1, 4),)),
-        _t("-1/3*p^3*W1*V1", 3, Fraction(-1, 3), (("bar", 1, 1), ("bar2", 1, 1))),
-    ),
-}
 
 
 # Power sums of Fermat quotients: p^(n-1) Q_p(n) / n mod p^r.
@@ -167,6 +132,31 @@ Q_TIERS: dict[tuple[int, int], tuple[TierTerm, ...]] = {
 }
 
 
+# Wilson quotient mod p^r: prime bounds per tier.
+WQ_TIER_PMIN = {1: 2, 2: 5, 3: 5, 4: 7}
+
+
+def _log_terms(r: int) -> tuple[TierTerm, ...]:
+    """L = sum_{k<=r} (-1)^(k-1) p * Q_TIERS[(k, r)] mod p^(r+1): the terms of
+    one monomial at one power of p merge, and an integral const is an int."""
+    merged: dict = {}
+    for k in range(1, r + 1):
+        sign = (-1) ** (k - 1)
+        for t in Q_TIERS[(k, r)]:
+            key = (t.monomial, t.p_exp + 1)
+            const, p_lin = merged.get(key, (0, 0))
+            merged[key] = (const + sign * t.const, p_lin + sign * t.p_lin)
+    return tuple(
+        _t(f"p^{e}*" + "*".join(f"{'W' if f == 'bar' else 'V'}{d}" for f, d, _ in mono),
+           e, int(const) if const.denominator == 1 else const, mono, p_lin)
+        for (mono, e), (const, p_lin) in merged.items()
+    )
+
+
+# L per Wilson tier r: 1, 2, 4 and 7 terms for r = 1..4
+_LOG_TIERS = {r: _log_terms(r) for r in WQ_TIER_PMIN}
+
+
 def evaluate_terms(
     terms: tuple[TierTerm, ...],
     p: int,
@@ -193,12 +183,14 @@ def evaluate_terms(
 
 def wilson_via_bernoulli(p: int, r: int, bnd: DividedBernoulliBundle) -> TrackedResidue:
     """Wilson quotient mod p^r from divided Bernoulli values; must equal
-    wilson_quotient(p, r) for p at or above the tier bound."""
-    if r not in WQ_TIERS:
+    wilson_quotient(p, r) for p at or above the tier bound. The Q_p(k)
+    tiers give the logarithm L of ((p-1)!)^(p-1) mod p^(r+1) (_LOG_TIERS),
+    and wilson_series turns it into W_p."""
+    if r not in _LOG_TIERS:
         raise HypothesisViolated(f"no tier r = {r}")
     if p < WQ_TIER_PMIN[r]:
         raise HypothesisViolated(f"tier r = {r} needs p >= {WQ_TIER_PMIN[r]}")
-    return evaluate_terms(WQ_TIERS[r], p, bnd, r)
+    return wilson_series(evaluate_terms(_LOG_TIERS[r], p, bnd, r + 1), r)
 
 
 def q_tier_rhs(p: int, n: int, r: int, bnd: DividedBernoulliBundle) -> TrackedResidue:

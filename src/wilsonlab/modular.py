@@ -9,7 +9,6 @@ a large Bernoulli number is ever needed, which is what makes p ~ 10^4 cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, isqrt
 from typing import Callable
 
@@ -30,7 +29,10 @@ class HypothesisViolated(Exception):
 def _smallest_prime_factors(p: int) -> list[int]:
     """spf[a] for 0 <= a < p: the smallest prime factor of a (a itself for a
     prime, and for 0 and 1)."""
-    spf = list(range(p))
+    try:
+        spf = list(range(p))
+    except (OverflowError, MemoryError) as exc:
+        raise ValueError(f"sieve below {p} is too large") from exc
     for b in range(2, isqrt(p - 1) + 1):
         if spf[b] == b:
             for a in range(b * b, p, b):
@@ -214,9 +216,9 @@ def adjusted_bernoulli_mod(
     n = d * (p - 1)
     acc = sh_value(n, p, r)
     if 3 <= r <= 4:
-        # C(n, 3) B_{n-2}/(n-2): n-2 cancels into the binomial
+        # C(n, 3) B_{n-2}/(n-2) = n(n-1)/6 B_{n-2}; 6 is a unit mod p^r
         b2 = folklore_bernoulli_mod(n - 2, p, r - 2)
-        acc = acc - b2.scale_fraction(Fraction(comb(n, 3), n - 2)).scale(p ** 2)
+        acc = acc - b2.scale(n * (n - 1) * pow(6, -1, p ** r)).scale(p ** 2)
     elif r >= 5:
         if table is None or table.max_index < n - 2:
             raise InadmissibleCase(
@@ -252,7 +254,7 @@ def beta_mod(m: int, p: int, K: int) -> TrackedResidue:
                 f"index {m}: needs B mod p^{K + e}, folklore route stops at p^2"
             )
         num = folklore_bernoulli_mod(m, p, K + e)
-    return num.divide_by_p(e).scale_fraction(Fraction(1, mm)).truncate(K)
+    return num.divide_by_p(e).scale(pow(mm, -1, p ** K)).truncate(K)
 
 
 def beta_route(

@@ -88,18 +88,18 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve."""
+    """All primes <= n by sieve; ValueError if the sieve cannot be allocated."""
     if n < 2:
         return []
-    try:
-        sieve = bytearray([1]) * (n + 1)
-    except OverflowError as exc:
+    try:  # zero-filled: a refused bytearray([1]) * n prints a SystemError too
+        composite = bytearray(n + 1)
+    except (OverflowError, MemoryError) as exc:
         raise ValueError(f"sieve limit {n} is too large") from exc
-    sieve[0] = sieve[1] = 0
+    composite[0] = composite[1] = 1
     for q in range(2, math.isqrt(n) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytearray(len(sieve[q * q :: q]))
-    return [i for i, fl in enumerate(sieve) if fl]
+        if not composite[q]:
+            composite[q * q :: q] = b"\x01" * ((n - q * q) // q + 1)
+    return [i for i, c in enumerate(composite) if not c]
 
 
 def ord_p(x: Union[int, Fraction], p: int) -> Union[int, float]:

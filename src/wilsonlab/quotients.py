@@ -12,7 +12,6 @@ sieve, so a fault there cannot make the two methods agree.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, prod
 from typing import Sequence
 
@@ -189,32 +188,34 @@ def q_sum(p: int, n: int, r: int, method: str = "direct") -> TrackedResidue:
     raise ValueError(f"unknown method {method!r}")
 
 
-def wilson_via_psi(p: int, r: int) -> TrackedResidue:
-    """Wilson quotient mod p^r from the quotient power sums Q_p(1..r); must
-    equal wilson_quotient(p, r) whenever p > r.
+def wilson_series(L: TrackedResidue, r: int) -> TrackedResidue:
+    """W_p mod p^r from L = sum_{k<=r} (-1)^(k-1) p^k Q_p(k)/k mod p^(r+1),
+    the logarithm of ((p-1)!)^(p-1) = prod_a a^(p-1) = prod_a (1 + p q_p(a)).
 
-    With a^(p-1) = 1 + p q_p(a) and (p-1)! = -(1 - pW_p), the logarithm of
-    ((p-1)!)^(p-1) = prod_a (1 + p q_p(a)) gives 1 - pW_p = exp(x), where
-    x = L/(p-1) and L = sum_k (-1)^(k-1) p^k Q_p(k)/k. So
-    W_p = -(1/p) sum_n x^n/n!. Both series stop at their r-th term and run
-    mod p^(r+1); 1/(k(p-1)) and 1/n! are units because p > r. Expanded in
-    the Q_p(k), the series is sum_nu p^(nu-1)/nu! Psi_nu(Q_p(1..nu)) with the
-    classical expansion polynomials Psi_nu. The quotient power sums enter at
-    precision r and share q_sum's memo, so the Fermat quotients of p are
-    computed once.
+    As (p-1)! = -(1 - pW_p), 1 - pW_p = exp(x) with x = L/(p-1), so
+    W_p = -(1/p) sum_{n<=r} x^n/n!, run in integers mod p^(r+1): 1/(p-1) and
+    1/n! are units for p > r. It equals wilson_quotient(p, r) for odd p > r;
+    the Bernoulli route also passes p = 2 at r = 1, where it is L/(p(1-p)).
     """
-    # the checks and the tests' reference rows stop at r = 4; past it each r
-    # adds a q_sum pass at p^r
-    if r < 1 or r > 4:
-        raise HypothesisViolated("supported range is 1 <= r <= 4")
-    if p <= r or p == 2:
-        raise HypothesisViolated(f"need an odd prime p > r, got p={p}, r={r}")
-    x = PrimePowerContext(p).from_int(0, r + 1)
-    for k in range(1, r + 1):
-        term = q_sum(p, k, r).scale(p**k)
-        x = x + term.scale_fraction(Fraction((-1) ** (k - 1), k * (p - 1)))
+    p, m = L.p, L.p ** (r + 1)
+    x = L.truncate(r + 1).residue * pow(p - 1, -1, m) % m
     term = acc = x
     for n in range(2, r + 1):
-        term = (term * x).scale_fraction(Fraction(1, n))
-        acc = acc + term
-    return (-acc).divide_by_p(1)
+        term = term * x * pow(n, -1, m) % m
+        acc += term
+    return L.ctx.from_int(-acc, r + 1).divide_by_p(1)
+
+
+def wilson_via_psi(p: int, r: int) -> TrackedResidue:
+    """Wilson quotient mod p^r from the quotient power sums Q_p(1..r) by
+    wilson_series, for odd p > r. Expanded in the Q_p(k), the series is
+    sum_nu p^(nu-1)/nu! Psi_nu(Q_p(1..nu)) with the classical expansion
+    polynomials Psi_nu. The power sums enter at precision r and share
+    q_sum's memo, so the Fermat quotients of p are computed once.
+    """
+    if r < 1 or p <= r or p == 2:
+        raise HypothesisViolated(f"need r >= 1 and an odd prime p > r, got p={p}, r={r}")
+    ctx, m = PrimePowerContext(p), p ** (r + 1)
+    L = sum((-1) ** (k - 1) * p**k * pow(k, -1, m) * q_sum(p, k, r).residue
+            for k in range(1, r + 1))
+    return wilson_series(ctx.from_int(L, r + 1), r)

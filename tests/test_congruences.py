@@ -2,15 +2,24 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wilsonlab.bernoulli import IndexOutOfTable, bar_value, beta_value
 from wilsonlab.congruences import (
+    B1,
+    B2,
+    B3,
+    B4,
+    C1,
+    C2,
     Q_TIER_PMIN,
     Q_TIERS,
-    WQ_TIERS,
+    WQ_TIER_PMIN,
+    TierTerm,
     carlitz_check,
     central_binom_dichotomy,
     classify_prime,
+    evaluate_terms,
     q_sum_via_bernoulli,
     q_tier_lhs,
     q_tier_rhs,
@@ -19,9 +28,51 @@ from wilsonlab.congruences import (
     remainder_term_check,
     wilson_via_bernoulli,
 )
-from wilsonlab.modular import HypothesisViolated, bundle
+from wilsonlab.modular import DividedBernoulliBundle, HypothesisViolated, bundle
 from wilsonlab.padic import PrimePowerContext, ord_p, primes_up_to, reduce_rational
 from wilsonlab.quotients import q_sum, wilson_quotient
+
+
+def _t(label, p_exp, const, monomial):
+    return TierTerm(label, p_exp, const, 0, monomial)
+
+
+# The paper's stated Wilson quotient tiers mod p^r, typed by hand term by
+# term: the reference that wilson_via_bernoulli, which derives them from the
+# Q_p(k) tiers and the log/exp series, is checked against.
+WQ_TIERS = {
+    1: (_t("-W1", 0, -1, B1),),
+    2: (
+        _t("-2*W1", 0, -2, B1),
+        _t("+W2", 0, 1, B2),
+        _t("-1/2*p*W1^2", 1, Fraction(-1, 2), (("bar", 1, 2),)),
+    ),
+    3: (
+        _t("-3*W1", 0, -3, B1),
+        _t("+3*W2", 0, 3, B2),
+        _t("-W3", 0, -1, B3),
+        _t("-3/2*p*W1^2", 1, Fraction(-3, 2), (("bar", 1, 2),)),
+        _t("+p*W1*W2", 1, 1, (("bar", 1, 1), ("bar", 2, 1))),
+        _t("-1/6*p^2*W1^3", 2, Fraction(-1, 6), (("bar", 1, 3),)),
+        _t("-1/3*p^2*V1", 2, Fraction(-1, 3), C1),
+    ),
+    4: (
+        _t("-4*W1", 0, -4, B1),
+        _t("+6*W2", 0, 6, B2),
+        _t("-4*W3", 0, -4, B3),
+        _t("+W4", 0, 1, B4),
+        _t("-3*p*W1^2", 1, -3, (("bar", 1, 2),)),
+        _t("+4*p*W1*W2", 1, 4, (("bar", 1, 1), ("bar", 2, 1))),
+        _t("-p*W1*W3", 1, -1, (("bar", 1, 1), ("bar", 3, 1))),
+        _t("-1/2*p*W2^2", 1, Fraction(-1, 2), (("bar", 2, 2),)),
+        _t("-2/3*p^2*W1^3", 2, Fraction(-2, 3), (("bar", 1, 3),)),
+        _t("+1/2*p^2*W1^2*W2", 2, Fraction(1, 2), (("bar", 1, 2), ("bar", 2, 1))),
+        _t("-2/3*p^2*V1", 2, Fraction(-2, 3), C1),
+        _t("+1/3*p^2*V2", 2, Fraction(1, 3), C2),
+        _t("-1/24*p^3*W1^4", 3, Fraction(-1, 24), (("bar", 1, 4),)),
+        _t("-1/3*p^3*W1*V1", 3, Fraction(-1, 3), (("bar", 1, 1), ("bar2", 1, 1))),
+    ),
+}
 
 
 def rational_tier_value(terms, p, table):
@@ -108,6 +159,53 @@ def test_wilson_via_bernoulli_hand_example(table):
     assert wilson_via_bernoulli(5, 2, b).residue == 5
     bm = bundle(5, 2, "modular")
     assert wilson_via_bernoulli(5, 2, bm).residue == 5
+
+
+def test_wilson_tiers_equal_the_hand_table(table):
+    """At every prime p <= 500 above each tier's gate, on each engine with a
+    bundle there, the derived tier gives the hand table's value."""
+    checked = 0
+    for p in primes_up_to(500):
+        for r, pmin in WQ_TIER_PMIN.items():
+            if p < pmin:
+                continue
+            bundles = []
+            if r * (p - 1) <= table.max_index:
+                bundles.append(bundle(p, r, "exact", table))
+            if p >= 5 and (r < 4 or p >= 7):
+                bundles.append(bundle(p, r, "modular"))
+            for bnd in bundles:
+                want = evaluate_terms(WQ_TIERS[r], p, bnd, r)
+                assert wilson_via_bernoulli(p, r, bnd) == want, (p, r)
+                checked += 1
+    assert checked == 547
+
+
+@given(
+    st.sampled_from((5, 7, 11, 101)),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.integers(min_value=0, max_value=10**12), min_size=6, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_wilson_tiers_equal_the_hand_table_on_kummer_bundles(p, r, digits):
+    """The two forms agree as functions of the bundle wherever the
+    generalized Kummer congruences hold (the i-th difference of the bars,
+    and of the bars2, divisible by p^i), not only at true Bernoulli values.
+    The bars are d -> sum_i C(d-1, i) p^i delta_i for arbitrary delta_i."""
+    if p < WQ_TIER_PMIN[r]:
+        return
+    ctx = PrimePowerContext(p)
+
+    def newton(deltas, count, prec):
+        return tuple(
+            ctx.from_int(sum(comb(d, i) * p**i * x for i, x in enumerate(deltas)), prec)
+            for d in range(count)
+        )
+
+    bnd = DividedBernoulliBundle(
+        p, r, newton(digits[:4], r, r), newton(digits[4:], max(0, r - 2), r - 2)
+    )
+    assert wilson_via_bernoulli(p, r, bnd) == evaluate_terms(WQ_TIERS[r], p, bnd, r)
 
 
 def test_wilson_tier1_smallest_primes(table):

@@ -190,10 +190,17 @@ def test_wilson_via_psi_examples():
     assert wilson_via_psi(7, 4).residue == wilson_quotient(7, 4).residue
     with pytest.raises(HypothesisViolated):
         wilson_via_psi(3, 4)
-    with pytest.raises(HypothesisViolated):
-        wilson_via_psi(7, 5)
+    assert wilson_via_psi(7, 5).residue == wilson_quotient(7, 5).residue
     with pytest.raises(HypothesisViolated):
         wilson_via_psi(2, 1)
+
+
+@pytest.mark.parametrize("p", (11, 13, 101, 1009))
+def test_psi_series_past_the_paper_tiers(p):
+    """The series has no cap on r: it equals the factorial oracle mod p^5
+    to p^8."""
+    for r in (5, 6, 7, 8):
+        assert wilson_via_psi(p, r).residue == wilson_quotient(p, r).residue, r
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES_TO_100 + [1009, 10007])

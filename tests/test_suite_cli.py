@@ -192,6 +192,35 @@ def test_the_package_imports_only_the_standard_library(tmp_path):
     assert foreign == []
 
 
+
+_HUGE_P = 100000000003  # a prime whose O(p) lists take hundreds of GB
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--p-min", str(_HUGE_P), "--p-max", str(_HUGE_P)],
+     f"p_max {_HUGE_P} is too large"),
+    (["wilson", "--p", str(_HUGE_P), "--method", "bernoulli"],
+     f"sieve below {_HUGE_P} is too large"),
+    (["qsum", "--p", str(_HUGE_P), "--n", "1", "--method", "difference"],
+     f"sieve below {_HUGE_P} is too large"),
+    (["scan", "--class", "wilson", "--limit", str(_HUGE_P - 3)],
+     f"sieve limit {_HUGE_P - 3} is too large"),
+])
+def test_a_list_too_large_to_allocate_is_a_usage_error(argv, message):
+    """Under a 1 GB address-space limit, a prime or limit whose sieve cannot
+    be allocated exits 2 with one line on stderr, not a MemoryError."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from wilsonlab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", script, *argv], env=env, timeout=60,
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
+
 def test_summary_counts_match_rows():
     rep = run_suite(make_spec("all", 2, 13))
     s = rep.summary
