@@ -129,6 +129,8 @@ def cmd_scan(args) -> int:
         primes = scan_primes(args.klass, args.limit)
     except (ValueError, IndexOutOfTable) as exc:
         return _usage_error(exc)
+    except MemoryError:  # past the sieve: the remainder tree or the table
+        return _usage_error(f"scan limit {args.limit} is too large")
     for p in primes:
         print(p)
     return 0

@@ -28,16 +28,17 @@ class HypothesisViolated(Exception):
 
 def _smallest_prime_factors(p: int) -> list[int]:
     """spf[a] for 0 <= a < p: the smallest prime factor of a (a itself for a
-    prime, and for 0 and 1)."""
+    prime, and for 0 and 1). ValueError if the sieve cannot be allocated,
+    whether the list itself or a later step is refused."""
     try:
         spf = list(range(p))
+        for b in range(2, isqrt(p - 1) + 1):
+            if spf[b] == b:
+                for a in range(b * b, p, b):
+                    if spf[a] == a:
+                        spf[a] = b
     except (OverflowError, MemoryError) as exc:
         raise ValueError(f"sieve below {p} is too large") from exc
-    for b in range(2, isqrt(p - 1) + 1):
-        if spf[b] == b:
-            for a in range(b * b, p, b):
-                if spf[a] == a:
-                    spf[a] = b
     return spf
 
 
@@ -57,10 +58,19 @@ def _sieve_powers(n: int, m: int, spf: list[int]) -> list[int]:
 
 
 def _step_powers(n: int, below: list[int], t: list[int], m: int) -> list[int]:
-    """pw[a] = a^n mod m from below[a] = a^(n-(p-1)) and t[a] = a^(p-1),
-    both held mod a multiple of m: one multiplication per a. n names the
-    list made; the product does not read it."""
-    return [x * y % m for x, y in zip(below, t)]
+    """pw[a] = a^n (mod m) from below[a] = a^(n-(p-1)) and t[a] = a^(p-1),
+    both held mod a multiple of m, where p = len(t): one multiplication per
+    a.
+
+    The list is reduced mod m when d = ceil(n/(p-1)) is odd. At even d the
+    products are left as they are: below, at odd d - 1, was reduced (by
+    this step or by a sieve pass) and so was t, so the entries stay below
+    the product of their two moduli, m^2 when both are held mod m, and the
+    step to d + 1 reduces them. That halves the reductions of a column.
+    """
+    if -(-n // (len(t) - 1)) % 2:
+        return [x * y % m for x, y in zip(below, t)]
+    return [x * y for x, y in zip(below, t)]
 
 
 class _PowerSumMemo:
@@ -81,7 +91,9 @@ class _PowerSumMemo:
     both mod p^W or finer: a^(d(p-1)+j) = a^((d-1)(p-1)+j) * a^(p-1). t is
     the list of shape (1, 0), and columns maps j to the latest list of
     shape (d, j) computed, as (d, precision, list). Any other miss runs the
-    sieve; none runs only to make t.
+    sieve; none runs only to make t. A sieved list and a stepped one at odd
+    d are reduced; a stepped one at even d holds the unreduced products of
+    two reduced lists (see _step_powers).
     """
 
     def __init__(self, p: int, plan: dict[tuple[int, int], int] | None = None):
@@ -135,9 +147,10 @@ def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
     same sums at rising K, each sum is computed once, from the second prime
     on. A miss one step of p - 1 above a power list that the memo holds,
     with t: a -> a^(p-1), at the miss's precision or finer costs one
-    multiplication per a (see _step_powers); any other miss costs pow at
-    the primes below p only, through a smallest-prime-factor sieve (see
-    _sieve_powers). Values are a pure function of (n, p, K) either way.
+    multiplication per a, reduced only at odd d = ceil(n/(p-1)) (see
+    _step_powers); any other miss costs pow at the primes below p only,
+    through a smallest-prime-factor sieve (see _sieve_powers). Values are a
+    pure function of (n, p, K) either way.
     """
     global _memo
     if n < 0 or K < 1:

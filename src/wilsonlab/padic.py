@@ -88,18 +88,20 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve; ValueError if the sieve cannot be allocated."""
+    """All primes <= n by sieve; ValueError if the sieve cannot be allocated,
+    whether its first array, a marking pass or the list of primes is
+    refused."""
     if n < 2:
         return []
     try:  # zero-filled: a refused bytearray([1]) * n prints a SystemError too
         composite = bytearray(n + 1)
+        composite[0] = composite[1] = 1
+        for q in range(2, math.isqrt(n) + 1):
+            if not composite[q]:
+                composite[q * q :: q] = b"\x01" * ((n - q * q) // q + 1)
+        return [i for i, c in enumerate(composite) if not c]
     except (OverflowError, MemoryError) as exc:
         raise ValueError(f"sieve limit {n} is too large") from exc
-    composite[0] = composite[1] = 1
-    for q in range(2, math.isqrt(n) + 1):
-        if not composite[q]:
-            composite[q * q :: q] = b"\x01" * ((n - q * q) // q + 1)
-    return [i for i, c in enumerate(composite) if not c]
 
 
 def ord_p(x: Union[int, Fraction], p: int) -> Union[int, float]:

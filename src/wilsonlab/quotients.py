@@ -5,9 +5,11 @@ Wilson quotient through them by the log/exp series of
 The quotient power sums Q_p(n) come by two independent methods that must
 agree exactly: direct summation of n-th powers of Fermat quotients, and an
 n-th forward difference of integer power sums followed by n backward shifts.
-The direct side keeps its own memo for one prime (the Fermat quotients and
-the sums built from them); it reads nothing of modular's power-sum memo or
-sieve, so a fault there cannot make the two methods agree.
+The direct side keeps its own memo for one prime: the Fermat quotients,
+from a linear sieve of its own, the latest list of their powers, stepped
+from one n to the next, and the sums built from them. It reads nothing of
+modular's power-sum memo or sieve, so a fault there cannot make the two
+methods agree.
 """
 
 from __future__ import annotations
@@ -28,15 +30,19 @@ class NotCoprime(Exception):
     pass
 
 
+_FACTORIAL_CHUNK = 32
+
+
 def factorial_mod(p: int, K: int) -> TrackedResidue:
-    """(p-1)! mod p^K by direct product."""
+    """(p-1)! mod p^K by direct product, one reduction per chunk of
+    _FACTORIAL_CHUNK consecutive factors (math.prod of a range, no list)."""
     if K < 1:
         raise ValueError("K must be >= 1")
     ctx = PrimePowerContext(p)
     m = p**K
     acc = 1
-    for a in range(2, p):
-        acc = acc * a % m
+    for lo in range(2, p, _FACTORIAL_CHUNK):
+        acc = acc * prod(range(lo, min(lo + _FACTORIAL_CHUNK, p))) % m
     return ctx.from_int(acc, K)
 
 
@@ -128,21 +134,52 @@ def fermat_quotient(a: int, p: int, r: int) -> TrackedResidue:
 
 
 def _fermat_quotients(p: int, R: int) -> list[int]:
-    """q_p(a) mod p^R for a = 1..p-1, one pow(a, p-1, p^(R+1)) each."""
-    m = p ** (R + 1)
-    return [(pow(a, p - 1, m) - 1) // p for a in range(1, p)]
+    """q_p(a) mod p^R for a = 1..p-1, as (a^(p-1) mod p^(R+1) - 1) // p.
+
+    a -> a^(p-1) is completely multiplicative, so a linear sieve (Gries and
+    Misra, CACM 1978) fills the powers: pow runs at the primes a only, and
+    each composite a * b, b a prime no larger than the smallest prime
+    factor of a, is the product of two earlier entries, made once. The
+    sieve is this module's own; it reads nothing of modular's.
+    """
+    m, e = p ** (R + 1), p - 1
+    pw = [0] * p
+    pw[1] = 1
+    primes: list[int] = []
+    for a in range(2, p):
+        x = pw[a]
+        if not x:  # a^(p-1) is a unit, so 0 marks an entry not yet made
+            x = pw[a] = pow(a, e, m)
+            primes.append(a)
+        for b in primes:
+            if a * b >= p:
+                break
+            pw[a * b] = x * pw[b] % m
+            if a % b == 0:
+                break
+    return [(x - 1) // p for x in pw[1:]]
 
 
 class _QuotientMemo:
     """The direct quotient power sums of one prime p: the Fermat quotients
-    mod p^R at the highest precision R asked so far, and
-    n -> (r, Q_p(n) mod p^r)."""
+    mod p^R at the highest precision R asked so far, n -> (r, Q_p(n) mod
+    p^r), and powers, the latest power list (k, r, [q^k mod p^r]).
+
+    A miss at (n, r) starts from the held list when it holds k <= n at
+    precision r or finer, and from q^1, the quotients, otherwise. It steps
+    that list to q^n, one reduced product per a and step, when n - k is at
+    most the bit length of n, and otherwise takes one pow(q, n, p^r) per a,
+    which costs about that many squarings. Every list it makes is reduced
+    mod p^r (the list of q^1 is the quotients, mod p^R), so a large r or n
+    cannot grow its entries.
+    """
 
     def __init__(self, p: int):
         self.p = p
         self.R = 0
         self.quotients: list[int] = []
         self.sums: dict[int, tuple[int, int]] = {}
+        self.powers: tuple[int, int, list[int]] = (0, 0, [])
 
     def get(self, n: int, r: int) -> int:
         m = self.p ** r
@@ -152,7 +189,17 @@ class _QuotientMemo:
         if self.R < r:
             self.quotients = _fermat_quotients(self.p, r)
             self.R = r
-        value = sum([pow(q, n, m) for q in self.quotients]) % m
+        qs = self.quotients
+        k, at, pw = self.powers
+        if k > n or at < r:
+            k, pw = 1, qs  # q^1, held mod p^R with R >= r
+        if n - k > n.bit_length():
+            pw = [pow(q, n, m) for q in qs]
+        else:
+            for _ in range(n - k):
+                pw = [x * q % m for x, q in zip(pw, qs)]
+        self.powers = (n, r, pw)
+        value = sum(pw) % m
         self.sums[n] = (r, value)
         return value
 
@@ -163,15 +210,17 @@ _memo = _QuotientMemo(0)
 def q_sum(p: int, n: int, r: int, method: str = "direct") -> TrackedResidue:
     """Sum of n-th powers of the Fermat quotients q_p(1..p-1), mod p^r.
 
-    method 'direct' sums q_p(a)^n, with q_p(a) = (a^(p-1) - 1)/p from one
-    pow per a. The quotients and sums are memoised for one prime at a time
-    (a call at another prime starts the memo afresh): a sum held at
-    precision r or higher is reduced, and a higher r recomputes the
-    quotients at that r, so callers that keep to one prime pay one pow loop
-    per new precision. method 'difference' computes the same value as the
-    n-th forward difference (step p-1) of nu -> S_nu(p) at nu = 0, shifted
-    back by p^n; it needs the power sums at precision r + n. Both methods
-    agree exactly, and neither reads the other's memo.
+    method 'direct' sums q_p(a)^n, with q_p(a) = (a^(p-1) - 1)/p from a
+    linear sieve that calls pow at the primes a only. The quotients, the
+    latest list of their powers and the sums are memoised for one prime at
+    a time (a call at another prime starts the memo afresh): a sum held at
+    precision r or higher is reduced, a higher r recomputes the quotients at
+    that r, and a new n steps the held powers (see _QuotientMemo), so
+    callers that keep to one prime pay one sieve per new precision. method
+    'difference' computes the same value as the n-th forward difference
+    (step p-1) of nu -> S_nu(p) at nu = 0, shifted back by p^n; it needs the
+    power sums at precision r + n. Both methods agree exactly, and neither
+    reads the other's memo.
     """
     global _memo
     if not is_prime(p):

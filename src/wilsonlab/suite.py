@@ -71,8 +71,7 @@ class SuiteSpec:
             if cid in self.check_ids[:i]:
                 raise UnknownCheck(f"check id {cid!r} named twice")
         try:
-            has_values = any(_task_values(REGISTRY[c], self.p_min, self.p_max)
-                             for c in self.check_ids)
+            has_values = any(_task_values(self).values())
         except (OverflowError, ValueError) as exc:  # a range too large to list
             raise UnknownRange(f"p_max {self.p_max} is too large") from exc
         if not has_values:
@@ -122,13 +121,23 @@ class SuiteReport:
         return self.summary[FAIL] == 0
 
 
-def _task_values(defn, p_min: int, p_max: int) -> list[int]:
-    if defn.domain == "prime":
-        return [p for p in primes_up_to(p_max) if p >= p_min]
-    start = max(p_min, defn.index_min)
-    if defn.index_step > 1:
-        start += (-start) % defn.index_step
-    return list(range(start, p_max + 1, defn.index_step))
+def _task_values(spec: SuiteSpec) -> dict[str, list[int]]:
+    """Each check's values in the spec's range: its indices, or the primes
+    of the range, listed once for every check that runs at primes."""
+    values: dict[str, list[int]] = {}
+    primes = None
+    for cid in spec.check_ids:
+        defn = REGISTRY[cid]
+        if defn.domain == "prime":
+            if primes is None:
+                primes = [p for p in primes_up_to(spec.p_max) if p >= spec.p_min]
+            values[cid] = primes
+            continue
+        start = max(spec.p_min, defn.index_min)
+        if defn.index_step > 1:
+            start += (-start) % defn.index_step
+        values[cid] = list(range(start, spec.p_max + 1, defn.index_step))
+    return values
 
 
 def _slices(tasks: list, n: int) -> list[list]:
@@ -210,9 +219,7 @@ def run_suite(
     t0 = time.monotonic()
     env = RunEnv(engine=spec.engine, table=table, mod_exp=spec.mod_exp)
     tasks = sorted(
-        ((cid, v)
-         for cid in spec.check_ids
-         for v in _task_values(REGISTRY[cid], spec.p_min, spec.p_max)),
+        ((cid, v) for cid, values in _task_values(spec).items() for v in values),
         key=lambda t: t[1],
     )
     first, *rest = _slices(tasks, max(1, min(jobs, len(tasks))))

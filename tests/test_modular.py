@@ -188,6 +188,33 @@ def test_power_sum_steps_match_plain_loop(power_sum_runs):
     assert {kind for kind, *_ in power_sum_runs} == {"sieve", "step"}
 
 
+def test_long_column_steps_lazily(monkeypatch):
+    """q_sum(101, 12, 2, "difference") asks S_{d(p-1)} mod p^14 for d = 1..12:
+    one sieve pass, then eleven steps up column 0. The value is the plain
+    loop's, and every list made or kept has entries below M^2, M = p^14:
+    the steps to even d leave their products of two reduced lists
+    unreduced, and the steps to odd d reduce."""
+    from wilsonlab.quotients import q_sum
+
+    p, M = 101, 101**14
+    made = []
+    step = modular._step_powers
+
+    def recorded(n, below, t, m):
+        pw = step(n, below, t, m)
+        made.append((n // (p - 1), m, pw))
+        return pw
+
+    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    monkeypatch.setattr(modular, "_step_powers", recorded)
+    qs = [(pow(a, p - 1, p**3) - 1) // p for a in range(1, p)]
+    assert q_sum(p, 12, 2, "difference").residue == sum(q**12 for q in qs) % p**2
+    assert [(d, m) for d, m, _ in made] == [(d, M) for d in range(2, 13)]
+    kept = [modular._memo.t[1]] + [pw for _, _, pw in modular._memo.columns.values()]
+    assert all(0 <= x < M * M for pw in kept + [pw for *_, pw in made] for x in pw)
+    assert [max(pw) < M for d, _, pw in made] == [d % 2 == 1 for d in range(2, 13)]
+
+
 def test_sh_value_examples():
     v = sh_value(4, 5, 2)
     assert (v.residue, v.prec) == (20, 2)

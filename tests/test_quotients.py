@@ -30,6 +30,16 @@ def test_factorial_examples():
     assert factorial_mod(13, 2).residue == math.factorial(12) % 169
 
 
+def test_chunked_factorial_matches_factorial():
+    """The primes to 2000 cross the chunk boundaries of factorial_mod's
+    products, at every precision K = 1..5."""
+    for p in primes_up_to(2000):
+        f = factorial(p - 1)
+        for K in range(1, 6):
+            got = factorial_mod(p, K)
+            assert (got.prec, got.residue) == (K, f % p**K), (p, K)
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_remainder_tree_matches_factorial_oracle(K):
     primes = primes_up_to(2000)
@@ -109,6 +119,16 @@ def test_q_sum_both_methods_sweep_to_500():
                 ), (p, n, r)
 
 
+def test_sieved_fermat_quotients_match_pow():
+    """The linear sieve gives (pow(a, p-1, p^(R+1)) - 1) // p, which is
+    that quotient at R = 5 reduced mod p^R."""
+    for p in primes_up_to(3000):
+        top = [(pow(a, p - 1, p**6) - 1) // p for a in range(1, p)]
+        for R in range(1, 6):
+            want = [q % p**R for q in top]
+            assert quotients._fermat_quotients(p, R) == want, (p, R)
+
+
 MEMO_PRIMES = primes_up_to(200) + [1103, 1109]
 
 
@@ -146,6 +166,22 @@ def test_quotient_memo_matches_plain_loop(monkeypatch, order):
         assert loops == [(p, r) for p in MEMO_PRIMES for r in range(1, 7)]
     if order == "falling":  # once per prime, at r = 6; the rest are reductions
         assert loops == [(p, 6) for p in MEMO_PRIMES]
+
+
+def test_quotient_memo_steps_its_powers(monkeypatch):
+    """A column of n asked in rising order steps the held list of powers;
+    a jump takes pow, and a fall in n or a rise in r starts again from q^1.
+    Every value is the plain loop's, and the held list stays reduced."""
+    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    p = 101
+    for n, r in [(1, 3), (2, 3), (3, 3), (4, 2), (12, 2), (40, 2), (41, 2),
+                 (6, 2), (4, 5), (5, 5), (60, 9), (7, 9)]:
+        got = q_sum(p, n, r)
+        assert (got.prec, got.residue) == (r, _plain_q_sum(p, n, r)), (n, r)
+        k, at, pw = quotients._memo.powers
+        assert (k, at) == (n, r)
+        # the list of q^1 is the quotients, held mod p^R
+        assert all(0 <= x < p ** (r if k > 1 else quotients._memo.R) for x in pw)
 
 
 # the expansion polynomials Psi_1..Psi_4, typed by hand as plain expressions:

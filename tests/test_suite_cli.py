@@ -221,6 +221,34 @@ def test_a_list_too_large_to_allocate_is_a_usage_error(argv, message):
                          capture_output=True, text=True)
     assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
 
+
+def test_a_refusal_after_the_first_allocation_is_a_usage_error(monkeypatch, capsys):
+    """A MemoryError past the first list, in a sieve's marking passes or in
+    scan's remainder tree, exits 2 with one line on stderr."""
+    from wilsonlab import modular, padic, suite
+
+    class Refusing(bytearray):  # the sieve array is granted, its marks are not
+        def __setitem__(self, key, value):
+            raise MemoryError
+
+    def refuse(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(padic, "bytearray", Refusing, raising=False)
+    with pytest.raises(ValueError, match="sieve limit 50 is too large"):
+        padic.primes_up_to(50)
+    assert main(["scan", "--class", "wilson", "--limit", "50"]) == 2
+    monkeypatch.undo()
+    monkeypatch.setattr(modular, "isqrt", refuse)
+    with pytest.raises(ValueError, match="sieve below 101 is too large"):
+        modular._smallest_prime_factors(101)
+    monkeypatch.setattr(suite, "factorials_mod", refuse)
+    assert main(["scan", "--class", "wilson", "--limit", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: sieve limit 50 is too large\n"
+                   "error: scan limit 50 is too large\n")
+
+
 def test_summary_counts_match_rows():
     rep = run_suite(make_spec("all", 2, 13))
     s = rep.summary
@@ -490,16 +518,19 @@ def test_checks_never_read_the_remainder_tree(monkeypatch):
 
 def test_oracles_never_read_the_power_sum_memo(monkeypatch):
     """factorial_mod, fermat_quotient and q_sum(..., "direct") are the
-    left-hand-side oracles: with the memo emptied and its sieve and step
-    patched to raise, they and the checks built on them alone still run,
-    and a memo holding a wrong t: a -> a^(p-1) does not move them."""
+    left-hand-side oracles: with the memo emptied and its sieve, its
+    smallest-prime-factor list and its step patched to raise, they and the
+    checks built on them alone still run, and a memo holding a wrong
+    t: a -> a^(p-1) does not move them."""
     from wilsonlab import modular, quotients
     from wilsonlab.quotients import factorial_mod, fermat_quotient, q_sum
 
     def boom(*args):
         raise AssertionError("power-sum kernel called")
 
+    spf = modular._smallest_prime_factors
     monkeypatch.setattr(modular, "_sieve_powers", boom)
+    monkeypatch.setattr(modular, "_smallest_prime_factors", boom)
     monkeypatch.setattr(modular, "_step_powers", boom)
     monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
     for p in (5, 7, 101, 1103):
@@ -518,6 +549,7 @@ def test_oracles_never_read_the_power_sum_memo(monkeypatch):
         return pw
 
     monkeypatch.setattr(modular, "_sieve_powers", wrong_t)
+    monkeypatch.setattr(modular, "_smallest_prime_factors", spf)
     monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
     p = 101
     modular.power_sum_mod(p - 1, p, 8)  # the memo now holds t mod p^8
