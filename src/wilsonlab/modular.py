@@ -59,14 +59,13 @@ def _sieve_powers(n: int, m: int, spf: list[int]) -> list[int]:
 
 def _step_powers(n: int, below: list[int], t: list[int], m: int) -> list[int]:
     """pw[a] = a^n (mod m) from below[a] = a^(n-(p-1)) and t[a] = a^(p-1),
-    both held mod a multiple of m, where p = len(t): one multiplication per
-    a.
+    where p = len(t): one multiplication per a.
 
     The list is reduced mod m when d = ceil(n/(p-1)) is odd. At even d the
-    products are left as they are: below, at odd d - 1, was reduced (by
-    this step or by a sieve pass) and so was t, so the entries stay below
-    the product of their two moduli, m^2 when both are held mod m, and the
-    step to d + 1 reduces them. That halves the reductions of a column.
+    products are left as they are: there the caller hands both lists
+    reduced mod m, so the entries stay below m^2, and the step to d + 1
+    reduces them. That halves the reductions of a column. At odd d the two
+    lists need only be held mod a multiple of m.
     """
     if -(-n // (len(t) - 1)) % 2:
         return [x * y % m for x, y in zip(below, t)]
@@ -88,12 +87,16 @@ class _PowerSumMemo:
 
     A miss at (d, j) and precision W is a step, not a sieve pass, when the
     memo holds the power list a -> a^((d-1)(p-1)+j) and t: a -> a^(p-1),
-    both mod p^W or finer: a^(d(p-1)+j) = a^((d-1)(p-1)+j) * a^(p-1). t is
-    the list of shape (1, 0), and columns maps j to the latest list of
-    shape (d, j) computed, as (d, precision, list). Any other miss runs the
-    sieve; none runs only to make t. A sieved list and a stepped one at odd
-    d are reduced; a stepped one at even d holds the unreduced products of
-    two reduced lists (see _step_powers).
+    both mod p^W or finer: a^(d(p-1)+j) = a^((d-1)(p-1)+j) * a^(p-1).
+    columns maps j to the latest list of shape (d, j) computed, as (d,
+    precision, list), and t maps precisions to the list of shape (1, 0):
+    the one computed, at the highest, and its reductions to the lower
+    precisions that steps have worked at, each made once, so a step
+    multiplies by t at its own precision. Any other miss runs the sieve;
+    none runs only to make t. A step to even d leaves its products
+    unreduced (see _step_powers); its list at d - 1 is first reduced again
+    when held finer than W, so every list held has entries below the
+    square of its own modulus.
     """
 
     def __init__(self, p: int, plan: dict[tuple[int, int], int] | None = None):
@@ -102,7 +105,7 @@ class _PowerSumMemo:
         self.spf: list[int] | None = None
         self.plan = plan or {}
         self.asked: dict[tuple[int, int], int] = {}
-        self.t: tuple[int, list[int]] | None = None
+        self.t: dict[int, list[int]] = {}
         self.columns: dict[int, tuple[int, int, list[int]]] = {}
 
     def get(self, n: int, K: int) -> int:
@@ -118,14 +121,20 @@ class _PowerSumMemo:
         M = self.p ** work
         below = self.columns.get(j)
         if (below is not None and below[0] == d - 1 and below[1] >= work
-                and self.t is not None and self.t[0] >= work):
-            pw = _step_powers(n, below[2], self.t[1], M)
+                and self.t and max(self.t) >= work):
+            t = self.t.get(work)
+            if t is None:
+                t = self.t[work] = [y % M for y in self.t[max(self.t)]]
+            lower = below[2]
+            if d % 2 == 0 and below[1] > work:  # the step leaves it unreduced
+                lower = [x % M for x in lower]
+            pw = _step_powers(n, lower, t, M)
         else:
             if self.spf is None:
                 self.spf = _smallest_prime_factors(self.p)
             pw = _sieve_powers(n, M, self.spf)
         if (d, j) == (1, 0):
-            self.t = (work, pw)
+            self.t = {work: pw}
         self.columns[j] = (d, work, pw)
         value = sum(pw) % M
         self.sums[n] = (work, value)
@@ -147,7 +156,7 @@ def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
     same sums at rising K, each sum is computed once, from the second prime
     on. A miss one step of p - 1 above a power list that the memo holds,
     with t: a -> a^(p-1), at the miss's precision or finer costs one
-    multiplication per a, reduced only at odd d = ceil(n/(p-1)) (see
+    multiplication per a, reduced at every other step of a column (see
     _step_powers); any other miss costs pow at the primes below p only,
     through a smallest-prime-factor sieve (see _sieve_powers). Values are a
     pure function of (n, p, K) either way.

@@ -163,15 +163,17 @@ def _fermat_quotients(p: int, R: int) -> list[int]:
 class _QuotientMemo:
     """The direct quotient power sums of one prime p: the Fermat quotients
     mod p^R at the highest precision R asked so far, n -> (r, Q_p(n) mod
-    p^r), and powers, the latest power list (k, r, [q^k mod p^r]).
+    p^r), and powers, (k, [q^k mod p^R]) for the highest k reached at R.
 
-    A miss at (n, r) starts from the held list when it holds k <= n at
-    precision r or finer, and from q^1, the quotients, otherwise. It steps
-    that list to q^n, one reduced product per a and step, when n - k is at
-    most the bit length of n, and otherwise takes one pow(q, n, p^r) per a,
-    which costs about that many squarings. Every list it makes is reduced
-    mod p^r (the list of q^1 is the quotients, mod p^R), so a large r or n
-    cannot grow its entries.
+    A miss at (n, r) with n <= r is a term of a p-adic series to precision
+    r, which asks every lower n as well: the Wilson series, lemma 2.6 and
+    the Q-tiers do, in rising or falling order. It steps powers up to q^n,
+    one reduced product mod p^R per a and step, and keeps the sum of every
+    list it passes at R. Since k only rises at one R, every n <= k is then
+    held, and the list is dropped once k = R, where no such miss is left
+    to step it. A miss at n > r, a lone sum that no series asks, takes one
+    pow(q, n, p^r) per a, so its cost grows with the bit length of n, not
+    with n.
     """
 
     def __init__(self, p: int):
@@ -179,7 +181,7 @@ class _QuotientMemo:
         self.R = 0
         self.quotients: list[int] = []
         self.sums: dict[int, tuple[int, int]] = {}
-        self.powers: tuple[int, int, list[int]] = (0, 0, [])
+        self.powers: tuple[int, list[int] | None] = (0, None)
 
     def get(self, n: int, r: int) -> int:
         m = self.p ** r
@@ -189,19 +191,22 @@ class _QuotientMemo:
         if self.R < r:
             self.quotients = _fermat_quotients(self.p, r)
             self.R = r
+            self.powers = (1, self.quotients)
         qs = self.quotients
-        k, at, pw = self.powers
-        if k > n or at < r:
-            k, pw = 1, qs  # q^1, held mod p^R with R >= r
-        if n - k > n.bit_length():
-            pw = [pow(q, n, m) for q in qs]
-        else:
-            for _ in range(n - k):
-                pw = [x * q % m for x, q in zip(pw, qs)]
-        self.powers = (n, r, pw)
-        value = sum(pw) % m
-        self.sums[n] = (r, value)
-        return value
+        if n > r:
+            value = sum([pow(q, n, m) for q in qs]) % m
+            self.sums[n] = (r, value)
+            return value
+        R, M = self.R, self.p**self.R
+        k, pw = self.powers
+        if self.sums.get(k, (0, 0))[0] < R:  # q^1, just made at this R
+            self.sums[k] = (R, sum(pw) % M)
+        while k < n:
+            pw = [x * q % M for x, q in zip(pw, qs)]
+            k += 1
+            self.sums[k] = (R, sum(pw) % M)
+        self.powers = (k, pw if k < R else None)
+        return self.sums[n][1] % m
 
 
 _memo = _QuotientMemo(0)
@@ -215,12 +220,12 @@ def q_sum(p: int, n: int, r: int, method: str = "direct") -> TrackedResidue:
     latest list of their powers and the sums are memoised for one prime at
     a time (a call at another prime starts the memo afresh): a sum held at
     precision r or higher is reduced, a higher r recomputes the quotients at
-    that r, and a new n steps the held powers (see _QuotientMemo), so
-    callers that keep to one prime pay one sieve per new precision. method
-    'difference' computes the same value as the n-th forward difference
-    (step p-1) of nu -> S_nu(p) at nu = 0, shifted back by p^n; it needs the
-    power sums at precision r + n. Both methods agree exactly, and neither
-    reads the other's memo.
+    that r, and a miss at n <= r steps the held powers to n, keeping every
+    sum on the way (see _QuotientMemo), so callers that keep to one prime
+    pay one sieve per new precision. method 'difference' computes the same
+    value as the n-th forward difference (step p-1) of nu -> S_nu(p) at
+    nu = 0, shifted back by p^n; it needs the power sums at precision
+    r + n. Both methods agree exactly, and neither reads the other's memo.
     """
     global _memo
     if not is_prime(p):

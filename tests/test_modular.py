@@ -188,12 +188,16 @@ def test_power_sum_steps_match_plain_loop(power_sum_runs):
     assert {kind for kind, *_ in power_sum_runs} == {"sieve", "step"}
 
 
-def test_long_column_steps_lazily(monkeypatch):
+@pytest.mark.parametrize("finer", [None, "t", "below"])
+def test_long_column_leaves_half_its_reductions_out(monkeypatch, finer):
     """q_sum(101, 12, 2, "difference") asks S_{d(p-1)} mod p^14 for d = 1..12:
-    one sieve pass, then eleven steps up column 0. The value is the plain
-    loop's, and every list made or kept has entries below M^2, M = p^14:
-    the steps to even d leave their products of two reduced lists
-    unreduced, and the steps to odd d reduce."""
+    eleven steps up column 0 from t, the list at d = 1. The steps to even d
+    leave their products unreduced and the steps to odd d reduce them. The
+    column is asked once as it stands, once with t held finer (p^20), which
+    the steps use reduced to p^14, and once with d <= 3 held finer (p^16),
+    which the step to d = 4 reduces first. The value is the plain loop's,
+    and every list made or kept has entries below the square of its own
+    modulus."""
     from wilsonlab.quotients import q_sum
 
     p, M = 101, 101**14
@@ -201,18 +205,27 @@ def test_long_column_steps_lazily(monkeypatch):
     step = modular._step_powers
 
     def recorded(n, below, t, m):
+        assert max(t) < m, "t is handed at the step's precision"
         pw = step(n, below, t, m)
         made.append((n // (p - 1), m, pw))
         return pw
 
     monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    if finer == "t":
+        modular.power_sum_mod(p - 1, p, 20)
+    if finer == "below":
+        for d in (1, 2, 3):
+            modular.power_sum_mod(d * (p - 1), p, 16)
     monkeypatch.setattr(modular, "_step_powers", recorded)
     qs = [(pow(a, p - 1, p**3) - 1) // p for a in range(1, p)]
     assert q_sum(p, 12, 2, "difference").residue == sum(q**12 for q in qs) % p**2
-    assert [(d, m) for d, m, _ in made] == [(d, M) for d in range(2, 13)]
-    kept = [modular._memo.t[1]] + [pw for _, _, pw in modular._memo.columns.values()]
-    assert all(0 <= x < M * M for pw in kept + [pw for *_, pw in made] for x in pw)
-    assert [max(pw) < M for d, _, pw in made] == [d % 2 == 1 for d in range(2, 13)]
+    first = 4 if finer == "below" else 2
+    assert [(d, m) for d, m, _ in made] == [(d, M) for d in range(first, 13)]
+    assert [max(pw) < M for d, _, pw in made] == [d % 2 == 1 for d in range(first, 13)]
+    assert all(0 <= x < M * M for *_, pw in made for x in pw)
+    kept = list(modular._memo.t.items()) + [held[1:] for held in modular._memo.columns.values()]
+    assert all(0 <= x < p ** (2 * prec) for prec, pw in kept for x in pw)
+    assert sorted(modular._memo.t) == {None: [14], "t": [14, 20], "below": [14, 16]}[finer]
 
 
 def test_sh_value_examples():

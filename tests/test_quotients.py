@@ -168,20 +168,54 @@ def test_quotient_memo_matches_plain_loop(monkeypatch, order):
         assert loops == [(p, 6) for p in MEMO_PRIMES]
 
 
-def test_quotient_memo_steps_its_powers(monkeypatch):
-    """A column of n asked in rising order steps the held list of powers;
-    a jump takes pow, and a fall in n or a rise in r starts again from q^1.
-    Every value is the plain loop's, and the held list stays reduced."""
-    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+def test_quotient_memo_steps_a_series_and_pows_a_lone_sum(monkeypatch):
+    """A miss at n <= r steps the held powers up to q^n mod p^R, one
+    product per a and step with no pow past the sieve's, and keeps every
+    sum on the way: the Q-tiers' n = 1..4 take one step each, lemma 2.6's
+    n = 4, 3, 2, 1 and the Wilson series' Q_p(1..r) one pass. The list goes
+    once k = R. A miss at n > r takes one pow(q, n, p^r) per a and holds
+    nothing else."""
     p = 101
-    for n, r in [(1, 3), (2, 3), (3, 3), (4, 2), (12, 2), (40, 2), (41, 2),
-                 (6, 2), (4, 5), (5, 5), (60, 9), (7, 9)]:
-        got = q_sum(p, n, r)
-        assert (got.prec, got.residue) == (r, _plain_q_sum(p, n, r)), (n, r)
-        k, at, pw = quotients._memo.powers
-        assert (k, at) == (n, r)
-        # the list of q^1 is the quotients, held mod p^R
-        assert all(0 <= x < p ** (r if k > 1 else quotients._memo.R) for x in pw)
+    pows, steps = [], []
+
+    def counted_pow(*args):
+        if len(args) == 3 and args[1] not in (-1, p - 1):  # not the sieve's
+            pows.append(args[1])
+        return pow(*args)
+
+    def counted_zip(*args):  # a step is the one zip of the memo
+        steps.append(1)
+        return zip(*args)
+
+    def held():
+        return {n: r for n, (r, _) in quotients._memo.sums.items()}
+
+    monkeypatch.setattr(quotients, "pow", counted_pow, raising=False)
+    monkeypatch.setattr(quotients, "zip", counted_zip, raising=False)
+    for order in ((1, 2, 3, 4), (4, 3, 2, 1)):
+        monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+        steps.clear()
+        for n in order:
+            assert q_sum(p, n, 4).residue == _plain_q_sum(p, n, 4), (order, n)
+            if order[0] == 1:
+                assert (quotients._memo.powers[0], len(steps)) == (n, n - 1)
+        assert len(steps) == 3 and quotients._memo.powers == (4, None)
+        assert held() == dict.fromkeys(range(1, 5), 4)
+    q_sum(p, 6, 6)  # a new R: the steps start again from q^1
+    q_sum(p, 3, 2)  # held finer: a reduction
+    assert len(steps) == 8 and held() == dict.fromkeys(range(1, 7), 6)
+    assert pows == []
+
+    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    steps.clear()
+    got = q_sum(p, 60, 9)
+    assert (got.prec, got.residue) == (9, _plain_q_sum(p, 60, 9))
+    assert (pows, steps, held()) == ([60] * (p - 1), [], {60: 9})
+
+    pows.clear()
+    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    assert wilson_via_psi(p, 12) == wilson_quotient(p, 12)
+    assert (pows, len(steps), held()) == ([], 11, dict.fromkeys(range(1, 13), 12))
 
 
 # the expansion polynomials Psi_1..Psi_4, typed by hand as plain expressions:
