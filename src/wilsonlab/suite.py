@@ -29,9 +29,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .bernoulli import BernoulliTable
-from .congruences import classify_prime
-from .padic import primes_up_to
+from .bernoulli import DESK_CAP, BernoulliTable, IndexOutOfTable
+from .congruences import irregular_primes
+from .padic import is_prime, primes_up_to
 from .quotients import factorials_mod
 from .registry import ALL_CHECK_IDS, REGISTRY, RunEnv, execute_check
 from .result import FAIL, PASS, SKIPPED, CongruenceCheckResult
@@ -258,7 +258,11 @@ def scan_primes(klass: str, limit: int) -> list[int]:
     'wilson' keeps the odd p with (p-1)! = -1 mod p^2, reading every
     (p-1)! mod p^2 off one accumulating remainder tree
     (quotients.factorials_mod), quasi-linear in the limit. 'irregular'
-    classifies each p >= 5 against one exact table to index limit - 3.
+    keeps the p >= 5 that divide a numerator of B_2..B_{p-3}: it builds
+    one exact table to q - 3, q the largest prime <= limit, and classifies
+    every p in one pass over its numerators (congruences.irregular_primes).
+    A q - 3 past bernoulli.DESK_CAP is refused with IndexOutOfTable before
+    the sieve runs.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
@@ -267,11 +271,16 @@ def scan_primes(klass: str, limit: int) -> list[int]:
         f = factorials_mod(primes, 2)
         return [p for p in primes if p > 2 and (f[p] + 1) % (p * p) == 0]
     if klass == "irregular":
-        table = BernoulliTable.build(max(0, limit - 3))
-        return [
-            p for p in primes_up_to(limit)
-            if p >= 5 and classify_prime(p, table).irregular
-        ]
+        q = next((n for n in range(limit, 4, -1) if is_prime(n)), None)
+        if q is None:
+            return []
+        if q - 3 > DESK_CAP:
+            raise IndexOutOfTable(
+                f"irregular scan to {limit} needs B up to {q - 3}, "
+                f"past the exact table's cap at index {DESK_CAP}"
+            )
+        primes = [p for p in primes_up_to(q) if p >= 5]
+        return irregular_primes(primes, BernoulliTable.build(q - 3))
     raise ValueError(f"unknown class {klass!r}")
 
 
@@ -289,7 +298,35 @@ def _row(r: CongruenceCheckResult) -> dict:
     }
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, depth: int) -> str:
+    """json.dumps(value, indent=1) for a value nested depth levels deep, for
+    the dicts, lists and scalars of a report. Each string goes through the
+    C encoder and each container is joined once; the pure-Python encoder
+    that an indent selects holds every chunk of the document until its one
+    join, tens of thousands for a suite report."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if type(value) is int:  # not bool, which json writes as true/false
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        items = [f"{_json_str(k)}: {_json(v, depth + 1)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [_json(v, depth + 1) for v in value]
+        brackets = "[]"
+    else:  # None, a float
+        return json.dumps(value)
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
+
+
 def report_to_json(report: SuiteReport) -> str:
+    """The report as json.dumps(doc, indent=1) writes it, byte for byte."""
     doc = {
         "suite": report.spec.suite_id,
         "params": {
@@ -302,7 +339,7 @@ def report_to_json(report: SuiteReport) -> str:
         "summary": dict(report.summary),
         "wall_time": round(report.wall_time, 3),
     }
-    return json.dumps(doc, indent=1)
+    return _json(doc, 0)
 
 
 def report_to_csv(report: SuiteReport) -> str:

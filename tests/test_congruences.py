@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wilsonlab.bernoulli import IndexOutOfTable, bar_value, beta_value
+from wilsonlab.bernoulli import BernoulliTable, IndexOutOfTable, bar_value, beta_value
 from wilsonlab.congruences import (
     B1,
     B2,
@@ -20,6 +20,7 @@ from wilsonlab.congruences import (
     central_binom_dichotomy,
     classify_prime,
     evaluate_terms,
+    irregular_primes,
     q_sum_via_bernoulli,
     q_tier_lhs,
     q_tier_rhs,
@@ -277,6 +278,50 @@ def test_classify_prime(table):
     assert not classify_prime(11, table).irregular
     with pytest.raises(ValueError):
         classify_prime(2, table)
+
+
+def test_irregular_primes_matches_the_per_prime_reference(table):
+    primes = [p for p in primes_up_to(table.max_index + 3) if p >= 3]
+    reference = [p for p in primes if classify_prime(p, table).irregular]
+    assert irregular_primes(primes, table) == reference
+    assert reference[:5] == [37, 59, 67, 101, 103]
+    # the given order is kept, and a prime given twice is listed twice
+    assert irregular_primes([67, 11, 37, 67], table) == [67, 37, 67]
+    assert irregular_primes([3], table) == irregular_primes([], table) == []
+    with pytest.raises(ValueError):
+        irregular_primes([2, 37], table)
+    with pytest.raises(IndexOutOfTable):
+        irregular_primes([5, 37], BernoulliTable.build(32))
+
+
+def _planted(ell: int, factor: int, n_max: int = 20) -> BernoulliTable:
+    """B_0..B_n_max with the numerator of B_ell multiplied by factor. A
+    factor that the denominator holds is taken out of it, so that it stays
+    in the numerator."""
+    table = BernoulliTable.build(n_max)
+    values = [table.bernoulli(i) for i in range(n_max + 1)]
+    b = values[ell]
+    den = b.denominator // factor if b.denominator % factor == 0 else b.denominator
+    values[ell] = Fraction(factor * b.numerator, den)
+    return BernoulliTable(values)
+
+
+def test_irregular_primes_sees_a_planted_factor():
+    primes = [5, 7, 11, 13, 17, 19, 23]
+    assert irregular_primes(primes, BernoulliTable.build(20)) == []
+    # 10 <= 13 - 3: B_10 is one of the numerators that decide 13
+    t = _planted(10, 13)
+    assert irregular_primes(primes, t) == [13]
+    assert classify_prime(13, t).irregular_indices == (10,)
+    # 12 > 13 - 3: B_12 is not, though 13 now divides its numerator
+    t = _planted(12, 13)
+    assert t.bernoulli(12).numerator % 13 == 0
+    assert irregular_primes(primes, t) == []
+    assert not classify_prime(13, t).irregular
+    # the same numerator does decide 17 and 19
+    t = _planted(12, 17 * 19)
+    assert irregular_primes(primes, t) == [17, 19]
+    assert [classify_prime(p, t).irregular_indices for p in (17, 19)] == [(12,), (12,)]
 
 
 def test_reduction_chain(table):

@@ -12,14 +12,16 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wilsonlab.bernoulli import BernoulliTable, beta_value
+from wilsonlab.bernoulli import DESK_CAP, BernoulliTable, beta_value
 from wilsonlab.cli import main
+from wilsonlab.congruences import classify_prime
 from wilsonlab.modular import DividedBernoulliBundle
 from wilsonlab.padic import PrimePowerContext, is_prime, primes_up_to, reduce_rational
 from wilsonlab.quotients import wilson_quotient
 from wilsonlab.registry import ALL_CHECK_IDS, AUTO_ORACLE_CAP, RunEnv, execute_check
 from wilsonlab.result import CongruenceCheckResult
 from wilsonlab.suite import (
+    SuiteReport,
     SuiteSpec,
     UnknownCheck,
     UnknownRange,
@@ -254,6 +256,35 @@ def test_summary_counts_match_rows():
     s = rep.summary
     assert s["pass"] + s["fail"] + s["skipped"] == len(rep.results)
     assert s["fail"] == 0
+
+
+def _json_doc(report):
+    """The report's document as json.dumps would be given it."""
+    return {
+        "suite": report.spec.suite_id,
+        "params": {"p_min": report.spec.p_min, "p_max": report.spec.p_max,
+                   "mod_exp": report.spec.mod_exp, "engine": report.spec.engine},
+        "results": [{"check": r.check_id, "p": r.p, "mod_exp": r.mod_exp,
+                     "lhs": "" if r.lhs is None else str(r.lhs),
+                     "rhs": "" if r.rhs is None else str(r.rhs),
+                     "status": r.status_text()} for r in report.results],
+        "summary": dict(report.summary),
+        "wall_time": round(report.wall_time, 3),
+    }
+
+
+def test_json_report_bytes_are_those_of_json_dumps():
+    desk = run_suite(make_spec("all", 2, 97))
+    odd = CongruenceCheckResult("lerch", 5, None, None, 7, "skipped",
+                                'caf\u00e9 \u2603 "quoted" back\\slash\n\ttab')
+    reports = [
+        desk,
+        SuiteReport(make_spec("lerch,kummer", 2, 7), [odd, *desk.results[:2]], wall_time=0.5),
+        SuiteReport(make_spec("lerch", 2, 7), []),
+    ]
+    for report in reports:
+        assert report_to_json(report) == json.dumps(_json_doc(report), indent=1)
+    assert '"mod_exp": null' in report_to_json(reports[1])
 
 
 def test_json_shape():
@@ -497,6 +528,68 @@ def test_wilson_scan_at_its_boundaries(limit):
 
 def test_wilson_scan_to_30000():
     assert scan_primes("wilson", 30000) == [5, 13, 563]
+
+
+def test_irregular_scan_matches_the_per_prime_reference(monkeypatch):
+    """scan_primes against a classify_prime loop at every limit to 800. Each
+    scan's table is a slice of one shared table, so that the test builds it
+    once; the slice's length is the index the scan asked for."""
+    shared = BernoulliTable.build(797 - 3)
+    irregular = {p for p in primes_up_to(800) if p >= 5 and classify_prime(p, shared).irregular}
+    sizes = []
+
+    def sliced(cls, n_max):
+        sizes.append(n_max)
+        return cls([shared.bernoulli(i) for i in range(n_max + 1)])
+
+    monkeypatch.setattr(BernoulliTable, "build", classmethod(sliced))
+    for limit in range(801):
+        primes = primes_up_to(limit)
+        assert scan_primes("irregular", limit) == [p for p in primes if p in irregular], limit
+        # one table per scan with a prime p >= 5, to the largest prime's p - 3
+        assert sizes == ([primes[-1] - 3] if limit >= 5 else []), limit
+        sizes.clear()
+    # OEIS A000928: 47 irregular primes below 700, the last 691
+    below_700 = sorted(p for p in irregular if p < 700)
+    assert len(below_700) == 47 and below_700[-1] == 691
+
+
+def test_irregular_scan_builds_its_table_to_the_largest_prime(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    assert scan_primes("irregular", 10) == []
+    assert builds == [4]  # 7 - 3, not 10 - 3
+    assert scan_primes("irregular", 700)[-1] == 691
+    assert builds == [4, 688]  # 691 - 3, not 697
+
+
+@pytest.mark.parametrize("limit", [2404, 2410])
+def test_irregular_scan_below_the_cap_needs_only_its_largest_prime(monkeypatch, limit):
+    """2399, the largest prime <= 2410, needs B up to 2396 <= DESK_CAP: the
+    scan builds that table (here refused before it is built) rather than
+    one to limit - 3."""
+    class Refused(Exception):
+        pass
+
+    sizes = []
+
+    def refused(cls, n_max):
+        sizes.append(n_max)
+        raise Refused  # stop before the two-second build
+
+    monkeypatch.setattr(BernoulliTable, "build", classmethod(refused))
+    with pytest.raises(Refused):
+        scan_primes("irregular", limit)
+    assert sizes == [2396] and 2396 <= DESK_CAP
+
+
+@pytest.mark.parametrize("limit,q", [(2411, 2411), (2416, 2411), (10**23, 10**23 - 23)])
+def test_irregular_scan_past_the_cap_names_its_own_bound(monkeypatch, capsys, limit, q):
+    builds = _count_table_builds(monkeypatch)
+    assert is_prime(q) and not any(is_prime(n) for n in range(q + 1, limit + 1))
+    assert _outcome(capsys, ["scan", "--class", "irregular", "--limit", str(limit)]) == (
+        2, "", f"error: irregular scan to {limit} needs B up to {q - 3}, "
+        f"past the exact table's cap at index {DESK_CAP}\n")
+    assert builds == []
 
 
 def test_checks_never_read_the_remainder_tree(monkeypatch):
