@@ -52,9 +52,7 @@ class BernoulliTable:
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         if n_max > DESK_CAP:
-            raise IndexOutOfTable(
-                f"exact table capped at index {DESK_CAP}; use the modular engine"
-            )
+            raise IndexOutOfTable(f"exact table capped at index {DESK_CAP}")
         m = n_max // 2
         t = [0, 1] + [0] * (m - 1)  # t[k] = T_k; t[0] is unused
         for k in range(2, m + 1):

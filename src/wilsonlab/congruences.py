@@ -1,25 +1,28 @@
 """Evaluators for the named congruence families.
 
-The right-hand side of every power-sum congruence is transcribed
-term-by-term: one ``TierTerm`` per displayed term, each carrying a label, so
-a transcription error localizes to a single term in test failures. The
-Wilson quotient tiers are derived from them: the power-sum tiers give
+The right-hand side of every power-sum congruence is generated from one
+formula, Faulhaber's sum for the power sums of which p^n Q_p(n) is made
+(_q_form); the paper's tiers, typed by hand with a label per displayed
+term, are the tests' reference for it. The Wilson quotient tiers are
+derived from the power-sum tiers: they give
 L = sum_k (-1)^(k-1) p^k Q_p(k)/k mod p^(r+1), and quotients.wilson_series
 turns L into W_p mod p^r, as it does for the Psi route. The left-hand sides
 always come from the direct oracles (factorial product, direct
 Fermat-quotient power sum).
 
-Note on admissibility: the fourth-order congruence for the first quotient
-power sum is gated at p >= 7 here. Checked exactly, it fails at p = 5 with
-defect of order exactly p^3, while its companion for the second power sum
-does hold at p = 5; the gates below reflect what is numerically true.
+Note on admissibility: the formula drops Faulhaber's B_1 and B_0 terms,
+which carry p^(p-2) or more in p^(n-1) Q_p(n)/n, so the prime bounds of
+the tiers are measured facts, not derived ones. The fourth-order congruence for the first
+quotient power sum is gated at p >= 7 here: checked exactly, it fails at
+p = 5 with defect of order exactly p^3 (the two dropped terms), while its
+companion for the second power sum does hold at p = 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, lcm, prod
 from typing import Union
 
 from . import result
@@ -38,11 +41,11 @@ from .result import CongruenceCheckResult
 
 @dataclass(frozen=True)
 class TierTerm:
-    """One displayed term: (const + p_lin * p) * p^p_exp * monomial.
+    """One term: (const + p_lin * p) * p^p_exp * monomial.
 
     The monomial is a product of divided Bernoulli values: family 'bar' or
-    'bar2', multiplier d, integer power. const and p_lin are ints where the
-    display has an integer, so that evaluating the term builds no Fraction.
+    'bar2', multiplier d, integer power. const is an int where it is
+    integral, so that evaluating the term builds no Fraction.
     """
 
     label: str
@@ -52,20 +55,64 @@ class TierTerm:
     monomial: tuple[tuple[str, int, int], ...]
 
 
-def _t(label, p_exp, const, monomial, p_lin=0):
-    return TierTerm(label, p_exp, const, p_lin, monomial)
+def _q_form(n: int, r: int) -> tuple[int, dict[tuple[str, int], list[int]]]:
+    """p^(n-1) Q_p(n)/n mod p^r as (den, form): form maps each divided value
+    (family, d) to den times the coefficients of p^0..p^(r-1) of its
+    coefficient.
+
+    p^n Q_p(n) = sum_i C(n,i) (-1)^(n-i) S_{i(p-1)}(p), and Faulhaber gives
+    S_m(p) = (p-1) + sum over even nu of C(m, nu+1) p^(nu+1) beta_nu, with
+    beta_nu = B_{m-nu}/(m-nu), adjusted at nu = 0; the p - 1 cancel. With
+    m = i(p-1), beta_nu is the family 'bar' (nu = 0) or 'bar<nu>' at d = i.
+    Terms with nu >= r vanish mod p^r. Each family is truncated mod p^r in
+    the Newton basis beta_{1+m} = sum_j C(m,j) p^j delta_j, the delta_j
+    p-integral by the generalized Kummer congruences, and
+    delta_j = Delta^j beta_1 / p^j is substituted back.
+    """
+    den = n * factorial(r - (r - 1) % 2)  # n (nu+1)! for the largest nu
+    form: dict[tuple[str, int], list[int]] = {}
+    for nu in range(0, r, 2):
+        family = f"bar{nu or ''}"
+        unit = den // (n * factorial(nu + 1))
+        coeffs = []  # den C(n,i) (-1)^(n-i) C(i(p-1), nu+1) p^nu / n, i = 1..n
+        for i in range(1, n + 1):
+            poly = [0] * nu + [comb(n, i) * (-1) ** (n - i) * unit]
+            for t in range(nu + 1):  # times (i p - i - t)
+                poly = [(-i - t) * a + i * b for a, b in zip(poly + [0], [0] + poly)]
+            coeffs.append((poly + [0] * r)[:r])
+        for j in range(n):
+            # delta_j's coefficient is p^j sum_m C(m, j) c_{1+m}; keep it below p^r
+            kept = [sum(comb(m, j) * c[k] for m, c in enumerate(coeffs)) for k in range(r - j)]
+            for d in range(j + 1):
+                acc = form.setdefault((family, d + 1), [0] * r)
+                for k, a in enumerate(kept):
+                    acc[k] += comb(j, d) * (-1) ** (j - d) * a
+    return den, form
 
 
-B1 = (("bar", 1, 1),)
-B2 = (("bar", 2, 1),)
-B3 = (("bar", 3, 1),)
-B4 = (("bar", 4, 1),)
-C1 = (("bar2", 1, 1),)
-C2 = (("bar2", 2, 1),)
+def _terms(den: int, form: dict[tuple[str, int], list[int]]) -> tuple[TierTerm, ...]:
+    """A form as tier terms, one per divided value and nonzero power of p;
+    two adjacent integral coefficients share one term as const + p_lin * p,
+    a rational one stays alone, so that evaluating a term does no Fraction
+    arithmetic."""
+    terms = []
+    for (family, d), coeffs in sorted(form.items()):
+        cs = [a // den if a % den == 0 else Fraction(a, den) for a in coeffs] + [0]
+        k = 0
+        while k < len(coeffs):
+            const, p_lin = cs[k], cs[k + 1]
+            if not const or Fraction in (type(const), type(p_lin)):
+                p_lin = 0
+            if const:
+                lin = f" {'+-'[p_lin < 0]} {abs(p_lin)}*p" if p_lin else ""
+                label = f"p^{k}*({const}{lin})*{family}({d})"
+                terms.append(TierTerm(label, k, const, p_lin, ((family, d, 1),)))
+            k += 2 if p_lin else 1
+    return tuple(terms)
 
 
-# Power sums of Fermat quotients: p^(n-1) Q_p(n) / n mod p^r.
-# Coefficients of the form (p-1) are encoded as const -1, p_lin 1.
+# Power sums of Fermat quotients, p^(n-1) Q_p(n) / n mod p^r: the least
+# prime of each tier, measured (see module docstring).
 Q_TIER_PMIN = {
     (1, 1): 3,
     (1, 2): 5,
@@ -79,82 +126,30 @@ Q_TIER_PMIN = {
     (4, 4): 7,
 }
 
-Q_TIERS: dict[tuple[int, int], tuple[TierTerm, ...]] = {
-    (1, 1): (_t("-W1", 0, -1, B1),),
-    (1, 2): (_t("(p-1)*W1", 0, -1, B1, p_lin=1),),
-    (1, 3): (
-        _t("(p-1)*W1", 0, -1, B1, p_lin=1),
-        _t("-p^2*V1", 2, -1, C1),
-    ),
-    (1, 4): (
-        _t("(p-1)*W1", 0, -1, B1, p_lin=1),
-        _t("-p^2*V1", 2, -1, C1),
-        _t("+11/6*p^3*V1", 3, Fraction(11, 6), C1),
-    ),
-    (2, 2): (
-        _t("-W2", 0, -1, B2),
-        _t("+W1", 0, 1, B1),
-    ),
-    (2, 3): (
-        _t("(p-1)*W2", 0, -1, B2, p_lin=1),
-        _t("-(p-1)*W1", 0, 1, B1, p_lin=-1),
-        _t("-p^2*V1", 2, -1, C1),
-    ),
-    (2, 4): (
-        _t("(p-1)*W2", 0, -1, B2, p_lin=1),
-        _t("-(p-1)*W1", 0, 1, B1, p_lin=-1),
-        _t("+p^2*V1", 2, 1, C1),
-        _t("-2*p^2*V2", 2, -2, C2),
-        _t("+5/2*p^3*V1", 3, Fraction(5, 2), C1),
-    ),
-    (3, 3): (
-        _t("-W3", 0, -1, B3),
-        _t("+2*W2", 0, 2, B2),
-        _t("-W1", 0, -1, B1),
-        _t("-1/3*p^2*V1", 2, Fraction(-1, 3), C1),
-    ),
-    (3, 4): (
-        _t("(p-1)*W3", 0, -1, B3, p_lin=1),
-        _t("-2(p-1)*W2", 0, 2, B2, p_lin=-2),
-        _t("(p-1)*W1", 0, -1, B1, p_lin=1),
-        _t("+7/3*p^2*V1", 2, Fraction(7, 3), C1),
-        _t("-8/3*p^2*V2", 2, Fraction(-8, 3), C2),
-        _t("+p^3*V1", 3, 1, C1),
-    ),
-    (4, 4): (
-        _t("-W4", 0, -1, B4),
-        _t("+3*W3", 0, 3, B3),
-        _t("-3*W2", 0, -3, B2),
-        _t("+W1", 0, 1, B1),
-        _t("+p^2*V1", 2, 1, C1),
-        _t("-p^2*V2", 2, -1, C2),
-    ),
-}
+_Q_FORMS = {key: _q_form(*key) for key in Q_TIER_PMIN}
+Q_TIERS = {key: _terms(*form) for key, form in _Q_FORMS.items()}
 
 
 # Wilson quotient mod p^r: prime bounds per tier.
 WQ_TIER_PMIN = {1: 2, 2: 5, 3: 5, 4: 7}
 
 
-def _log_terms(r: int) -> tuple[TierTerm, ...]:
-    """L = sum_{k<=r} (-1)^(k-1) p * Q_TIERS[(k, r)] mod p^(r+1): the terms of
-    one monomial at one power of p merge, and an integral const is an int."""
-    merged: dict = {}
+def _log_form(r: int) -> tuple[int, dict[tuple[str, int], list[int]]]:
+    """L = sum_{k<=r} (-1)^(k-1) p * (p^(k-1) Q_p(k)/k) mod p^(r+1), the sum
+    of the Q forms, as (den, form)."""
+    den = lcm(*(_Q_FORMS[k, r][0] for k in range(1, r + 1)))
+    total: dict[tuple[str, int], list[int]] = {}
     for k in range(1, r + 1):
-        sign = (-1) ** (k - 1)
-        for t in Q_TIERS[(k, r)]:
-            key = (t.monomial, t.p_exp + 1)
-            const, p_lin = merged.get(key, (0, 0))
-            merged[key] = (const + sign * t.const, p_lin + sign * t.p_lin)
-    return tuple(
-        _t(f"p^{e}*" + "*".join(f"{'W' if f == 'bar' else 'V'}{d}" for f, d, _ in mono),
-           e, int(const) if const.denominator == 1 else const, mono, p_lin)
-        for (mono, e), (const, p_lin) in merged.items()
-    )
+        kden, form = _Q_FORMS[k, r]
+        for key, coeffs in form.items():
+            acc = total.setdefault(key, [0] * (r + 1))
+            for e, a in enumerate(coeffs):
+                acc[e + 1] += (-1) ** (k - 1) * (den // kden) * a
+    return den, total
 
 
 # L per Wilson tier r: 1, 2, 4 and 7 terms for r = 1..4
-_LOG_TIERS = {r: _log_terms(r) for r in WQ_TIER_PMIN}
+_LOG_TIERS = {r: _terms(*_log_form(r)) for r in WQ_TIER_PMIN}
 
 
 def evaluate_terms(
@@ -168,7 +163,12 @@ def evaluate_terms(
     for term in terms:
         val = None
         for family, d, power in term.monomial:
-            base = bnd.bar(d) if family == "bar" else bnd.bar2(d)
+            if family == "bar":
+                base = bnd.bar(d)
+            elif family == "bar2":
+                base = bnd.bar2(d)
+            else:
+                raise ValueError(f"a bundle has no family {family!r}")
             f = base ** power
             val = f if val is None else val * f
         coeff = term.const + term.p_lin * p if term.p_lin else term.const
@@ -317,49 +317,28 @@ def reduction_chain_check(
 
 # -- difference-form power sum congruences ---------------------------------
 
-_P36_ALPHA = (1, 2, 1)
-_P37_ALPHA = (-1, 2, 7, 4)
-_P37_BETA = (0, -4, -8, -4)
-_P37_GAMMA = (Fraction(11, 6), Fraction(5), Fraction(3), Fraction(0))
-
-
 def qsum_beta_identity_check(
     p: int, n: int, depth: int, bnd: DividedBernoulliBundle
 ) -> CongruenceCheckResult:
-    """Forward-difference form of the power-sum congruences.
-
-    depth 3: (p-1) * diff^(n-1) of the bars - (alpha_n/n) p^2 V1, mod p^3,
-    for n in 1..3 and p >= 5. depth 4: the four-coefficient extension, mod
-    p^4, for n in 1..4 and p >= 7.
+    """Forward-difference form of the power-sum congruences, mod p^depth:
+    p^(n-1) Q_p(n)/n = (p-1) * diff^(n-1) of the bars + the bar2 terms of
+    Q_TIERS[(n, depth)]. The bars' terms of the tier are that difference
+    truncated, since i C(n,i) = n C(n-1,i-1) in Faulhaber's nu = 0 term.
+    depth 3 (prop36): n in 1..3 and p >= 5; depth 4 (prop37): n in 1..4
+    and p >= 7.
     """
-    if depth == 3:
-        check_id = "prop36"
-        if not 1 <= n <= 3:
-            raise HypothesisViolated("depth 3 covers n in 1..3")
-        if p < 5:
-            raise HypothesisViolated("need p >= 5")
-    elif depth == 4:
-        check_id = "prop37"
-        if not 1 <= n <= 4:
-            raise HypothesisViolated("depth 4 covers n in 1..4")
-        if p < 7:
-            raise HypothesisViolated("need p >= 7")
-    else:
+    if depth not in (3, 4):
         raise ValueError("depth must be 3 or 4")
-
+    if not 1 <= n <= depth:
+        raise HypothesisViolated(f"depth {depth} covers n in 1..{depth}")
+    if p < 2 * depth - 1:
+        raise HypothesisViolated(f"need p >= {2 * depth - 1}")
     diff = forward_difference([bnd.bar(d) for d in range(1, n + 1)])
-    rhs = diff.scale(p - 1)
-    if depth == 3:
-        corr = bnd.bar2(1).scale_fraction(Fraction(-_P36_ALPHA[n - 1], n)).scale(p ** 2)
-        rhs = rhs + corr
-    else:
-        rhs = rhs + bnd.bar2(1).scale_fraction(Fraction(_P37_ALPHA[n - 1], n)).scale(p ** 2)
-        if _P37_BETA[n - 1]:
-            rhs = rhs + bnd.bar2(2).scale_fraction(Fraction(_P37_BETA[n - 1], n)).scale(p ** 2)
-        if _P37_GAMMA[n - 1]:
-            rhs = rhs + bnd.bar2(1).scale_fraction(_P37_GAMMA[n - 1] / n).scale(p ** 3)
+    bar2 = tuple(t for t in Q_TIERS[n, depth] if t.monomial[0][0] == "bar2")
+    rhs = diff.scale(p - 1) + evaluate_terms(bar2, p, bnd, depth)
     lhs = q_tier_lhs(p, n, depth)
-    return result.from_residues(check_id, p, depth, lhs, rhs.truncate(depth), f"n={n}")
+    check_id = "prop36" if depth == 3 else "prop37"
+    return result.from_residues(check_id, p, depth, lhs, rhs, f"n={n}")
 
 
 # -- valuation facts --------------------------------------------------------

@@ -6,16 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from wilsonlab.bernoulli import BernoulliTable, IndexOutOfTable, bar_value, beta_value
 from wilsonlab.congruences import (
-    B1,
-    B2,
-    B3,
-    B4,
-    C1,
-    C2,
     Q_TIER_PMIN,
     Q_TIERS,
     WQ_TIER_PMIN,
     TierTerm,
+    _q_form,
+    _terms,
     carlitz_check,
     central_binom_dichotomy,
     classify_prime,
@@ -34,8 +30,82 @@ from wilsonlab.padic import PrimePowerContext, ord_p, primes_up_to, reduce_ratio
 from wilsonlab.quotients import q_sum, wilson_quotient
 
 
-def _t(label, p_exp, const, monomial):
-    return TierTerm(label, p_exp, const, 0, monomial)
+def _t(label, p_exp, const, monomial, p_lin=0):
+    return TierTerm(label, p_exp, const, p_lin, monomial)
+
+
+B1 = (("bar", 1, 1),)
+B2 = (("bar", 2, 1),)
+B3 = (("bar", 3, 1),)
+B4 = (("bar", 4, 1),)
+C1 = (("bar2", 1, 1),)
+C2 = (("bar2", 2, 1),)
+
+
+# The paper's stated power-sum tiers p^(n-1) Q_p(n) / n mod p^r, typed by
+# hand term by term, with a label per displayed term so that a
+# transcription error localizes to one term: the reference that the
+# generated congruences.Q_TIERS are checked against. Coefficients of the
+# form (p-1) are encoded as const -1, p_lin 1.
+HAND_Q_TIERS = {
+    (1, 1): (_t("-W1", 0, -1, B1),),
+    (1, 2): (_t("(p-1)*W1", 0, -1, B1, p_lin=1),),
+    (1, 3): (
+        _t("(p-1)*W1", 0, -1, B1, p_lin=1),
+        _t("-p^2*V1", 2, -1, C1),
+    ),
+    (1, 4): (
+        _t("(p-1)*W1", 0, -1, B1, p_lin=1),
+        _t("-p^2*V1", 2, -1, C1),
+        _t("+11/6*p^3*V1", 3, Fraction(11, 6), C1),
+    ),
+    (2, 2): (
+        _t("-W2", 0, -1, B2),
+        _t("+W1", 0, 1, B1),
+    ),
+    (2, 3): (
+        _t("(p-1)*W2", 0, -1, B2, p_lin=1),
+        _t("-(p-1)*W1", 0, 1, B1, p_lin=-1),
+        _t("-p^2*V1", 2, -1, C1),
+    ),
+    (2, 4): (
+        _t("(p-1)*W2", 0, -1, B2, p_lin=1),
+        _t("-(p-1)*W1", 0, 1, B1, p_lin=-1),
+        _t("+p^2*V1", 2, 1, C1),
+        _t("-2*p^2*V2", 2, -2, C2),
+        _t("+5/2*p^3*V1", 3, Fraction(5, 2), C1),
+    ),
+    (3, 3): (
+        _t("-W3", 0, -1, B3),
+        _t("+2*W2", 0, 2, B2),
+        _t("-W1", 0, -1, B1),
+        _t("-1/3*p^2*V1", 2, Fraction(-1, 3), C1),
+    ),
+    (3, 4): (
+        _t("(p-1)*W3", 0, -1, B3, p_lin=1),
+        _t("-2(p-1)*W2", 0, 2, B2, p_lin=-2),
+        _t("(p-1)*W1", 0, -1, B1, p_lin=1),
+        _t("+7/3*p^2*V1", 2, Fraction(7, 3), C1),
+        _t("-8/3*p^2*V2", 2, Fraction(-8, 3), C2),
+        _t("+p^3*V1", 3, 1, C1),
+    ),
+    (4, 4): (
+        _t("-W4", 0, -1, B4),
+        _t("+3*W3", 0, 3, B3),
+        _t("-3*W2", 0, -3, B2),
+        _t("+W1", 0, 1, B1),
+        _t("+p^2*V1", 2, 1, C1),
+        _t("-p^2*V2", 2, -1, C2),
+    ),
+}
+
+# The paper's Prop. 3.6 and 3.7 as typed by hand: p^(n-1) Q_p(n)/n is
+# (p-1) diff^(n-1) of the bars plus -(alpha_n/n) p^2 V1 mod p^3, and plus
+# (alpha_n p^2 V1 + beta_n p^2 V2 + gamma_n p^3 V1)/n mod p^4.
+P36_ALPHA = (1, 2, 1)
+P37_ALPHA = (-1, 2, 7, 4)
+P37_BETA = (0, -4, -8, -4)
+P37_GAMMA = (Fraction(11, 6), Fraction(5), Fraction(3), Fraction(0))
 
 
 # The paper's stated Wilson quotient tiers mod p^r, typed by hand term by
@@ -82,10 +152,11 @@ def rational_tier_value(terms, p, table):
     for term in terms:
         mono = Fraction(1)
         for family, d, power in term.monomial:
-            if family == "bar":
+            nu = int(family[3:] or 0)  # 'bar', 'bar2', 'bar4'
+            if nu == 0:
                 base = bar_value(d, p, table)
             else:
-                base = beta_value(d * (p - 1) - 2, p, table)
+                base = beta_value(d * (p - 1) - nu, p, table)
             mono *= base ** power
         total += (term.const + term.p_lin * p) * Fraction(p) ** term.p_exp * mono
     return total
@@ -107,14 +178,72 @@ def brute_q_lhs(p, n):
     return Fraction(p) ** (n - 1) * q / n
 
 
-@pytest.mark.parametrize("key", sorted(Q_TIERS))
+def coefficients(terms):
+    """A term list as {monomial: {power of p: rational}}, zeros dropped: two
+    lists with the same coefficients are the same polynomial in p."""
+    out = {}
+    for t in terms:
+        poly = out.setdefault(t.monomial, {})
+        for e, c in ((t.p_exp, t.const), (t.p_exp + 1, t.p_lin)):
+            poly[e] = poly.get(e, 0) + c
+    out = {m: {e: c for e, c in poly.items() if c} for m, poly in out.items()}
+    return {m: poly for m, poly in out.items() if poly}
+
+
+def test_generated_q_tiers_equal_the_hand_table():
+    assert sorted(Q_TIERS) == sorted(HAND_Q_TIERS) == sorted(Q_TIER_PMIN)
+    for key, terms in HAND_Q_TIERS.items():
+        assert coefficients(Q_TIERS[key]) == coefficients(terms), key
+
+
+def test_prop_forms_equal_the_hand_constants():
+    """qsum_beta_identity_check adds the bar2 terms of Q_TIERS[(n, depth)]
+    to (p-1) diff^(n-1) of the bars: those terms are the hand-typed
+    alpha/beta/gamma forms of Prop. 3.6 (depth 3) and Prop. 3.7 (depth 4)."""
+    want = {(n, 3): {C1: {2: Fraction(-P36_ALPHA[n - 1], n)}} for n in (1, 2, 3)}
+    for n in (1, 2, 3, 4):
+        want[n, 4] = coefficients((
+            _t("alpha", 2, Fraction(P37_ALPHA[n - 1], n), C1),
+            _t("beta", 2, Fraction(P37_BETA[n - 1], n), C2),
+            _t("gamma", 3, P37_GAMMA[n - 1] / n, C1),
+        ))
+    for (n, depth), form in want.items():
+        bar2 = [t for t in Q_TIERS[n, depth] if t.monomial[0][0] == "bar2"]
+        assert coefficients(bar2) == form, (n, depth)
+
+
+# The generated tiers r = 5 and 6, past the hand table (r = 5 brings in the
+# family 'bar4', U_d = B_{d(p-1)-4}/(d(p-1)-4)), with the least prime from
+# which each holds; no check reads them.
+HIGH_TIERS = {
+    (n, r): (_terms(*_q_form(n, r)), 7 if r == 5 else 11)
+    for r in (5, 6)
+    for n in range(1, r + 1)
+}
+
+
+@pytest.mark.parametrize("key", sorted(Q_TIERS) + sorted(HIGH_TIERS))
 def test_q_tier_terms_against_exact_rationals(table, key):
+    """Each tier holds as an exact congruence of rationals at every prime
+    from its gate whose indices the table reaches (to p = 79 at r = 5 and
+    67 at r = 6)."""
     n, r = key
-    for p in (3, 5, 7, 11, 13):
-        if p < Q_TIER_PMIN[key]:
-            continue
-        rhs = rational_tier_value(Q_TIERS[key], p, table)
-        assert ord_p(brute_q_lhs(p, n) - rhs, p) >= r, (key, p)
+    terms, pmin = HIGH_TIERS.get(key) or (Q_TIERS[key], Q_TIER_PMIN[key])
+    for p in primes_up_to(table.max_index // r + 1):
+        if p >= pmin:
+            rhs = rational_tier_value(terms, p, table)
+            assert ord_p(brute_q_lhs(p, n) - rhs, p) >= r, (key, p)
+
+
+def test_sixth_order_tiers_at_7_record(table):
+    """Informational record of the generated r = 6 tiers one prime below
+    their gate: at p = 7 all but n = 2 fail, with defect of order exactly 5."""
+    below = {}
+    for n in range(1, 7):
+        rhs = rational_tier_value(HIGH_TIERS[n, 6][0], 7, table)
+        below[n] = ord_p(brute_q_lhs(7, n) - rhs, 7)
+    assert below.pop(2) >= 6
+    assert below == {1: 5, 3: 5, 4: 5, 5: 5, 6: 5}
 
 
 def test_q1_r4_fails_at_5_as_gated(table):
@@ -207,6 +336,18 @@ def test_wilson_tiers_equal_the_hand_table_on_kummer_bundles(p, r, digits):
         p, r, newton(digits[:4], r, r), newton(digits[4:], max(0, r - 2), r - 2)
     )
     assert wilson_via_bernoulli(p, r, bnd) == evaluate_terms(WQ_TIERS[r], p, bnd, r)
+
+
+def test_evaluate_terms_refuses_an_unknown_family(table):
+    """A bundle holds the families 'bar' and 'bar2' only: a term of another
+    family (the generated r >= 5 tiers bring in 'bar4') is an error, not a
+    silent read of the bars2."""
+    bnd = bundle(7, 4, "exact", table)
+    u1 = _t("p^4*U1", 4, 1, (("bar4", 1, 1),))
+    with pytest.raises(ValueError, match="bar4"):
+        evaluate_terms((u1,), 7, bnd, 4)
+    with pytest.raises(ValueError, match="bar4"):
+        evaluate_terms(HIGH_TIERS[1, 5][0], 7, bnd, 4)
 
 
 def test_wilson_tier1_smallest_primes(table):

@@ -958,6 +958,13 @@ def test_cli_bernoulli_table(capsys):
     assert lines[6] == "6\t1/42"
 
 
+def test_cli_bernoulli_past_the_cap_names_only_the_cap(capsys):
+    """The bernoulli command has no engine to switch to: the refusal names
+    the cap and nothing else."""
+    assert _outcome(capsys, ["bernoulli", "--max-index", str(DESK_CAP + 1)]) == (
+        2, "", f"error: exact table capped at index {DESK_CAP}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
