@@ -8,15 +8,19 @@ polynomial denominators are read from the table by integer gcds
 
 The table is built from the tangent numbers T_k, computed in integers by the
 in-place recurrence of Brent and Harvey ("Fast computation of Bernoulli,
-Tangent and Secant numbers", 2011), and
+Tangent and Secant numbers", 2011), its row divided by (j-k)! so that each
+stage is one C-level prefix sum (``BernoulliTable.build``), and
 B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat, starmap
 from math import comb, gcd, lcm
+from operator import mul
 
 from .padic import TrackedResidue, is_prime, primes_up_to
 
@@ -45,29 +49,32 @@ class BernoulliTable:
     def build(cls, n_max: int) -> "BernoulliTable":
         """Build B_0..B_n_max from the tangent numbers T_1..T_m, m = n_max // 2.
 
-        T_1 = 1 and T_k = (k-1) T_{k-1}; then for k = 2..m and j = k..m,
-        T_j <- (j-k) T_{j-1} + (j-k+2) T_j, all in integers. Each even entry
-        is B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), one Fraction apiece.
+        After stage k of the recurrence, t_j (j >= k) is divisible by (j-k)!,
+        so the row holds u_j = t_j / (j-k)!, from u = [1]*m (t_j = (j-1)!).
+        Stage k+1, t_j <- (j-k-1) t_{j-1} + (j-k+1) t_j, divided by i!
+        (i = j-k-1), is the prefix sum u'_j = u'_{j-1} + (i+1)(i+2) u_j. T_k
+        is the row's first entry after stage k, and
+        B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) is made then.
         """
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         if n_max > DESK_CAP:
             raise IndexOutOfTable(f"exact table capped at index {DESK_CAP}")
         m = n_max // 2
-        t = [0, 1] + [0] * (m - 1)  # t[k] = T_k; t[0] is unused
-        for k in range(2, m + 1):
-            t[k] = (k - 1) * t[k - 1]
-        for k in range(2, m + 1):
-            for j in range(k, m + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
         values = [Fraction(0)] * (n_max + 1)
         values[0] = Fraction(1)
         if n_max >= 1:
             values[1] = Fraction(-1, 2)
+        weights = [(i + 1) * (i + 2) for i in range(m)]
+        row = deque([1] * m)  # u_j = t_j / (j-k)!, j = k..m, after stage k
         for k in range(1, m + 1):
             four_k = 4 ** k
             sign = 1 if k % 2 else -1
-            values[2 * k] = Fraction(sign * 2 * k * t[k], four_k * (four_k - 1))
+            values[2 * k] = Fraction(sign * 2 * k * row.popleft(), four_k * (four_k - 1))
+            # the next stage pops each old entry as it appends the new one,
+            # so only one row is alive
+            pops = starmap(row.popleft, repeat((), len(row)))
+            row.extend(accumulate(map(mul, weights, pops)))
         return cls(values)
 
     @property

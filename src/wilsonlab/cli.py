@@ -118,9 +118,18 @@ def cmd_bernoulli(args) -> int:
         table = BernoulliTable.build(args.max_index)
     except (ValueError, IndexOutOfTable) as exc:
         return _usage_error(exc)
-    for i in range(args.max_index + 1):
-        b = table.bernoulli(i)
-        print(f"{i}\t{b.numerator}/{b.denominator}")
+    # From B_2064 on, a numerator has more digits than CPython's default
+    # int-to-str limit (4300, from 3.10.7); lift it only while printing.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for i in range(args.max_index + 1):
+            b = table.bernoulli(i)
+            print(f"{i}\t{b.numerator}/{b.denominator}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

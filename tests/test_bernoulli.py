@@ -72,8 +72,16 @@ def test_table_matches_independent_oracle(small_table, n):
     assert small_table.bernoulli(n) == bernoulli_reference(n)
 
 
+@pytest.mark.parametrize("n_max", list(range(13)))
+def test_small_tables_match_recurrence_oracle(n_max):
+    """The edges of the stage loop: m = n_max // 2 of 0 and 1, odd n_max."""
+    table = BernoulliTable.build(n_max)
+    assert table.max_index == n_max
+    assert [table.bernoulli(n) for n in range(n_max + 1)] == bernoulli_recurrence(n_max)
+
+
 def test_table_matches_recurrence_oracle_to_700():
-    """700 covers the largest table any benchmark workload builds (697)."""
+    """700 covers the largest table any benchmark workload builds (688)."""
     table = BernoulliTable.build(700)
     expected = bernoulli_recurrence(700)
     assert table.max_index == 700

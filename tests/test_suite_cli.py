@@ -965,6 +965,21 @@ def test_cli_bernoulli_past_the_cap_names_only_the_cap(capsys):
         2, "", f"error: exact table capped at index {DESK_CAP}\n")
 
 
+def test_cli_bernoulli_prints_the_whole_table_at_the_cap(capsys):
+    """From B_2064 on a numerator has more than CPython's default 4300
+    digits; the command prints them all and leaves the caller's limit as it
+    was. The digest is that of the full table to DESK_CAP, so it also pins
+    the build there."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert main(["bernoulli", "--max-index", str(DESK_CAP)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count("\n") == DESK_CAP + 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cefe70627dee504b6079993b64f0d3fc953c704b63421c8c9b0fb47f6a6f3179")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
 @pytest.mark.parametrize(
     "argv",
     [
