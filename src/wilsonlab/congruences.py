@@ -2,9 +2,11 @@
 
 The right-hand side of every power-sum congruence is generated from one
 formula, Faulhaber's sum for the power sums of which p^n Q_p(n) is made
-(_q_form); the paper's tiers, typed by hand with a label per displayed
-term, are the tests' reference for it. The Wilson quotient tiers are
-derived from the power-sum tiers: they give
+(_q_form). A tier is that linear form itself: a common denominator and,
+per divided Bernoulli value, the integer coefficients of a polynomial in p;
+evaluate_terms sums each bundle value times its coefficient at p. The
+paper's tiers, typed by hand term by term, are the tests' reference for it.
+The Wilson quotient tiers are derived from the power-sum tiers: they give
 L = sum_k (-1)^(k-1) p^k Q_p(k)/k mod p^(r+1), and quotients.wilson_series
 turns L into W_p mod p^r, as it does for the Psi route. The left-hand sides
 always come from the direct oracles (factorial product, direct
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
-from typing import Union
 
 from . import result
 from .bernoulli import (
@@ -39,26 +40,14 @@ from .quotients import q_sum, wilson_quotient, wilson_series
 from .result import CongruenceCheckResult
 
 
-@dataclass(frozen=True)
-class TierTerm:
-    """One term: (const + p_lin * p) * p^p_exp * monomial.
-
-    The monomial is a product of divided Bernoulli values: family 'bar' or
-    'bar2', multiplier d, integer power. const is an int where it is
-    integral, so that evaluating the term builds no Fraction.
-    """
-
-    label: str
-    p_exp: int
-    const: Union[int, Fraction]
-    p_lin: int
-    monomial: tuple[tuple[str, int, int], ...]
+# A tier: (den, form), form mapping each divided value (family, d) to den
+# times the coefficients of p^0, p^1, ... of its coefficient.
+Tier = tuple[int, dict[tuple[str, int], list[int]]]
 
 
-def _q_form(n: int, r: int) -> tuple[int, dict[tuple[str, int], list[int]]]:
-    """p^(n-1) Q_p(n)/n mod p^r as (den, form): form maps each divided value
-    (family, d) to den times the coefficients of p^0..p^(r-1) of its
-    coefficient.
+def _q_form(n: int, r: int) -> Tier:
+    """p^(n-1) Q_p(n)/n mod p^r as a Tier, each coefficient's list running
+    over p^0..p^(r-1).
 
     p^n Q_p(n) = sum_i C(n,i) (-1)^(n-i) S_{i(p-1)}(p), and Faulhaber gives
     S_m(p) = (p-1) + sum over even nu of C(m, nu+1) p^(nu+1) beta_nu, with
@@ -90,27 +79,6 @@ def _q_form(n: int, r: int) -> tuple[int, dict[tuple[str, int], list[int]]]:
     return den, form
 
 
-def _terms(den: int, form: dict[tuple[str, int], list[int]]) -> tuple[TierTerm, ...]:
-    """A form as tier terms, one per divided value and nonzero power of p;
-    two adjacent integral coefficients share one term as const + p_lin * p,
-    a rational one stays alone, so that evaluating a term does no Fraction
-    arithmetic."""
-    terms = []
-    for (family, d), coeffs in sorted(form.items()):
-        cs = [a // den if a % den == 0 else Fraction(a, den) for a in coeffs] + [0]
-        k = 0
-        while k < len(coeffs):
-            const, p_lin = cs[k], cs[k + 1]
-            if not const or Fraction in (type(const), type(p_lin)):
-                p_lin = 0
-            if const:
-                lin = f" {'+-'[p_lin < 0]} {abs(p_lin)}*p" if p_lin else ""
-                label = f"p^{k}*({const}{lin})*{family}({d})"
-                terms.append(TierTerm(label, k, const, p_lin, ((family, d, 1),)))
-            k += 2 if p_lin else 1
-    return tuple(terms)
-
-
 # Power sums of Fermat quotients, p^(n-1) Q_p(n) / n mod p^r: the least
 # prime of each tier, measured (see module docstring).
 Q_TIER_PMIN = {
@@ -126,21 +94,26 @@ Q_TIER_PMIN = {
     (4, 4): 7,
 }
 
-_Q_FORMS = {key: _q_form(*key) for key in Q_TIER_PMIN}
-Q_TIERS = {key: _terms(*form) for key, form in _Q_FORMS.items()}
+# The truncation leaves the bar2 values with d >= r - 1, which a bundle
+# does not hold, with all-zero coefficients: they are dropped.
+Q_TIERS = {
+    key: (den, {k: coeffs for k, coeffs in form.items() if any(coeffs)})
+    for key in Q_TIER_PMIN
+    for den, form in [_q_form(*key)]
+}
 
 
 # Wilson quotient mod p^r: prime bounds per tier.
 WQ_TIER_PMIN = {1: 2, 2: 5, 3: 5, 4: 7}
 
 
-def _log_form(r: int) -> tuple[int, dict[tuple[str, int], list[int]]]:
+def _log_form(r: int) -> Tier:
     """L = sum_{k<=r} (-1)^(k-1) p * (p^(k-1) Q_p(k)/k) mod p^(r+1), the sum
-    of the Q forms, as (den, form)."""
-    den = lcm(*(_Q_FORMS[k, r][0] for k in range(1, r + 1)))
+    of the Q tiers, as a Tier."""
+    den = lcm(*(Q_TIERS[k, r][0] for k in range(1, r + 1)))
     total: dict[tuple[str, int], list[int]] = {}
     for k in range(1, r + 1):
-        kden, form = _Q_FORMS[k, r]
+        kden, form = Q_TIERS[k, r]
         for key, coeffs in form.items():
             acc = total.setdefault(key, [0] * (r + 1))
             for e, a in enumerate(coeffs):
@@ -148,32 +121,33 @@ def _log_form(r: int) -> tuple[int, dict[tuple[str, int], list[int]]]:
     return den, total
 
 
-# L per Wilson tier r: 1, 2, 4 and 7 terms for r = 1..4
-_LOG_TIERS = {r: _terms(*_log_form(r)) for r in WQ_TIER_PMIN}
+# L per Wilson tier r, a form over 1, 2, 4 and 6 divided values for r = 1..4
+_LOG_TIERS = {r: _log_form(r) for r in WQ_TIER_PMIN}
 
 
 def evaluate_terms(
-    terms: tuple[TierTerm, ...],
+    tier: Tier,
     p: int,
     bnd: DividedBernoulliBundle,
     prec: int,
 ) -> TrackedResidue:
-    """Sum of tier terms as a tracked residue, truncated to prec."""
+    """A tier at p as a tracked residue, truncated to prec: the sum of each
+    bundle value times its coefficient at p over den. A coefficient is an
+    int where den divides it, so that evaluating it builds no Fraction."""
+    den, form = tier
     acc = None
-    for term in terms:
-        val = None
-        for family, d, power in term.monomial:
-            if family == "bar":
-                base = bnd.bar(d)
-            elif family == "bar2":
-                base = bnd.bar2(d)
-            else:
-                raise ValueError(f"a bundle has no family {family!r}")
-            f = base ** power
-            val = f if val is None else val * f
-        coeff = term.const + term.p_lin * p if term.p_lin else term.const
-        val = val.scale_fraction(coeff).scale(p ** term.p_exp)
-        acc = val if acc is None else acc + val
+    for (family, d), coeffs in form.items():
+        if family == "bar":
+            value = bnd.bar(d)
+        elif family == "bar2":
+            value = bnd.bar2(d)
+        else:
+            raise ValueError(f"a bundle has no family {family!r}")
+        c = 0
+        for a in reversed(coeffs):
+            c = c * p + a
+        term = value.scale_fraction(c // den if c % den == 0 else Fraction(c, den))
+        acc = term if acc is None else acc + term
     if acc.prec < prec:
         raise AssertionError(
             f"tier lost precision: have {acc.prec}, need {prec} (p={p})"
@@ -334,7 +308,8 @@ def qsum_beta_identity_check(
     if p < 2 * depth - 1:
         raise HypothesisViolated(f"need p >= {2 * depth - 1}")
     diff = forward_difference([bnd.bar(d) for d in range(1, n + 1)])
-    bar2 = tuple(t for t in Q_TIERS[n, depth] if t.monomial[0][0] == "bar2")
+    den, form = Q_TIERS[n, depth]
+    bar2 = den, {key: coeffs for key, coeffs in form.items() if key[0] == "bar2"}
     rhs = diff.scale(p - 1) + evaluate_terms(bar2, p, bnd, depth)
     lhs = q_tier_lhs(p, n, depth)
     check_id = "prop36" if depth == 3 else "prop37"

@@ -257,24 +257,16 @@ def run_carlitz(p: int, env: RunEnv) -> CongruenceCheckResult:
     return _aggregate(check_id, p, 1, rows)
 
 
-# -- Wilson quotient tiers ---------------------------------------------------
+# -- Wilson quotient and power-sum tiers ------------------------------------
 
 
-def _wq_tier(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResult:
-    lhs = wilson_quotient(p, r)
+def _tier(check_id: str, lhs, rhs, args: tuple, p: int, env: RunEnv) -> CongruenceCheckResult:
+    """lhs(p, *args) by the direct oracle against rhs(p, *args, bnd) on each
+    engine's bundle of the tier r = args[-1]."""
+    r = args[-1]
+    want = lhs(p, *args)
     return _dual_path(
-        check_id, p, r, env,
-        lambda eng: wilson_via_bernoulli(p, r, _bundle(p, r, eng, env)).truncate(r),
-        lambda: lhs,
-    )
-
-
-def _q_tier(n: int, r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResult:
-    lhs = q_tier_lhs(p, n, r)
-    return _dual_path(
-        check_id, p, r, env,
-        lambda eng: q_tier_rhs(p, n, r, _bundle(p, r, eng, env)).truncate(r),
-        lambda: lhs,
+        check_id, p, r, env, lambda eng: rhs(p, *args, _bundle(p, r, eng, env)), lambda: want
     )
 
 
@@ -491,9 +483,11 @@ _CHECKS = [
     CheckDef("lehmer", "prime", 1, run_lehmer, p_min=5),
     CheckDef("lehmer_diff", "prime", 1, run_lehmer_diff, p_min=5),
     CheckDef("carlitz", "prime", 1, run_carlitz, p_min=5),
-    *(CheckDef(cid, "prime", r, partial(_wq_tier, r, cid), p_min=WQ_TIER_PMIN[r])
+    *(CheckDef(cid, "prime", r, partial(_tier, cid, wilson_quotient, wilson_via_bernoulli, (r,)),
+               p_min=WQ_TIER_PMIN[r])
       for r, cid in _WQ_TIER_IDS.items()),
-    *(CheckDef(f"thm_main3_q{n}_r{r}", "prime", r, partial(_q_tier, n, r, f"thm_main3_q{n}_r{r}"),
+    *(CheckDef(f"thm_main3_q{n}_r{r}", "prime", r,
+               partial(_tier, f"thm_main3_q{n}_r{r}", q_tier_lhs, q_tier_rhs, (n, r)),
                p_min=Q_TIER_PMIN[(n, r)])
       for n, r in Q_TIER_PMIN),
     *(CheckDef(f"thm_kel_psi_r{r}", "prime", r, partial(_psi_tier, r, f"thm_kel_psi_r{r}"))

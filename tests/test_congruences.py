@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,9 +10,8 @@ from wilsonlab.congruences import (
     Q_TIER_PMIN,
     Q_TIERS,
     WQ_TIER_PMIN,
-    TierTerm,
+    _LOG_TIERS,
     _q_form,
-    _terms,
     carlitz_check,
     central_binom_dichotomy,
     classify_prime,
@@ -30,8 +30,25 @@ from wilsonlab.padic import PrimePowerContext, ord_p, primes_up_to, reduce_ratio
 from wilsonlab.quotients import q_sum, wilson_quotient
 
 
+# One hand-typed term: (const + p_lin * p) * p^p_exp * monomial, the
+# monomial a product of divided Bernoulli values (family, d, power).
+TierTerm = namedtuple("TierTerm", "label p_exp const p_lin monomial")
+
+
 def _t(label, p_exp, const, monomial, p_lin=0):
     return TierTerm(label, p_exp, const, p_lin, monomial)
+
+
+def as_terms(tier):
+    """A generated tier (den, form) as hand terms, one per nonzero
+    coefficient of each power of p."""
+    den, form = tier
+    return tuple(
+        _t("", k, Fraction(a, den), ((family, d, 1),))
+        for (family, d), coeffs in form.items()
+        for k, a in enumerate(coeffs)
+        if a
+    )
 
 
 B1 = (("bar", 1, 1),)
@@ -146,6 +163,21 @@ WQ_TIERS = {
 }
 
 
+def hand_value(terms, p, bnd, prec):
+    """A hand term list on a bundle's residues, truncated to prec: the
+    reference evaluation, monomials of any degree included."""
+    acc = None
+    for t in terms:
+        val = None
+        for family, d, power in t.monomial:
+            f = getattr(bnd, family)(d) ** power
+            val = f if val is None else val * f
+        val = val.scale_fraction(t.const + t.p_lin * p).scale(p ** t.p_exp)
+        acc = val if acc is None else acc + val
+    assert acc.prec >= prec, (p, acc.prec, prec)
+    return acc.truncate(prec)
+
+
 def rational_tier_value(terms, p, table):
     """Independent evaluation of a tier's term list in exact rationals."""
     total = Fraction(0)
@@ -193,7 +225,24 @@ def coefficients(terms):
 def test_generated_q_tiers_equal_the_hand_table():
     assert sorted(Q_TIERS) == sorted(HAND_Q_TIERS) == sorted(Q_TIER_PMIN)
     for key, terms in HAND_Q_TIERS.items():
-        assert coefficients(Q_TIERS[key]) == coefficients(terms), key
+        assert coefficients(as_terms(Q_TIERS[key])) == coefficients(terms), key
+
+
+def test_tiers_are_the_generated_forms_less_their_zero_keys():
+    """A Q tier is _q_form's (den, form) with the all-zero keys dropped: the
+    bar2 values with d >= r - 1, which a bundle does not hold. Only the
+    families 'bar' and 'bar2' remain, and the Wilson forms sum them."""
+    dropped = set()
+    for (n, r), tier in Q_TIERS.items():
+        den, form = _q_form(n, r)
+        assert tier == (den, {k: c for k, c in form.items() if any(c)})
+        if len(tier[1]) < len(form):
+            dropped.add((n, r))
+        for family, d in tier[1]:
+            assert family in ("bar", "bar2"), (n, r)
+            assert family == "bar" or d <= r - 2, (n, r, d)
+    assert dropped == {(2, 3), (3, 3), (3, 4), (4, 4)}
+    assert [len(_LOG_TIERS[r][1]) for r in (1, 2, 3, 4)] == [1, 2, 4, 6]
 
 
 def test_prop_forms_equal_the_hand_constants():
@@ -208,7 +257,7 @@ def test_prop_forms_equal_the_hand_constants():
             _t("gamma", 3, P37_GAMMA[n - 1] / n, C1),
         ))
     for (n, depth), form in want.items():
-        bar2 = [t for t in Q_TIERS[n, depth] if t.monomial[0][0] == "bar2"]
+        bar2 = [t for t in as_terms(Q_TIERS[n, depth]) if t.monomial[0][0] == "bar2"]
         assert coefficients(bar2) == form, (n, depth)
 
 
@@ -216,7 +265,7 @@ def test_prop_forms_equal_the_hand_constants():
 # family 'bar4', U_d = B_{d(p-1)-4}/(d(p-1)-4)), with the least prime from
 # which each holds; no check reads them.
 HIGH_TIERS = {
-    (n, r): (_terms(*_q_form(n, r)), 7 if r == 5 else 11)
+    (n, r): (_q_form(n, r), 7 if r == 5 else 11)
     for r in (5, 6)
     for n in range(1, r + 1)
 }
@@ -228,10 +277,10 @@ def test_q_tier_terms_against_exact_rationals(table, key):
     from its gate whose indices the table reaches (to p = 79 at r = 5 and
     67 at r = 6)."""
     n, r = key
-    terms, pmin = HIGH_TIERS.get(key) or (Q_TIERS[key], Q_TIER_PMIN[key])
+    tier, pmin = HIGH_TIERS.get(key) or (Q_TIERS[key], Q_TIER_PMIN[key])
     for p in primes_up_to(table.max_index // r + 1):
         if p >= pmin:
-            rhs = rational_tier_value(terms, p, table)
+            rhs = rational_tier_value(as_terms(tier), p, table)
             assert ord_p(brute_q_lhs(p, n) - rhs, p) >= r, (key, p)
 
 
@@ -240,7 +289,7 @@ def test_sixth_order_tiers_at_7_record(table):
     their gate: at p = 7 all but n = 2 fail, with defect of order exactly 5."""
     below = {}
     for n in range(1, 7):
-        rhs = rational_tier_value(HIGH_TIERS[n, 6][0], 7, table)
+        rhs = rational_tier_value(as_terms(HIGH_TIERS[n, 6][0]), 7, table)
         below[n] = ord_p(brute_q_lhs(7, n) - rhs, 7)
     assert below.pop(2) >= 6
     assert below == {1: 5, 3: 5, 4: 5, 5: 5, 6: 5}
@@ -250,7 +299,7 @@ def test_q1_r4_fails_at_5_as_gated(table):
     """The fourth-order congruence for the first power sum is real only from
     p = 7: at p = 5 the defect has valuation exactly 3. The gate at p >= 7
     reflects this; this probe keeps the exclusion honest."""
-    rhs = rational_tier_value(Q_TIERS[(1, 4)], 5, table)
+    rhs = rational_tier_value(as_terms(Q_TIERS[(1, 4)]), 5, table)
     assert ord_p(brute_q_lhs(5, 1) - rhs, 5) == 3
     assert Q_TIER_PMIN[(1, 4)] == 7
     with pytest.raises(HypothesisViolated):
@@ -266,7 +315,7 @@ def test_sub_bound_prime_record(table):
     for (n, r), pmin in Q_TIER_PMIN.items():
         if pmin != 7:
             continue
-        rhs = rational_tier_value(Q_TIERS[(n, r)], 5, table)
+        rhs = rational_tier_value(as_terms(Q_TIERS[(n, r)]), 5, table)
         below[(n, r)] = ord_p(brute_q_lhs(5, n) - rhs, 5)
     assert below == {(1, 4): 3, (3, 4): 3, (4, 4): 3}
     wq_rhs = rational_tier_value(WQ_TIERS[4], 5, table)
@@ -278,7 +327,7 @@ def test_sub_bound_prime_record(table):
 def test_q2_r4_does_hold_at_5(table):
     """...while the companion congruence for the second power sum genuinely
     reaches one prime lower."""
-    rhs = rational_tier_value(Q_TIERS[(2, 4)], 5, table)
+    rhs = rational_tier_value(as_terms(Q_TIERS[(2, 4)]), 5, table)
     assert ord_p(brute_q_lhs(5, 2) - rhs, 5) >= 4
     got = q_tier_rhs(5, 2, 4, bundle(5, 4, "exact", table)).truncate(4)
     assert got.residue == q_tier_lhs(5, 2, 4).truncate(4).residue
@@ -305,24 +354,27 @@ def test_wilson_tiers_equal_the_hand_table(table):
             if p >= 5 and (r < 4 or p >= 7):
                 bundles.append(bundle(p, r, "modular"))
             for bnd in bundles:
-                want = evaluate_terms(WQ_TIERS[r], p, bnd, r)
+                want = hand_value(WQ_TIERS[r], p, bnd, r)
                 assert wilson_via_bernoulli(p, r, bnd) == want, (p, r)
                 checked += 1
     assert checked == 547
 
 
 @given(
-    st.sampled_from((5, 7, 11, 101)),
-    st.integers(min_value=1, max_value=4),
+    st.sampled_from((3, 5, 7, 11, 101)),
+    st.sampled_from([*WQ_TIER_PMIN, *Q_TIER_PMIN]),
     st.lists(st.integers(min_value=0, max_value=10**12), min_size=6, max_size=6),
 )
-@settings(max_examples=200, deadline=None)
-def test_wilson_tiers_equal_the_hand_table_on_kummer_bundles(p, r, digits):
-    """The two forms agree as functions of the bundle wherever the
-    generalized Kummer congruences hold (the i-th difference of the bars,
-    and of the bars2, divisible by p^i), not only at true Bernoulli values.
-    The bars are d -> sum_i C(d-1, i) p^i delta_i for arbitrary delta_i."""
-    if p < WQ_TIER_PMIN[r]:
+@settings(max_examples=700, deadline=None)
+def test_wilson_tiers_equal_the_hand_table_on_kummer_bundles(p, tier, digits):
+    """The generated and the hand forms agree as functions of the bundle,
+    in residue and precision, wherever the generalized Kummer congruences
+    hold (the i-th difference of the bars, and of the bars2, divisible by
+    p^i), not only at true Bernoulli values: for the Wilson tiers r (an
+    int) and the power-sum tiers (n, r). The bars are
+    d -> sum_i C(d-1, i) p^i delta_i for arbitrary delta_i."""
+    r = tier if isinstance(tier, int) else tier[1]
+    if p < {**WQ_TIER_PMIN, **Q_TIER_PMIN}[tier]:
         return
     ctx = PrimePowerContext(p)
 
@@ -335,17 +387,21 @@ def test_wilson_tiers_equal_the_hand_table_on_kummer_bundles(p, r, digits):
     bnd = DividedBernoulliBundle(
         p, r, newton(digits[:4], r, r), newton(digits[4:], max(0, r - 2), r - 2)
     )
-    assert wilson_via_bernoulli(p, r, bnd) == evaluate_terms(WQ_TIERS[r], p, bnd, r)
+    if isinstance(tier, int):
+        got, hand = wilson_via_bernoulli(p, r, bnd), WQ_TIERS[r]
+    else:
+        got, hand = q_tier_rhs(p, *tier, bnd), HAND_Q_TIERS[tier]
+    assert got == hand_value(hand, p, bnd, r)
 
 
 def test_evaluate_terms_refuses_an_unknown_family(table):
-    """A bundle holds the families 'bar' and 'bar2' only: a term of another
-    family (the generated r >= 5 tiers bring in 'bar4') is an error, not a
-    silent read of the bars2."""
+    """A bundle holds the families 'bar' and 'bar2' only: a divided value
+    of another family (the generated r >= 5 tiers bring in 'bar4') is an
+    error, not a silent read of the bars2."""
     bnd = bundle(7, 4, "exact", table)
-    u1 = _t("p^4*U1", 4, 1, (("bar4", 1, 1),))
+    u1 = (1, {("bar4", 1): [0, 0, 0, 0, 1]})  # p^4 U1
     with pytest.raises(ValueError, match="bar4"):
-        evaluate_terms((u1,), 7, bnd, 4)
+        evaluate_terms(u1, 7, bnd, 4)
     with pytest.raises(ValueError, match="bar4"):
         evaluate_terms(HIGH_TIERS[1, 5][0], 7, bnd, 4)
 
