@@ -3,9 +3,10 @@
 The right-hand side of every power-sum congruence is generated from one
 formula, Faulhaber's sum for the power sums of which p^n Q_p(n) is made
 (_q_form). A tier is that linear form itself: a common denominator and,
-per divided Bernoulli value, the integer coefficients of a polynomial in p;
-evaluate_terms sums each bundle value times its coefficient at p. The
-paper's tiers, typed by hand term by term, are the tests' reference for it.
+per divided Bernoulli value B_{d(p-1)-nu}/(d(p-1)-nu), keyed by (nu, d) as
+in a bundle, the integer coefficients of a polynomial in p; evaluate_terms
+sums each bundle value times its coefficient at p. The paper's tiers, typed
+by hand term by term, are the tests' reference for it.
 The Wilson quotient tiers are derived from the power-sum tiers: they give
 L = sum_k (-1)^(k-1) p^k Q_p(k)/k mod p^(r+1), and quotients.wilson_series
 turns L into W_p mod p^r, as it does for the Psi route. The left-hand sides
@@ -34,15 +35,15 @@ from .bernoulli import (
     beta_value,
     digit_sum,
 )
-from .modular import DividedBernoulliBundle, HypothesisViolated, beta_route
+from .modular import Bundle, HypothesisViolated, beta_route
 from .padic import TrackedResidue, forward_difference, ord_p
 from .quotients import q_sum, wilson_quotient, wilson_series
 from .result import CongruenceCheckResult
 
 
-# A tier: (den, form), form mapping each divided value (family, d) to den
-# times the coefficients of p^0, p^1, ... of its coefficient.
-Tier = tuple[int, dict[tuple[str, int], list[int]]]
+# A tier: (den, form), form mapping each divided value (nu, d), the bundle's
+# key, to den times the coefficients of p^0, p^1, ... of its coefficient.
+Tier = tuple[int, dict[tuple[int, int], list[int]]]
 
 
 def _q_form(n: int, r: int) -> Tier:
@@ -52,16 +53,15 @@ def _q_form(n: int, r: int) -> Tier:
     p^n Q_p(n) = sum_i C(n,i) (-1)^(n-i) S_{i(p-1)}(p), and Faulhaber gives
     S_m(p) = (p-1) + sum over even nu of C(m, nu+1) p^(nu+1) beta_nu, with
     beta_nu = B_{m-nu}/(m-nu), adjusted at nu = 0; the p - 1 cancel. With
-    m = i(p-1), beta_nu is the family 'bar' (nu = 0) or 'bar<nu>' at d = i.
-    Terms with nu >= r vanish mod p^r. Each family is truncated mod p^r in
-    the Newton basis beta_{1+m} = sum_j C(m,j) p^j delta_j, the delta_j
-    p-integral by the generalized Kummer congruences, and
-    delta_j = Delta^j beta_1 / p^j is substituted back.
+    m = i(p-1), beta_nu is the bundle's value (nu, i). Terms with nu >= r
+    vanish mod p^r. Each nu is truncated mod p^r in the Newton basis
+    beta_{1+m} = sum_j C(m,j) p^j delta_j, the delta_j p-integral by the
+    generalized Kummer congruences, and delta_j = Delta^j beta_1 / p^j is
+    substituted back.
     """
     den = n * factorial(r - (r - 1) % 2)  # n (nu+1)! for the largest nu
-    form: dict[tuple[str, int], list[int]] = {}
+    form: dict[tuple[int, int], list[int]] = {}
     for nu in range(0, r, 2):
-        family = f"bar{nu or ''}"
         unit = den // (n * factorial(nu + 1))
         coeffs = []  # den C(n,i) (-1)^(n-i) C(i(p-1), nu+1) p^nu / n, i = 1..n
         for i in range(1, n + 1):
@@ -73,7 +73,7 @@ def _q_form(n: int, r: int) -> Tier:
             # delta_j's coefficient is p^j sum_m C(m, j) c_{1+m}; keep it below p^r
             kept = [sum(comb(m, j) * c[k] for m, c in enumerate(coeffs)) for k in range(r - j)]
             for d in range(j + 1):
-                acc = form.setdefault((family, d + 1), [0] * r)
+                acc = form.setdefault((nu, d + 1), [0] * r)
                 for k, a in enumerate(kept):
                     acc[k] += comb(j, d) * (-1) ** (j - d) * a
     return den, form
@@ -94,7 +94,7 @@ Q_TIER_PMIN = {
     (4, 4): 7,
 }
 
-# The truncation leaves the bar2 values with d >= r - 1, which a bundle
+# The truncation leaves the values (2, d) with d >= r - 1, which a bundle
 # does not hold, with all-zero coefficients: they are dropped.
 Q_TIERS = {
     key: (den, {k: coeffs for k, coeffs in form.items() if any(coeffs)})
@@ -111,7 +111,7 @@ def _log_form(r: int) -> Tier:
     """L = sum_{k<=r} (-1)^(k-1) p * (p^(k-1) Q_p(k)/k) mod p^(r+1), the sum
     of the Q tiers, as a Tier."""
     den = lcm(*(Q_TIERS[k, r][0] for k in range(1, r + 1)))
-    total: dict[tuple[str, int], list[int]] = {}
+    total: dict[tuple[int, int], list[int]] = {}
     for k in range(1, r + 1):
         kden, form = Q_TIERS[k, r]
         for key, coeffs in form.items():
@@ -128,21 +128,19 @@ _LOG_TIERS = {r: _log_form(r) for r in WQ_TIER_PMIN}
 def evaluate_terms(
     tier: Tier,
     p: int,
-    bnd: DividedBernoulliBundle,
+    bnd: Bundle,
     prec: int,
 ) -> TrackedResidue:
     """A tier at p as a tracked residue, truncated to prec: the sum of each
     bundle value times its coefficient at p over den. A coefficient is an
-    int where den divides it, so that evaluating it builds no Fraction."""
+    int where den divides it, so that evaluating it builds no Fraction. A
+    key the bundle lacks is a ValueError."""
     den, form = tier
     acc = None
-    for (family, d), coeffs in form.items():
-        if family == "bar":
-            value = bnd.bar(d)
-        elif family == "bar2":
-            value = bnd.bar2(d)
-        else:
-            raise ValueError(f"a bundle has no family {family!r}")
+    for key, coeffs in form.items():
+        value = bnd.get(key)
+        if value is None:
+            raise ValueError(f"the bundle has no value (nu, d) = {key}")
         c = 0
         for a in reversed(coeffs):
             c = c * p + a
@@ -155,7 +153,7 @@ def evaluate_terms(
     return acc.truncate(prec)
 
 
-def wilson_via_bernoulli(p: int, r: int, bnd: DividedBernoulliBundle) -> TrackedResidue:
+def wilson_via_bernoulli(p: int, r: int, bnd: Bundle) -> TrackedResidue:
     """Wilson quotient mod p^r from divided Bernoulli values; must equal
     wilson_quotient(p, r) for p at or above the tier bound. The Q_p(k)
     tiers give the logarithm L of ((p-1)!)^(p-1) mod p^(r+1) (_LOG_TIERS),
@@ -167,7 +165,7 @@ def wilson_via_bernoulli(p: int, r: int, bnd: DividedBernoulliBundle) -> Tracked
     return wilson_series(evaluate_terms(_LOG_TIERS[r], p, bnd, r + 1), r)
 
 
-def q_tier_rhs(p: int, n: int, r: int, bnd: DividedBernoulliBundle) -> TrackedResidue:
+def q_tier_rhs(p: int, n: int, r: int, bnd: Bundle) -> TrackedResidue:
     if (n, r) not in Q_TIERS:
         raise HypothesisViolated(f"no tier (n, r) = ({n}, {r})")
     if p < Q_TIER_PMIN[(n, r)]:
@@ -184,7 +182,7 @@ def q_tier_lhs(p: int, n: int, r: int) -> TrackedResidue:
 
 
 def q_sum_via_bernoulli(
-    p: int, n: int, r: int, bnd: DividedBernoulliBundle
+    p: int, n: int, r: int, bnd: Bundle
 ) -> TrackedResidue:
     """Q_p(n) recovered from the tier-r congruence, at precision r - n + 1.
 
@@ -269,7 +267,7 @@ def irregular_primes(primes: list[int], table: BernoulliTable) -> list[int]:
 
 
 def reduction_chain_check(
-    p: int, bundles: list[DividedBernoulliBundle]
+    p: int, bundles: list[Bundle]
 ) -> CongruenceCheckResult:
     """The tier values form a chain: the top-tier value truncates to the
     mod p^t value of every lower tier t. bundles[t-1] is the tier-t bundle,
@@ -292,11 +290,11 @@ def reduction_chain_check(
 # -- difference-form power sum congruences ---------------------------------
 
 def qsum_beta_identity_check(
-    p: int, n: int, depth: int, bnd: DividedBernoulliBundle
+    p: int, n: int, depth: int, bnd: Bundle
 ) -> CongruenceCheckResult:
     """Forward-difference form of the power-sum congruences, mod p^depth:
-    p^(n-1) Q_p(n)/n = (p-1) * diff^(n-1) of the bars + the bar2 terms of
-    Q_TIERS[(n, depth)]. The bars' terms of the tier are that difference
+    p^(n-1) Q_p(n)/n = (p-1) * diff^(n-1) of the values (0, d) + the nu = 2
+    terms of Q_TIERS[(n, depth)]. The tier's nu = 0 terms are that difference
     truncated, since i C(n,i) = n C(n-1,i-1) in Faulhaber's nu = 0 term.
     depth 3 (prop36): n in 1..3 and p >= 5; depth 4 (prop37): n in 1..4
     and p >= 7.
@@ -307,10 +305,10 @@ def qsum_beta_identity_check(
         raise HypothesisViolated(f"depth {depth} covers n in 1..{depth}")
     if p < 2 * depth - 1:
         raise HypothesisViolated(f"need p >= {2 * depth - 1}")
-    diff = forward_difference([bnd.bar(d) for d in range(1, n + 1)])
+    diff = forward_difference([bnd[0, d] for d in range(1, n + 1)])
     den, form = Q_TIERS[n, depth]
-    bar2 = den, {key: coeffs for key, coeffs in form.items() if key[0] == "bar2"}
-    rhs = diff.scale(p - 1) + evaluate_terms(bar2, p, bnd, depth)
+    nu2 = den, {key: coeffs for key, coeffs in form.items() if key[0] == 2}
+    rhs = diff.scale(p - 1) + evaluate_terms(nu2, p, bnd, depth)
     lhs = q_tier_lhs(p, n, depth)
     check_id = "prop36" if depth == 3 else "prop37"
     return result.from_residues(check_id, p, depth, lhs, rhs, f"n={n}")

@@ -8,7 +8,6 @@ a large Bernoulli number is ever needed, which is what makes p ~ 10^4 cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Callable
 
@@ -316,37 +315,8 @@ def beta_route(
     return exact
 
 
-@dataclass(frozen=True)
-class DividedBernoulliBundle:
-    """Divided Bernoulli residues feeding the quotient congruences.
-
-    ``bars[d-1]`` holds the divided adjusted value at index d(p-1), mod p^r;
-    ``bars2[d-1]`` the divided value at index d(p-1)-2, mod p^(r-2), on
-    both engines and at every prime (every consumer multiplies bars2 by p^2
-    or more, so nothing is lost). Both come from beta_route. The Kummer
-    chains (all bars pairwise congruent mod p, likewise bars2) are asserted
-    at construction.
-    """
-
-    p: int
-    r: int
-    bars: tuple[TrackedResidue, ...]
-    bars2: tuple[TrackedResidue, ...]
-
-    def __post_init__(self):
-        for family in (self.bars, self.bars2):
-            for v in family[1:]:
-                if not family[0].agrees_with(v, 1):
-                    raise AssertionError(
-                        f"Kummer chain violated at p={self.p}: "
-                        f"{family[0]} vs {v}"
-                    )
-
-    def bar(self, d: int) -> TrackedResidue:
-        return self.bars[d - 1]
-
-    def bar2(self, d: int) -> TrackedResidue:
-        return self.bars2[d - 1]
+# A bundle: (nu, d) -> the divided value at index d(p-1) - nu.
+Bundle = dict[tuple[int, int], TrackedResidue]
 
 
 def bundle(
@@ -354,14 +324,18 @@ def bundle(
     r: int = 4,
     engine: str = "modular",
     table: BernoulliTable | None = None,
-) -> DividedBernoulliBundle:
-    """Assemble the divided Bernoulli residues needed by a tier-r congruence.
+) -> Bundle:
+    """The divided Bernoulli residues a tier-r congruence reads, keyed by
+    (nu, d): the value at index d(p-1) - nu, mod p^(r-nu), for nu in (0, 2)
+    and 1 <= d <= r - nu (every consumer multiplies a nu = 2 value by p^2
+    or more, so nothing is lost). A fresh dict per call.
 
     Every value comes from beta_route(engine, p, table): engine 'modular'
     costs O(p); engine 'exact' reduces oracle rationals and is the
     cross-check path. p in {2, 3} is exact-only, p = 2 limited to r = 1 and
-    p = 3 to r = 2. The gates are per engine; the precisions, r for the
-    bars and r - 2 for the bars2, are the same on both.
+    p = 3 to r = 2. The gates are per engine; the precisions are the same
+    on both. The Kummer chain of each nu (its values pairwise congruent
+    mod p) is asserted.
     """
     if r < 1 or r > 4:
         raise InadmissibleCase("bundle supports 1 <= r <= 4")
@@ -375,9 +349,14 @@ def bundle(
         if (p == 2 and r > 1) or (p == 3 and r > 2):
             raise InadmissibleCase(f"r = {r} not defined at p = {p}")
     value = beta_route(engine, p, table)
-    bars = tuple(value(d * (p - 1), r) for d in range(1, r + 1))
-    bars2 = tuple(value(d * (p - 1) - 2, r - 2) for d in range(1, r - 1))
-    return DividedBernoulliBundle(p, r, bars, bars2)
+    bnd: Bundle = {}
+    for nu in (0, 2):
+        chain = [value(d * (p - 1) - nu, r - nu) for d in range(1, r - nu + 1)]
+        for v in chain[1:]:
+            if not chain[0].agrees_with(v, 1):
+                raise AssertionError(f"Kummer chain violated at p={p}: {chain[0]} vs {v}")
+        bnd.update(((nu, d), v) for d, v in enumerate(chain, 1))
+    return bnd
 
 
 # -- Kummer congruence checks --------------------------------------------

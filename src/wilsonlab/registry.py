@@ -327,12 +327,12 @@ def _gen_kummer(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckRe
 
 
 def run_bundle_kummer_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
-    """bars[0] mod p by each engine. Building a bundle already asserts its
-    Kummer chains (every bar congruent mod p, likewise every bar2)."""
+    """The bundle's value (0, 1) mod p by each engine. Building a bundle
+    already asserts its Kummer chains (the values of each nu congruent mod p)."""
     r = 4 if p >= 7 else 3
     return _dual_path(
         "bundle_kummer_chain", p, 1, env,
-        lambda eng: _bundle(p, r, eng, env).bars[0].truncate(1),
+        lambda eng: _bundle(p, r, eng, env)[0, 1].truncate(1),
     )
 
 

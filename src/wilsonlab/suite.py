@@ -304,9 +304,10 @@ _json_str = json.encoder.encode_basestring_ascii
 def _json(value, depth: int) -> str:
     """json.dumps(value, indent=1) for a value nested depth levels deep, for
     the dicts, lists and scalars of a report. Each string goes through the
-    C encoder and each container is joined once; the pure-Python encoder
-    that an indent selects holds every chunk of the document until its one
-    join, tens of thousands for a suite report."""
+    C encoder and each container is joined once and copied once into its
+    brackets; the pure-Python encoder that an indent selects holds every
+    chunk of the document until its one join, tens of thousands for a suite
+    report."""
     if isinstance(value, str):
         return _json_str(value)
     if type(value) is int:  # not bool, which json writes as true/false
@@ -322,7 +323,8 @@ def _json(value, depth: int) -> str:
     if not items:
         return brackets
     pad = "\n" + " " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
+    joined = ("," + pad).join(items)
+    return f"{brackets[0]}{pad}{joined}{pad[:-1]}{brackets[1]}"
 
 
 def report_to_json(report: SuiteReport) -> str:

@@ -175,8 +175,8 @@ def test_criterion_08_worked_fixed_points(table):
 
     if bar_value(1, 2, table) != Fraction(-1) or bar_value(1, 3, table) != Fraction(-1, 4):
         ok, _ = False, notes.append("small-prime divided values")
-    via_mod = bundle(7, 4, "modular").bar2(1).truncate(2).residue
-    via_exact = bundle(7, 4, "exact", table).bar2(1).truncate(2).residue
+    via_mod = bundle(7, 4, "modular")[2, 1].truncate(2).residue
+    via_exact = bundle(7, 4, "exact", table)[2, 1].truncate(2).residue
     if not (via_mod == via_exact == 20):
         ok, _ = False, notes.append("second divided value at 7")
     _verdict(8, "worked fixed points", ok, "; ".join(notes))

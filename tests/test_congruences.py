@@ -1,3 +1,4 @@
+import re
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
@@ -25,14 +26,20 @@ from wilsonlab.congruences import (
     remainder_term_check,
     wilson_via_bernoulli,
 )
-from wilsonlab.modular import DividedBernoulliBundle, HypothesisViolated, bundle
+from wilsonlab.modular import HypothesisViolated, bundle
 from wilsonlab.padic import PrimePowerContext, ord_p, primes_up_to, reduce_rational
 from wilsonlab.quotients import q_sum, wilson_quotient
 
 
 # One hand-typed term: (const + p_lin * p) * p^p_exp * monomial, the
-# monomial a product of divided Bernoulli values (family, d, power).
+# monomial a product of divided Bernoulli values (family, d, power). The
+# family 'bar<nu>' ('bar' for nu = 0) is the bundle's and the generated
+# forms' (nu, d).
 TierTerm = namedtuple("TierTerm", "label p_exp const p_lin monomial")
+
+
+def nu_of(family):
+    return int(family[3:] or 0)  # 'bar', 'bar2', 'bar4'
 
 
 def _t(label, p_exp, const, monomial, p_lin=0):
@@ -44,8 +51,8 @@ def as_terms(tier):
     coefficient of each power of p."""
     den, form = tier
     return tuple(
-        _t("", k, Fraction(a, den), ((family, d, 1),))
-        for (family, d), coeffs in form.items()
+        _t("", k, Fraction(a, den), ((f"bar{nu or ''}", d, 1),))
+        for (nu, d), coeffs in form.items()
         for k, a in enumerate(coeffs)
         if a
     )
@@ -170,7 +177,7 @@ def hand_value(terms, p, bnd, prec):
     for t in terms:
         val = None
         for family, d, power in t.monomial:
-            f = getattr(bnd, family)(d) ** power
+            f = bnd[nu_of(family), d] ** power
             val = f if val is None else val * f
         val = val.scale_fraction(t.const + t.p_lin * p).scale(p ** t.p_exp)
         acc = val if acc is None else acc + val
@@ -184,7 +191,7 @@ def rational_tier_value(terms, p, table):
     for term in terms:
         mono = Fraction(1)
         for family, d, power in term.monomial:
-            nu = int(family[3:] or 0)  # 'bar', 'bar2', 'bar4'
+            nu = nu_of(family)
             if nu == 0:
                 base = bar_value(d, p, table)
             else:
@@ -230,17 +237,17 @@ def test_generated_q_tiers_equal_the_hand_table():
 
 def test_tiers_are_the_generated_forms_less_their_zero_keys():
     """A Q tier is _q_form's (den, form) with the all-zero keys dropped: the
-    bar2 values with d >= r - 1, which a bundle does not hold. Only the
-    families 'bar' and 'bar2' remain, and the Wilson forms sum them."""
+    values (2, d) with d >= r - 1, which a bundle does not hold. Only the
+    keys (0, d) and (2, d) remain, and the Wilson forms sum them."""
     dropped = set()
     for (n, r), tier in Q_TIERS.items():
         den, form = _q_form(n, r)
         assert tier == (den, {k: c for k, c in form.items() if any(c)})
         if len(tier[1]) < len(form):
             dropped.add((n, r))
-        for family, d in tier[1]:
-            assert family in ("bar", "bar2"), (n, r)
-            assert family == "bar" or d <= r - 2, (n, r, d)
+        for nu, d in tier[1]:
+            assert nu in (0, 2), (n, r)
+            assert nu == 0 or d <= r - 2, (n, r, d)
     assert dropped == {(2, 3), (3, 3), (3, 4), (4, 4)}
     assert [len(_LOG_TIERS[r][1]) for r in (1, 2, 3, 4)] == [1, 2, 4, 6]
 
@@ -262,7 +269,7 @@ def test_prop_forms_equal_the_hand_constants():
 
 
 # The generated tiers r = 5 and 6, past the hand table (r = 5 brings in the
-# family 'bar4', U_d = B_{d(p-1)-4}/(d(p-1)-4)), with the least prime from
+# values (4, d), U_d = B_{d(p-1)-4}/(d(p-1)-4)), with the least prime from
 # which each holds; no check reads them.
 HIGH_TIERS = {
     (n, r): (_q_form(n, r), 7 if r == 5 else 11)
@@ -384,9 +391,11 @@ def test_wilson_tiers_equal_the_hand_table_on_kummer_bundles(p, tier, digits):
             for d in range(count)
         )
 
-    bnd = DividedBernoulliBundle(
-        p, r, newton(digits[:4], r, r), newton(digits[4:], max(0, r - 2), r - 2)
-    )
+    bnd = {
+        (nu, d): v
+        for nu, deltas in ((0, digits[:4]), (2, digits[4:]))
+        for d, v in enumerate(newton(deltas, max(0, r - nu), r - nu), 1)
+    }
     if isinstance(tier, int):
         got, hand = wilson_via_bernoulli(p, r, bnd), WQ_TIERS[r]
     else:
@@ -395,14 +404,15 @@ def test_wilson_tiers_equal_the_hand_table_on_kummer_bundles(p, tier, digits):
 
 
 def test_evaluate_terms_refuses_an_unknown_family(table):
-    """A bundle holds the families 'bar' and 'bar2' only: a divided value
-    of another family (the generated r >= 5 tiers bring in 'bar4') is an
-    error, not a silent read of the bars2."""
+    """A tier-4 bundle holds (0, d) for 1 <= d <= 4 and (2, d) for d <= 2
+    only: any other key, d = 0, d past the bundle's reach or a nu it does
+    not hold (the generated r >= 5 tiers bring in (4, d)), is a ValueError
+    naming it, not a silent read of another value."""
     bnd = bundle(7, 4, "exact", table)
-    u1 = (1, {("bar4", 1): [0, 0, 0, 0, 1]})  # p^4 U1
-    with pytest.raises(ValueError, match="bar4"):
-        evaluate_terms(u1, 7, bnd, 4)
-    with pytest.raises(ValueError, match="bar4"):
+    for key in ((0, 0), (2, 3), (0, 5), (4, 1)):
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            evaluate_terms((1, {key: [0, 0, 0, 0, 1]}), 7, bnd, 4)  # p^4 value
+    with pytest.raises(ValueError, match=re.escape("(4, 1)")):
         evaluate_terms(HIGH_TIERS[1, 5][0], 7, bnd, 4)
 
 

@@ -28,6 +28,7 @@ from wilsonlab.modular import (
     sh_value,
 )
 from wilsonlab.padic import NotDivisible, PrimePowerContext, primes_up_to, reduce_rational
+from wilsonlab.registry import RunEnv, execute_check
 
 
 def test_power_sum_examples():
@@ -429,22 +430,23 @@ def test_only_the_exact_route_reduces_an_oracle_rational():
 
 def test_bundle_fixed_points(table):
     b7 = bundle(7, 4, "modular")
-    assert b7.bar2(1).residue % 49 == 20
+    assert b7[2, 1].residue % 49 == 20
     b7e = bundle(7, 4, "exact", table)
     for d in (1, 2, 3, 4):
-        assert b7.bar(d).residue == b7e.bar(d).residue
+        assert b7[0, d].residue == b7e[0, d].residue
     for d in (1, 2):
-        assert b7.bar2(d).truncate(2).residue == b7e.bar2(d).truncate(2).residue
+        assert b7[2, d].truncate(2).residue == b7e[2, d].truncate(2).residue
     b5 = bundle(5, 3, "exact", table)
-    assert b5.bar(1).residue == reduce_rational(
+    assert b5[0, 1].residue == reduce_rational(
         Fraction(-5, 24), PrimePowerContext(5), 3
     ).residue
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13, 1009))
 def test_bundle_precisions_are_the_same_on_both_engines(small_table, p):
-    """Wherever bundle admits (p, r): every bar mod p^r and every bar2 mod
-    p^(r-2), on each engine, and the engines' residues agree."""
+    """Wherever bundle admits (p, r): the keys (0, d), d <= r, mod p^r and
+    then (2, d), d <= r - 2, mod p^(r-2), on each engine, and the engines'
+    residues agree."""
     engines = ("modular",) if p == 1009 else ("exact", "modular")
     built = 0
     for r in (1, 2, 3, 4):
@@ -454,10 +456,10 @@ def test_bundle_precisions_are_the_same_on_both_engines(small_table, p):
                 bundles.append(bundle(p, r, eng, small_table))
             except InadmissibleCase:
                 continue
+        want = [((nu, d), r - nu) for nu in (0, 2) for d in range(1, r - nu + 1)]
         for b in bundles:
-            assert [v.prec for v in b.bars] == [r] * r
-            assert [v.prec for v in b.bars2] == [r - 2] * max(r - 2, 0)
-        residues = {tuple(v.residue for v in b.bars + b.bars2) for b in bundles}
+            assert [(key, v.prec) for key, v in b.items()] == want
+        residues = {tuple(v.residue for v in b.values()) for b in bundles}
         assert len(residues) <= 1, (p, r)
         built += len(bundles)
     assert built == {5: 7, 1009: 4}.get(p, 8)
@@ -475,10 +477,26 @@ def test_bundle_gates():
 @pytest.mark.parametrize("p", (7, 11, 13, 23))
 def test_bundle_kummer_chain(p):
     b = bundle(p, 4, "modular")
-    first = b.bars[0].truncate(1).residue
-    assert all(v.truncate(1).residue == first for v in b.bars)
-    f2 = b.bars2[0].truncate(1).residue
-    assert all(v.truncate(1).residue == f2 for v in b.bars2)
+    for nu in (0, 2):
+        first = b[nu, 1].truncate(1).residue
+        assert all(v.truncate(1).residue == first for (m, _), v in b.items() if m == nu)
+
+
+def test_bundle_asserts_its_kummer_chains(monkeypatch):
+    """A value off its Kummer chain, the value (0, 2) shifted by 1 mod p,
+    makes bundle raise, and the bundle_kummer_chain row a fail carrying it."""
+    real = modular.beta_mod
+
+    def skewed(m, p, K):
+        v = real(m, p, K)
+        return v.ctx.from_int(v.residue + 1, v.prec) if m == 2 * (p - 1) else v
+
+    monkeypatch.setattr(modular, "beta_mod", skewed)
+    with pytest.raises(AssertionError, match="Kummer chain violated at p=11"):
+        bundle(11, 4, "modular")
+    row = execute_check("bundle_kummer_chain", 11, RunEnv(engine="modular"))
+    assert row.status == "fail"
+    assert row.reason.startswith("AssertionError: Kummer chain violated at p=11: ")
 
 
 def test_kummer_examples(table):
