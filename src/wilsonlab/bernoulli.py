@@ -16,13 +16,12 @@ B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat, starmap
 from math import comb, gcd, lcm
 from operator import mul
 
-from .padic import TrackedResidue, is_prime, primes_up_to
+from .padic import Frozen, TrackedResidue, is_prime, primes_up_to
 
 # Exact values above this index are refused rather than silently thrashing:
 # numerators grow like n log n digits and the modular engine owns that range.
@@ -89,11 +88,13 @@ class BernoulliTable:
         return self._values[n]
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(Frozen):
     """Polynomial with Fraction coefficients, ascending degree, trimmed."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        self._init(coeffs)
 
     @classmethod
     def make(cls, coeffs) -> "RationalPolynomial":

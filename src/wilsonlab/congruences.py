@@ -23,7 +23,7 @@ companion for the second power sum does hold at p = 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
@@ -208,11 +208,7 @@ def carlitz_check(p: int, mult: int, k: int, table: BernoulliTable) -> Congruenc
     return result.from_residues("carlitz", p, 1, lhs, rhs, f"mult={mult}, k={k}")
 
 
-@dataclass(frozen=True)
-class PrimeClassification:
-    p: int
-    irregular: bool
-    irregular_indices: tuple[int, ...]
+PrimeClassification = namedtuple("PrimeClassification", "p irregular irregular_indices")
 
 
 def classify_prime(p: int, table: BernoulliTable | None = None) -> PrimeClassification:

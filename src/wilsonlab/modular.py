@@ -8,8 +8,8 @@ a large Bernoulli number is ever needed, which is what makes p ~ 10^4 cheap.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import comb, isqrt
-from typing import Callable
 
 from . import result
 from .bernoulli import BernoulliTable, bar_value, beta_value

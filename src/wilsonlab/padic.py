@@ -17,11 +17,10 @@ every operation returns a new residue.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence, Union
 
 
 class PadicError(Exception):
@@ -46,6 +45,53 @@ class PrecisionExhausted(PadicError):
 
 class MixedContext(PadicError):
     pass
+
+
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable values: what a frozen dataclass
+    gives, without the start-up cost of importing dataclasses. A subclass
+    names its fields in _fields and sets each once in __init__, by
+    object.__setattr__ or all at once by _init; equality, hashing, repr and
+    pickling go by those fields. Assigning or deleting an attribute raises
+    dataclasses.FrozenInstanceError, an AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({args})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # loaded on this error only
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # Deterministic Miller-Rabin witness set: the primes to 41 decide every
@@ -104,7 +150,7 @@ def primes_up_to(n: int) -> list[int]:
         raise ValueError(f"sieve limit {n} is too large") from exc
 
 
-def ord_p(x: Union[int, Fraction], p: int) -> Union[int, float]:
+def ord_p(x: int | Fraction, p: int) -> int | float:
     """p-adic valuation of a rational; +inf for 0."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -124,12 +170,17 @@ def ord_p(x: Union[int, Fraction], p: int) -> Union[int, float]:
     return o
 
 
-@dataclass(frozen=True)
-class PrimePowerContext:
+class PrimePowerContext(Frozen):
     """A validated prime p: the residues mod p^K, for every K, share it."""
 
-    p: int
+    __slots__ = _fields = ("p",)
 
+    def __init__(self, p: int):
+        _set(self, "p", p)
+        self.__post_init__()
+
+    # the check is a method of its own: perfbench/tracing.py counts the
+    # contexts made through it
     def __post_init__(self):
         if not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
@@ -141,7 +192,7 @@ class PrimePowerContext:
         return _reduced(self, prec, value % self.p ** prec)
 
 
-class TrackedResidue:
+class TrackedResidue(Frozen):
     """An integer known modulo p^prec. Immutable; all arithmetic is pure.
 
     Binary operations take the minimum of the operand precisions.
@@ -154,7 +205,7 @@ class TrackedResidue:
     which skips that check and so keeps a residue's creation cheap.
     """
 
-    __slots__ = ("ctx", "prec", "residue")
+    __slots__ = _fields = ("ctx", "prec", "residue")
 
     def __init__(self, ctx: PrimePowerContext, prec: int, residue: int):
         if prec < 0:
@@ -167,23 +218,6 @@ class TrackedResidue:
         _set_ctx(self, ctx)
         _set_prec(self, prec)
         _set_residue(self, residue)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ctx, self.prec, self.residue) == (other.ctx, other.prec, other.residue)
-
-    def __hash__(self):
-        return hash((self.ctx, self.prec, self.residue))
-
-    def __reduce__(self):
-        return TrackedResidue, (self.ctx, self.prec, self.residue)
 
     # -- helpers ------------------------------------------------------
 

@@ -14,8 +14,8 @@ methods agree.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd, prod
-from typing import Sequence
 
 from .modular import HypothesisViolated, power_sum_mod
 from .padic import (

@@ -24,9 +24,8 @@ which keeps one reduced residue per (p, m) in the table's memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, partial
-from typing import Callable, Optional
 
 from . import result
 from .bernoulli import (
@@ -58,7 +57,7 @@ from .modular import (
     generalized_kummer_check,
     kummer_check,
 )
-from .padic import NotDivisible, NotPIntegral, ord_p
+from .padic import Frozen, NotDivisible, NotPIntegral, ord_p
 from .quotients import q_sum, wilson_quotient, wilson_via_psi
 from .result import FAIL, CongruenceCheckResult
 
@@ -70,11 +69,17 @@ REMAINDER_P_CAP = 31
 AUTO_ORACLE_CAP = 450
 
 
-@dataclass(frozen=True)
-class RunEnv:
-    engine: str = "both"  # exact | modular | both
-    table: Optional[BernoulliTable] = None
-    mod_exp: Optional[int] = None
+class RunEnv(Frozen):
+    """What every check of a run shares: the engine selection (exact |
+    modular | both), the exact table if one was given, and the precision
+    the checks that read mod_exp use. Not slotted: oracle is cached in the
+    instance's __dict__."""
+
+    _fields = ("engine", "table", "mod_exp")
+
+    def __init__(self, engine: str = "both", table: BernoulliTable | None = None,
+                 mod_exp: int | None = None):
+        self._init(engine, table, mod_exp)
 
     @cached_property
     def oracle(self) -> BernoulliTable:
@@ -84,16 +89,16 @@ class RunEnv:
         return BernoulliTable.build(AUTO_ORACLE_CAP)
 
 
-@dataclass(frozen=True)
-class CheckDef:
-    check_id: str
-    domain: str  # "prime" | "index"
-    mod_exp: int
-    run: Callable[[int, RunEnv], CongruenceCheckResult]
-    index_step: int = 1  # for index-domain checks
-    index_min: int = 1
-    p_min: int = 0  # smaller primes are a "p >= p_min" skip row
-    reads_mod_exp: bool = False  # the run's mod_exp sets its precision
+# One registered check: its id, its domain ("prime" | "index"), the
+# exponent r of its modulus p^r, and run(value, env) -> its result row.
+# index_step and index_min pick an index-domain check's values; a prime
+# below p_min is a "p >= p_min" skip row; reads_mod_exp marks a check whose
+# precision the run's mod_exp sets.
+CheckDef = namedtuple(
+    "CheckDef",
+    "check_id domain mod_exp run index_step index_min p_min reads_mod_exp",
+    defaults=(1, 1, 0, False),
+)
 
 
 class _NoRoute(Exception):

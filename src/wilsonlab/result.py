@@ -2,21 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
-from .padic import TrackedResidue
+from .padic import Frozen, TrackedResidue
 
-Side = Union[int, Fraction, None]
+Side = int | Fraction | None
+
+_set = object.__setattr__
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class CongruenceCheckResult:
+class CongruenceCheckResult(Frozen):
     """Outcome of one congruence check at one prime (or one index).
 
     ``lhs``/``rhs`` are the two compared values reduced to the reported
@@ -25,13 +24,18 @@ class CongruenceCheckResult:
     sub-case of an aggregate check.
     """
 
-    check_id: str
-    p: int
-    mod_exp: int
-    lhs: Side
-    rhs: Side
-    status: str
-    reason: str = ""
+    __slots__ = _fields = ("check_id", "p", "mod_exp", "lhs", "rhs", "status", "reason")
+
+    def __init__(self, check_id: str, p: int, mod_exp: int, lhs: Side, rhs: Side,
+                 status: str, reason: str = ""):
+        # field by field, not through _init's loop: every row of a run is made here
+        _set(self, "check_id", check_id)
+        _set(self, "p", p)
+        _set(self, "mod_exp", mod_exp)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "status", status)
+        _set(self, "reason", reason)
 
     @property
     def passed(self) -> bool:

@@ -12,26 +12,26 @@ Processes share nothing: each builds its own exact table the first time
 one of its tasks needs it, and the report is sorted after collection so
 the output is byte-identical for any worker count (apart from the
 wall_time field).
+
+The modules a run uses load with the package; traceback, signal and csv,
+read only on an error path or for csv output, are imported where they are
+used.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
 import pickle
-import signal
 import sys
 import time
-import traceback
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .bernoulli import DESK_CAP, BernoulliTable, IndexOutOfTable
 from .congruences import irregular_primes
-from .padic import is_prime, primes_up_to
+from .padic import Frozen, is_prime, primes_up_to
 from .quotients import factorials_mod
 from .registry import ALL_CHECK_IDS, REGISTRY, RunEnv, execute_check
 from .result import FAIL, PASS, SKIPPED, CongruenceCheckResult
@@ -45,16 +45,12 @@ class UnknownRange(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    suite_id: str
-    check_ids: tuple[str, ...]
-    p_min: int
-    p_max: int
-    mod_exp: int | None = None
-    engine: str = "both"
+class SuiteSpec(Frozen):
+    __slots__ = _fields = ("suite_id", "check_ids", "p_min", "p_max", "mod_exp", "engine")
 
-    def __post_init__(self):
+    def __init__(self, suite_id: str, check_ids: tuple[str, ...], p_min: int,
+                 p_max: int, mod_exp: int | None = None, engine: str = "both"):
+        self._init(suite_id, check_ids, p_min, p_max, mod_exp, engine)
         if not self.check_ids:
             raise UnknownCheck(f"suite {self.suite_id!r} names no check")
         if self.p_min < 0:
@@ -101,20 +97,25 @@ def make_spec(
     return SuiteSpec(suite, ids, p_min, p_max, mod_exp, engine)
 
 
-@dataclass
 class SuiteReport:
-    spec: SuiteSpec
-    results: list[CongruenceCheckResult]
-    summary: dict[str, int] = field(default_factory=dict)
-    wall_time: float = 0.0
+    """A run's rows, its pass/fail/skipped counts (counted from the rows
+    unless given) and its wall time."""
 
-    def __post_init__(self):
-        if not self.summary:
-            self.summary = {
-                PASS: sum(r.status == PASS for r in self.results),
-                FAIL: sum(r.status == FAIL for r in self.results),
-                SKIPPED: sum(r.status == SKIPPED for r in self.results),
-            }
+    def __init__(self, spec: SuiteSpec, results: list[CongruenceCheckResult],
+                 summary: dict[str, int] | None = None, wall_time: float = 0.0):
+        self.spec = spec
+        self.results = results
+        self.summary = summary or {
+            PASS: sum(r.status == PASS for r in results),
+            FAIL: sum(r.status == FAIL for r in results),
+            SKIPPED: sum(r.status == SKIPPED for r in results),
+        }
+        self.wall_time = wall_time
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:
@@ -188,6 +189,8 @@ def _fork_worker(tasks, env: RunEnv) -> tuple[int, io.BufferedReader]:
             _child(tasks, env, send)
             code = 0
         except BaseException:
+            import traceback
+
             traceback.print_exc()
         finally:
             sys.stdout.flush()
@@ -241,8 +244,10 @@ def run_suite(
                 )
             results += pickle.loads(data)
     except BaseException:
+        from signal import SIGTERM
+
         for pid in workers:
-            os.kill(pid, signal.SIGTERM)
+            os.kill(pid, SIGTERM)
         raise
     finally:
         for pid, recv in workers.items():
@@ -345,6 +350,8 @@ def report_to_json(report: SuiteReport) -> str:
 
 
 def report_to_csv(report: SuiteReport) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf, fieldnames=["check", "p", "mod_exp", "lhs", "rhs", "status"]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -12,12 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wilsonlab.bernoulli import DESK_CAP, BernoulliTable, beta_value
+from wilsonlab.bernoulli import DESK_CAP, BernoulliTable, RationalPolynomial, beta_value
 from wilsonlab.cli import main
 from wilsonlab.congruences import classify_prime
 from wilsonlab.padic import PrimePowerContext, is_prime, primes_up_to, reduce_rational
 from wilsonlab.quotients import wilson_quotient
-from wilsonlab.registry import ALL_CHECK_IDS, AUTO_ORACLE_CAP, RunEnv, execute_check
+from wilsonlab.registry import (
+    ALL_CHECK_IDS, AUTO_ORACLE_CAP, REGISTRY, CheckDef, RunEnv, execute_check, run_lerch,
+)
 from wilsonlab.result import CongruenceCheckResult
 from wilsonlab.suite import (
     SuiteReport,
@@ -53,6 +56,65 @@ def test_spec_validation():
     with pytest.raises(UnknownRange):
         make_spec("lerch,thm_main_p2", 2, 11, mod_exp=99)
     assert make_spec("lerch,lemma26_qdiff", 2, 11, mod_exp=5).mod_exp == 5
+
+
+def test_records_compare_hash_pickle_and_stay_frozen_as_dataclasses_did():
+    """The package's records, plain classes in place of dataclasses: equal
+    and hashed by their fields, pickled whole (forked workers send every
+    row through pickle), and read-only where they were frozen."""
+    table = BernoulliTable.build(4)
+    row = CongruenceCheckResult("lerch", 7, 1, Fraction(5, 6), Fraction(5, 6), "pass")
+    spec = make_spec("lerch,kummer", 2, 30, engine="exact")
+    pairs = [
+        (row, CongruenceCheckResult("lerch", 7, 1, Fraction(5, 6), Fraction(5, 6), "pass", "")),
+        (PrimePowerContext(7), PrimePowerContext(7)),
+        (spec, SuiteSpec("lerch,kummer", ("lerch", "kummer"), 2, 30, None, "exact")),
+        (RationalPolynomial.make([1, 2, 0]), RationalPolynomial((Fraction(1), Fraction(2)))),
+        (RunEnv(table=table), RunEnv("both", table, None)),
+        (classify_prime(37, BernoulliTable.build(34)), classify_prime(37, BernoulliTable.build(34))),
+        (REGISTRY["lerch"], CheckDef("lerch", "prime", 1, run_lerch)),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and a is not b
+    assert row != CongruenceCheckResult("lerch", 7, 1, 5, 5, "pass")
+    assert PrimePowerContext(7) != PrimePowerContext(11)
+    assert spec != make_spec("lerch,kummer", 2, 31, engine="exact")
+    assert RunEnv(engine="modular") != RunEnv()
+    assert REGISTRY["carlitz"].p_min == 5 and REGISTRY["lerch"].reads_mod_exp is False
+    report = SuiteReport(spec, [row], wall_time=0.5)
+    assert report == SuiteReport(spec, [row], {"pass": 1, "fail": 0, "skipped": 0}, 0.5)
+    assert report != SuiteReport(spec, [row])
+
+    for value in (row, spec):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and type(back) is type(value)
+    assert pickle.loads(pickle.dumps(row)).lhs == Fraction(5, 6)
+
+    for value, field in ((row, "status"), (PrimePowerContext(7), "p"), (spec, "p_max"),
+                         (RationalPolynomial.make([1]), "coeffs"), (RunEnv(), "engine"),
+                         (classify_prime(3), "irregular"),
+                         (REGISTRY["lerch"], "mod_exp")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    # a cached oracle is not a field: the env keeps it, still read-only
+    env = RunEnv(table=table)
+    assert env.oracle is table and env.oracle is env.oracle
+
+    for args, kwargs, message in [
+        (("x", (), 2, 10), {}, "suite 'x' names no check"),
+        (("x", ("lerch",), -1, 10), {}, "p_min must be >= 0, got -1"),
+        (("x", ("lerch",), 11, 10), {}, "p_min 11 > p_max 10"),
+        (("x", ("lerch",), 2, 10), {"mod_exp": 0}, "mod_exp must be >= 1, got 0"),
+        (("x", ("lerch",), 2, 10), {"engine": "quantum"}, "unknown engine 'quantum'"),
+        (("x", ("nope",), 2, 10), {}, "unknown check id 'nope'"),
+        (("x", ("lerch", "lerch"), 2, 10), {}, "check id 'lerch' named twice"),
+        (("x", ("lerch",), 0, 1), {}, "no selected check has a value in [0, 1]"),
+        (("x", ("lerch",), 2, 10), {"mod_exp": 3},
+         "mod_exp 3 is read by none of the selected checks"),
+    ]:
+        with pytest.raises((UnknownCheck, UnknownRange)) as info:
+            SuiteSpec(*args, **kwargs)
+        assert str(info.value) == message
 
 
 def test_single_check_run():
@@ -191,6 +253,25 @@ def test_the_package_imports_only_the_standard_library(tmp_path):
     foreign = [name for name in added
                if name.partition(".")[0] not in sys.stdlib_module_names | {"wilsonlab"}]
     assert foreign == []
+
+    # Start-up, in an interpreter without site: the error-path and
+    # output-format modules (and dataclasses, typing) load on use only,
+    # while every module that a suite run or a benchmark pass uses loads
+    # with the CLI, so that no run pays its import inside its own time.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import wilsonlab.cli\n"
+        "wilsonlab.cli.build_parser()\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    added = set(subprocess.run([sys.executable, "-S", "-c", script], env=env, timeout=60,
+                               capture_output=True, text=True, check=True).stdout.split())
+    deferred = {"dataclasses", "inspect", "typing", "traceback", "csv", "signal"}
+    assert added & deferred == set()
+    package = Path(__file__).parents[1] / "src" / "wilsonlab"
+    eager = {f"wilsonlab.{f.stem}" for f in package.glob("*.py") if f.stem != "__init__"}
+    assert eager | {"json", "pickle", "fractions"} <= added
 
 
 
