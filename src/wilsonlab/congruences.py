@@ -27,7 +27,6 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
-from . import result
 from .bernoulli import (
     BernoulliTable,
     IndexOutOfTable,
@@ -38,7 +37,6 @@ from .bernoulli import (
 from .modular import Bundle, HypothesisViolated, beta_route
 from .padic import TrackedResidue, forward_difference, ord_p
 from .quotients import q_sum, wilson_quotient, wilson_series
-from .result import CongruenceCheckResult
 
 
 # A tier: (den, form), form mapping each divided value (nu, d), the bundle's
@@ -196,16 +194,16 @@ def q_sum_via_bernoulli(
 # -- classical single-prime congruences -----------------------------------
 
 
-def carlitz_check(p: int, mult: int, k: int, table: BernoulliTable) -> CongruenceCheckResult:
-    """mult * W_p = (B_{mult p^k (p-1)} + 1/p - 1) / p^k mod p, the right side
-    read as the exact route's divided value times mult*(p-1). At p = 2 the
-    route (modular.beta_route) knows index 1 only: mult = 1, k = 0."""
+def carlitz_pair(p: int, mult: int, k: int, table: BernoulliTable) -> tuple[TrackedResidue, ...]:
+    """The two sides of mult * W_p = (B_{mult p^k (p-1)} + 1/p - 1) / p^k
+    mod p, the right side read as the exact route's divided value times
+    mult*(p-1). At p = 2 the route (modular.beta_route) knows index 1 only:
+    mult = 1, k = 0."""
     if mult < 1 or k < 0:
         raise ValueError("need mult >= 1 and k >= 0")
     index = mult * p ** k * (p - 1)
     rhs = beta_route("exact", p, table)(index, 1).scale(mult * (p - 1))
-    lhs = wilson_quotient(p, 1).scale(mult)
-    return result.from_residues("carlitz", p, 1, lhs, rhs, f"mult={mult}, k={k}")
+    return wilson_quotient(p, 1).scale(mult), rhs
 
 
 PrimeClassification = namedtuple("PrimeClassification", "p irregular irregular_indices")
@@ -262,35 +260,22 @@ def irregular_primes(primes: list[int], table: BernoulliTable) -> list[int]:
     return [p for p in primes if p in irregular]
 
 
-def reduction_chain_check(
-    p: int, bundles: list[Bundle]
-) -> CongruenceCheckResult:
-    """The tier values form a chain: the top-tier value truncates to the
-    mod p^t value of every lower tier t. bundles[t-1] is the tier-t bundle,
-    t = 1..top, all from one engine (the suite's top tier is 4, or 3 at
-    p = 5)."""
-    check_id = "reduction_chain"
+def reduction_chain_values(p: int, bundles: list[Bundle]) -> list[TrackedResidue]:
+    """W_p mod p^t by each tier t = 1..top, from bundles[t-1], the tier-t
+    bundle; all from one engine (the suite's top tier is 4, or 3 at p = 5).
+    They form a chain: the top value truncates to every lower one."""
     if p < 5:
         raise HypothesisViolated("chain needs p >= 5")
-    top = len(bundles)
-    values = {t: wilson_via_bernoulli(p, t, b) for t, b in enumerate(bundles, 1)}
-    for t in range(1, top):
-        lhs, rhs = values[top].truncate(t), values[t]
-        if lhs.residue != rhs.residue:
-            return result.from_residues(
-                check_id, p, t, lhs, rhs, f"truncation to p^{t} broke"
-            )
-    return result.from_residues(check_id, p, top, values[top], values[top])
+    return [wilson_via_bernoulli(p, t, b) for t, b in enumerate(bundles, 1)]
 
 
 # -- difference-form power sum congruences ---------------------------------
 
-def qsum_beta_identity_check(
-    p: int, n: int, depth: int, bnd: Bundle
-) -> CongruenceCheckResult:
-    """Forward-difference form of the power-sum congruences, mod p^depth:
-    p^(n-1) Q_p(n)/n = (p-1) * diff^(n-1) of the values (0, d) + the nu = 2
-    terms of Q_TIERS[(n, depth)]. The tier's nu = 0 terms are that difference
+def qsum_beta_identity_rhs(p: int, n: int, depth: int, bnd: Bundle) -> TrackedResidue:
+    """The right side of the forward-difference form of the power-sum
+    congruences, mod p^depth: q_tier_lhs(p, n, depth) = p^(n-1) Q_p(n)/n
+    equals (p-1) * diff^(n-1) of the values (0, d) + the nu = 2 terms of
+    Q_TIERS[(n, depth)]. The tier's nu = 0 terms are that difference
     truncated, since i C(n,i) = n C(n-1,i-1) in Faulhaber's nu = 0 term.
     depth 3 (prop36): n in 1..3 and p >= 5; depth 4 (prop37): n in 1..4
     and p >= 7.
@@ -304,10 +289,7 @@ def qsum_beta_identity_check(
     diff = forward_difference([bnd[0, d] for d in range(1, n + 1)])
     den, form = Q_TIERS[n, depth]
     nu2 = den, {key: coeffs for key, coeffs in form.items() if key[0] == 2}
-    rhs = diff.scale(p - 1) + evaluate_terms(nu2, p, bnd, depth)
-    lhs = q_tier_lhs(p, n, depth)
-    check_id = "prop36" if depth == 3 else "prop37"
-    return result.from_residues(check_id, p, depth, lhs, rhs, f"n={n}")
+    return diff.scale(p - 1) + evaluate_terms(nu2, p, bnd, depth)
 
 
 # -- valuation facts --------------------------------------------------------
@@ -328,14 +310,15 @@ def central_binom_dichotomy(d: int, p: int) -> bool:
     return o >= 1
 
 
-def remainder_term_check(p: int, d: int, table: BernoulliTable) -> CongruenceCheckResult:
-    """Exact remainder of the truncated power-sum expansion at index d(p-1).
+def remainder_term_sides(p: int, d: int, table: BernoulliTable) -> tuple:
+    """Exact remainder of the truncated power-sum expansion at index d(p-1),
+    as (lhs, rhs, reason): equal sides hold the claim, reason says how
+    unequal ones break it.
 
     For d = 1 the remainder equals p^(p-2)/2 exactly; for d not congruent
     to 1 mod p its valuation is at least p-2, otherwise at least p-3.
     All arithmetic is exact rational.
     """
-    check_id = "prop34_remainder"
     if p < 5:
         raise HypothesisViolated("need p >= 5")
     n = d * (p - 1)
@@ -346,11 +329,7 @@ def remainder_term_check(p: int, d: int, table: BernoulliTable) -> CongruenceChe
     rem = sh - adjusted_bernoulli(n, p, table) - corr
     if d == 1:
         expected = Fraction(p ** (p - 2), 2)
-        return result.from_values(
-            check_id, p, 0, rem, expected, f"d=1 remainder {rem} != {expected}"
-        )
+        return rem, expected, f"d=1 remainder {rem} != {expected}"
     bound = p - 2 if d % p != 1 else p - 3
     o = ord_p(rem, p)
-    return result.from_values(
-        check_id, p, 0, min(o, bound), bound, f"d={d}: ord {o} < {bound}"
-    )
+    return min(o, bound), bound, f"d={d}: ord {o} < {bound}"

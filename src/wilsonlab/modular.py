@@ -11,10 +11,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from math import comb, isqrt
 
-from . import result
 from .bernoulli import BernoulliTable, bar_value, beta_value
 from .padic import PrimePowerContext, TrackedResidue, forward_difference, is_prime, reduce_rational
-from .result import CongruenceCheckResult
 
 
 class InadmissibleCase(Exception):
@@ -291,9 +289,9 @@ def beta_route(
     truncation; every route on the same table shares it. The modular route
     keeps nothing above power_sum_mod's memo.
 
-    bundle and generalized_kummer_check take every value from here, so
-    their two engines differ in this one place. The exact-only checks
-    (kummer_check, congruences.carlitz_check, the registry's cor35_tiers,
+    bundle and generalized_kummer_difference take every value from here,
+    so their two engines differ in this one place. The exact-only values
+    (kummer_pair, congruences.carlitz_pair, the registry's cor35_tiers,
     folklore and prop22) and the r >= 5 corrections of
     adjusted_bernoulli_mod read the exact route too.
     """
@@ -359,12 +357,12 @@ def bundle(
     return bnd
 
 
-# -- Kummer congruence checks --------------------------------------------
+# -- Kummer congruences ----------------------------------------------------
 
 
-def kummer_check(n: int, m: int, p: int, table: BernoulliTable) -> CongruenceCheckResult:
-    """B_n/n = B_m/m mod p for even n = m (mod p-1) not divisible by p-1,
-    both sides the exact route's divided values (beta_route)."""
+def kummer_pair(n: int, m: int, p: int, table: BernoulliTable) -> tuple[TrackedResidue, ...]:
+    """B_n/n and B_m/m mod p, equal for even n = m (mod p-1) not divisible
+    by p-1: the exact route's divided values (beta_route)."""
     if p < 5:
         raise HypothesisViolated("p must be >= 5")
     if n < 2 or m < 2 or n % 2 or m % 2:
@@ -374,22 +372,22 @@ def kummer_check(n: int, m: int, p: int, table: BernoulliTable) -> CongruenceChe
             f"need n = m (mod p-1) and (p-1) does not divide n; got n={n}, m={m}, p={p}"
         )
     value = beta_route("exact", p, table)
-    return result.from_residues("kummer", p, 1, value(n, 1), value(m, 1), f"indices {n}, {m}")
+    return value(n, 1), value(m, 1)
 
 
-def generalized_kummer_check(
+def generalized_kummer_difference(
     n: int,
     p: int,
     r: int,
     table: BernoulliTable | None = None,
     engine: str = "exact",
-) -> CongruenceCheckResult:
-    """r-th difference of the divided adjusted values vanishes mod p^r.
+) -> TrackedResidue:
+    """r-th difference (step p-1) of the divided adjusted values from index
+    n, mod p^r; it vanishes there.
 
     Hypotheses (one must hold): (1) (p-1) does not divide n and n > r;
     (2) (p-1) | n and p > r + n/(p-1).
     """
-    check_id = f"gen_kummer_r{r}"
     if r < 0:
         raise HypothesisViolated("r must be >= 0")
     if p < 5 or n < 2 or n % 2:
@@ -399,9 +397,6 @@ def generalized_kummer_check(
     if not (cond1 or cond2):
         raise HypothesisViolated(f"neither hypothesis holds for n={n}, p={p}, r={r}")
     if r == 0:
-        return result.from_values(check_id, p, 0, 0, 0)
+        return PrimePowerContext(p).from_int(0, 0)
     value = beta_route(engine, p, table)
-    lhs = forward_difference([value(n + k * (p - 1), r) for k in range(r + 1)])
-    return result.from_residues(
-        check_id, p, r, lhs.truncate(r), lhs.ctx.from_int(0, r), f"start index {n}"
-    )
+    return forward_difference([value(n + k * (p - 1), r) for k in range(r + 1)])

@@ -1,9 +1,11 @@
 """The suite registry: every named check, engine dispatch, and gating.
 
 A check runs at one prime (or one index, for the index-domain checks) and
-returns exactly one result row. Hypothesis gates produce skipped rows so
-reports show what was not claimed rather than silently omitting it; a plain
-"p >= N" gate is declared as the check's p_min and applied by execute_check.
+gives exactly one result row: a single-row check returns it, a multi-case
+check gives its sub-cases and execute_check makes the row (_verdict).
+Hypothesis gates produce skipped rows so reports show what was not claimed
+rather than silently omitting it; a plain "p >= N" gate is declared as the
+check's p_min and applied by execute_check.
 
 Engines are chosen in this module alone: _engines names the engines that
 run at p and _table the table each one reads, while every value comes from
@@ -39,13 +41,13 @@ from .bernoulli import (
 from .congruences import (
     Q_TIER_PMIN,
     WQ_TIER_PMIN,
-    carlitz_check,
+    carlitz_pair,
     central_binom_dichotomy,
     q_tier_lhs,
     q_tier_rhs,
-    qsum_beta_identity_check,
-    reduction_chain_check,
-    remainder_term_check,
+    qsum_beta_identity_rhs,
+    reduction_chain_values,
+    remainder_term_sides,
     wilson_via_bernoulli,
 )
 from .modular import (
@@ -54,12 +56,12 @@ from .modular import (
     beta_route,
     bundle,
     folklore_bernoulli_mod,
-    generalized_kummer_check,
-    kummer_check,
+    generalized_kummer_difference,
+    kummer_pair,
 )
-from .padic import Frozen, NotDivisible, NotPIntegral, ord_p
+from .padic import Frozen, NotDivisible, NotPIntegral, TrackedResidue, ord_p
 from .quotients import q_sum, wilson_quotient, wilson_via_psi
-from .result import FAIL, CongruenceCheckResult
+from .result import FAIL, SKIPPED, CongruenceCheckResult
 
 CARLITZ_INDEX_CAP = 1200
 CARLITZ_PAIRS = ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (1, 2))
@@ -90,7 +92,8 @@ class RunEnv(Frozen):
 
 
 # One registered check: its id, its domain ("prime" | "index"), the
-# exponent r of its modulus p^r, and run(value, env) -> its result row.
+# exponent r of its modulus p^r, and run(value, env) -> its result row or
+# its sub-cases (see _verdict).
 # index_step and index_min pick an index-domain check's values; a prime
 # below p_min is a "p >= p_min" skip row; reads_mod_exp marks a check whose
 # precision the run's mod_exp sets.
@@ -176,29 +179,45 @@ def cross_checked(label: str, p: int, r: int, tier: int, value) -> CongruenceChe
     built to tier*(p-1), the top index of the bundle, when that is at most
     AUTO_ORACLE_CAP; beyond it the run is modular only and builds no
     table. A tier that bundle refuses on every engine is a skip that builds
-    no table and names no engine, whichever engines would have run."""
+    no table and names no engine, whichever engines would have run. A
+    skip names the tier where it is not r."""
     if not 1 <= tier <= 4:
-        return result.skipped(label, p, r, "bundle supports 1 <= r <= 4")
-    top = tier * (p - 1)
-    if top <= AUTO_ORACLE_CAP:
-        env = RunEnv(table=BernoulliTable.build(max(top, 0)))
+        row = result.skipped(label, p, r, "bundle supports 1 <= r <= 4")
     else:
-        env = RunEnv(engine="modular")
-    try:
-        return _dual_path(label, p, r, env, lambda eng: value(_bundle(p, tier, eng, env)))
-    except NotDivisible as exc:
-        return result.error_fail(label, p, r, exc)
+        top = tier * (p - 1)
+        if top <= AUTO_ORACLE_CAP:
+            env = RunEnv(table=BernoulliTable.build(max(top, 0)))
+        else:
+            env = RunEnv(engine="modular")
+        try:
+            row = _dual_path(label, p, r, env, lambda eng: value(_bundle(p, tier, eng, env)))
+        except NotDivisible as exc:
+            return result.error_fail(label, p, r, exc)
+    if row.status == SKIPPED and tier != r:
+        why = f"{label} mod {p}^{r} needs tier r = {tier}; {row.reason}"
+        return result.skipped(label, p, r, why)
+    return row
 
 
-def _aggregate(check_id, p, mod_exp, rows) -> CongruenceCheckResult:
-    """Collapse sub-case results: first failure wins, else last row; an
-    empty list is a skip."""
+def _verdict(check_id, p, mod_exp, cases) -> CongruenceCheckResult:
+    """The row of a multi-case check: its first failing sub-case, else its
+    last passing one, else a "no admissible sub-case" skip at mod_exp. A
+    sub-case is a finished row (a skip is passed over) or (r, lhs, rhs,
+    sub): residues are compared mod p^r, other values for equality, and
+    sub is the reason of a failure. The sub-cases after a failure are
+    never made."""
     last = None
-    for row in rows:
-        if row.status == FAIL:
-            return row
-        if row.status == result.PASS:
-            last = row
+    for case in cases:
+        if not isinstance(case, CongruenceCheckResult):
+            r, lhs, rhs, sub = case
+            if isinstance(lhs, TrackedResidue):
+                case = result.from_residues(check_id, p, r, lhs, rhs, sub)
+            else:
+                case = result.from_values(check_id, p, r, lhs, rhs, sub)
+        if case.status == FAIL:
+            return case
+        if case.passed:
+            last = case
     if last is None:
         return result.skipped(check_id, p, mod_exp, "no admissible sub-case")
     return last
@@ -229,17 +248,14 @@ def run_glaisher_beeger(p: int, env: RunEnv) -> CongruenceCheckResult:
     )
 
 
-def run_lehmer(p: int, env: RunEnv) -> CongruenceCheckResult:
+def run_lehmer(p: int, env: RunEnv):
     w1 = wilson_quotient(p, 1)
-    rows = [
-        _dual_path(
+    for mult in (2, 3):
+        yield _dual_path(
             "lehmer", p, 1, env,
             lambda eng: _bhat(eng, mult, p, env), lambda: w1.scale(mult),
             f"mult={mult}",
         )
-        for mult in (2, 3)
-    ]
-    return _aggregate("lehmer", p, 1, rows)
 
 
 def run_lehmer_diff(p: int, env: RunEnv) -> CongruenceCheckResult:
@@ -250,16 +266,11 @@ def run_lehmer_diff(p: int, env: RunEnv) -> CongruenceCheckResult:
     )
 
 
-def run_carlitz(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "carlitz"
+def run_carlitz(p: int, env: RunEnv):
     table = env.oracle
-    rows = []
     for mult, k in CARLITZ_PAIRS:
-        index = mult * p ** k * (p - 1)
-        if index > min(table.max_index, CARLITZ_INDEX_CAP):
-            continue
-        rows.append(carlitz_check(p, mult, k, table))
-    return _aggregate(check_id, p, 1, rows)
+        if mult * p ** k * (p - 1) <= min(table.max_index, CARLITZ_INDEX_CAP):
+            yield 1, *carlitz_pair(p, mult, k, table), f"mult={mult}, k={k}"
 
 
 # -- Wilson quotient and power-sum tiers ------------------------------------
@@ -283,32 +294,33 @@ def _psi_tier(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResu
     )
 
 
-def run_reduction_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
-    """The tier chain on each engine's own bundles; a short exact table or
-    an inadmissible modular tier drops that engine."""
+def run_reduction_chain(p: int, env: RunEnv):
+    """The tier chain on each engine's own bundles: the top tier's value
+    truncates to each lower tier's. A short exact table or an inadmissible
+    modular tier drops that engine."""
     top = 4 if p >= 7 else 3
-    rows, _ = _per_engine(p, env, lambda eng: reduction_chain_check(
+    chains, _ = _per_engine(p, env, lambda eng: reduction_chain_values(
         p, [_bundle(p, t, eng, env) for t in range(1, top + 1)]
     ))
-    return _aggregate("reduction_chain", p, 4, rows)
+    for values in chains:
+        w = values[-1]
+        for t in range(1, top):
+            yield t, w.truncate(t), values[t - 1], f"truncation to p^{t} broke"
+        yield top, w, w, ""
 
 
 # -- Kummer families ---------------------------------------------------------
 
 
-def run_kummer(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "kummer"
+def run_kummer(p: int, env: RunEnv):
     table = env.oracle
-    rows = []
     for n in range(2, min(p - 3, 12) + 1, 2):
         m = n + (p - 1)
-        if n % (p - 1) == 0 or m > table.max_index:
-            continue
-        rows.append(kummer_check(n, m, p, table))
-    return _aggregate(check_id, p, 1, rows)
+        if n % (p - 1) and m <= table.max_index:
+            yield 1, *kummer_pair(n, m, p, table), f"indices {n}, {m}"
 
 
-def _gen_kummer(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResult:
+def _gen_kummer(r: int, p: int, env: RunEnv):
     instances = []
     n = r + 1 + ((r + 1) % 2)  # smallest even n > r
     while len(instances) < 3:
@@ -318,17 +330,16 @@ def _gen_kummer(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckRe
     for d in (1, 2):
         if p > r + d:
             instances.append(d * (p - 1))
-    rows = []
     for n in instances:
         # exact when the table reaches the top index, else modular
         for eng in _engines(p, env):
             try:
                 table = _table(eng, env, n + r * (p - 1))
-                rows.append(generalized_kummer_check(n, p, r, table, eng))
+                diff = generalized_kummer_difference(n, p, r, table, eng)
             except (_NoRoute, InadmissibleCase):
                 continue
+            yield r, diff, diff.ctx.from_int(0, r), f"start index {n}"
             break
-    return _aggregate(check_id, p, r, rows)
 
 
 def run_bundle_kummer_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
@@ -344,11 +355,9 @@ def run_bundle_kummer_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
 # -- oracle-agreement checks --------------------------------------------------
 
 
-def run_cor35_tiers(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "cor35_tiers"
+def run_cor35_tiers(p: int, env: RunEnv):
     table = env.oracle
     oracle = beta_route("exact", p, table)
-    rows = []
     for d in (1, 2, 3, 4):
         n = d * (p - 1)
         if n > table.max_index:
@@ -359,23 +368,18 @@ def run_cor35_tiers(p: int, env: RunEnv) -> CongruenceCheckResult:
                 got = adjusted_bernoulli_mod(d, p, r, table)
             except InadmissibleCase:
                 continue
-            rows.append(result.from_residues(
-                check_id, p, r, got, want, f"d={d}, r={r}"
-            ))
-    return _aggregate(check_id, p, 4, rows)
+            yield r, got, want, f"d={d}, r={r}"
 
 
 _FOLKLORE_SAMPLE_EXTRA = (118, 242, 398)
 
 
-def run_folklore(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "folklore"
+def run_folklore(p: int, env: RunEnv):
     table = env.oracle
     cap = min(table.max_index, 400)
     sample = [m for m in range(4, 41, 2) if m <= cap]
     sample += [m for m in _FOLKLORE_SAMPLE_EXTRA if m <= cap]
     oracle = beta_route("exact", p, table)
-    rows = []
     for m in sample:
         want = oracle(m, 2).scale(m)  # B_m, read at K <= 2
         for K in (1, 2):
@@ -383,40 +387,31 @@ def run_folklore(p: int, env: RunEnv) -> CongruenceCheckResult:
                 got = folklore_bernoulli_mod(m, p, K)
             except InadmissibleCase:
                 continue
-            rows.append(result.from_residues(check_id, p, K, got, want, f"m={m}, K={K}"))
-    return _aggregate(check_id, p, 2, rows)
+            yield K, got, want, f"m={m}, K={K}"
 
 
-def run_prop22(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "prop22"
+def run_prop22(p: int, env: RunEnv):
     table = env.oracle
     cap = min(3 * (p - 1), 240, table.max_index)
     value = beta_route("exact", p, table)
     wq = wilson_quotient(p, 1)
-    rows = []
     for n in range(2, cap + 1, 2):
         try:
             lhs = -value(n, 1)
         except NotPIntegral:
             # B_n adjusted has lower p-order than n
             o_b, o_n = ord_p(adjusted_bernoulli(n, p, table), p), ord_p(n, p)
-            rows.append(result.from_values(
-                check_id, p, 0, o_b, o_n, f"ord at n={n}: {o_b} < {o_n}"
-            ))
+            yield 0, o_b, o_n, f"ord at n={n}: {o_b} < {o_n}"
             continue
         np_ = n % (p - 1)
-        rhs = wq if np_ == 0 else -value(np_, 1)
-        rows.append(result.from_residues(check_id, p, 1, lhs, rhs, f"branch at n={n}"))
-    return _aggregate(check_id, p, 1, rows)
+        yield 1, lhs, wq if np_ == 0 else -value(np_, 1), f"branch at n={n}"
 
 
-def run_prop34_remainder(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "prop34_remainder"
+def run_prop34_remainder(p: int, env: RunEnv):
     if p > REMAINDER_P_CAP:
-        return result.skipped(check_id, p, 0, f"desk-scale gate p <= {REMAINDER_P_CAP}")
+        return result.skipped("prop34_remainder", p, 0, f"desk-scale gate p <= {REMAINDER_P_CAP}")
     table = _table("exact", env, 3 * (p - 1), "needs exact table to 3(p-1)")
-    rows = [remainder_term_check(p, d, table) for d in (1, 2, 3)]
-    return _aggregate(check_id, p, 0, rows)
+    return ((0, *remainder_term_sides(p, d, table)) for d in (1, 2, 3))
 
 
 def run_lemma33(p: int, env: RunEnv) -> CongruenceCheckResult:
@@ -427,48 +422,37 @@ def run_lemma33(p: int, env: RunEnv) -> CongruenceCheckResult:
     return result.from_values(check_id, p, 0, 0, 0)
 
 
-def _prop_identity(depth: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResult:
+def _prop_identity(depth: int, p: int, env: RunEnv):
     bundles, why = _per_engine(p, env, lambda eng: _bundle(p, depth, eng, env))
     if not bundles:
-        return result.skipped(check_id, p, depth, why)
-    rows = [
-        qsum_beta_identity_check(p, n, depth, b)
-        for n in range(1, depth + 1)
-        for b in bundles
-    ]
-    return _aggregate(check_id, p, depth, rows)
+        raise _NoRoute(why)
+    for n in range(1, depth + 1):
+        for b in bundles:
+            rhs = qsum_beta_identity_rhs(p, n, depth, b)
+            yield depth, q_tier_lhs(p, n, depth), rhs, f"n={n}"
 
 
-def run_lemma26_qdiff(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "lemma26_qdiff"
+def run_lemma26_qdiff(p: int, env: RunEnv):
     if p == 2:
-        return result.skipped(check_id, p, 0, "odd primes only")
+        return result.skipped("lemma26_qdiff", p, 0, "odd primes only")
     r = 4 if env.mod_exp is None else env.mod_exp
-    rows = []
     # n = 4 first: its power sums are asked at the highest precision, r + 4,
     # so the smaller n reduce them instead of computing them again
+    sides = {}
     for n in (4, 3, 2, 1):
-        direct = q_sum(p, n, r, "direct")
-        diff = q_sum(p, n, r, "difference")
-        rows.append(result.from_residues(check_id, p, r, direct, diff, f"n={n}"))
-    return _aggregate(check_id, p, r, rows[::-1])
+        sides[n] = q_sum(p, n, r, "direct"), q_sum(p, n, r, "difference")
+    return [(r, *sides[n], f"n={n}") for n in (1, 2, 3, 4)]
 
 
 # -- index-domain checks ------------------------------------------------------
 
 
-def run_denominators_dn(n: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "denominators_dn"
+def run_denominators_dn(n: int, env: RunEnv):
     shifted, power = polynomial_denominators(n, _table("exact", env, n + 1))
-    r1 = result.from_values(
-        check_id, n, 0, shifted, dn_product(n), f"denom at n={n}"
-    )
-    if not r1.passed:
-        return r1
-    return result.from_values(
-        check_id, n, 0, power, (n + 1) * dn_product(n + 1),
-        f"power-sum denom at n={n}",
-    )
+    return [
+        (0, shifted, dn_product(n), f"denom at n={n}"),
+        (0, power, (n + 1) * dn_product(n + 1), f"power-sum denom at n={n}"),
+    ]
 
 
 def run_vsc(n: int, env: RunEnv) -> CongruenceCheckResult:
@@ -499,12 +483,11 @@ _CHECKS = [
       for r in (1, 2, 3, 4)),
     CheckDef("reduction_chain", "prime", 4, run_reduction_chain, p_min=5),
     CheckDef("kummer", "prime", 1, run_kummer, p_min=5),
-    *(CheckDef(f"gen_kummer_r{r}", "prime", r, partial(_gen_kummer, r, f"gen_kummer_r{r}"),
-               p_min=5)
+    *(CheckDef(f"gen_kummer_r{r}", "prime", r, partial(_gen_kummer, r), p_min=5)
       for r in (1, 2, 3, 4)),
     CheckDef("cor35_tiers", "prime", 4, run_cor35_tiers, p_min=5),
-    CheckDef("prop36", "prime", 3, partial(_prop_identity, 3, "prop36"), p_min=5),
-    CheckDef("prop37", "prime", 4, partial(_prop_identity, 4, "prop37"), p_min=7),
+    CheckDef("prop36", "prime", 3, partial(_prop_identity, 3), p_min=5),
+    CheckDef("prop37", "prime", 4, partial(_prop_identity, 4), p_min=7),
     CheckDef("prop34_remainder", "prime", 0, run_prop34_remainder, p_min=5),
     CheckDef("lemma33_binom", "prime", 0, run_lemma33),
     CheckDef("prop22", "prime", 1, run_prop22, p_min=5),
@@ -523,13 +506,16 @@ ALL_CHECK_IDS = tuple(sorted(REGISTRY))
 def execute_check(check_id: str, value: int, env: RunEnv) -> CongruenceCheckResult:
     """Run one (check, prime-or-index) task. A prime below the check's
     p_min, an exact table too short for the check and an oracle-cap
-    overrun are skips; unexpected errors become fail rows carrying the
-    error."""
+    overrun are skips; unexpected errors, in a sub-case too, become fail
+    rows carrying the error."""
     defn = REGISTRY[check_id]
     if value < defn.p_min:
         return result.skipped(check_id, value, defn.mod_exp, f"p >= {defn.p_min}")
     try:
-        return defn.run(value, env)
+        row = defn.run(value, env)
+        if isinstance(row, CongruenceCheckResult):
+            return row
+        return _verdict(check_id, value, defn.mod_exp, row)
     except _NoRoute as exc:
         return result.skipped(check_id, value, defn.mod_exp, str(exc))
     except IndexOutOfTable as exc:

@@ -13,7 +13,7 @@ from wilsonlab.congruences import (
     WQ_TIER_PMIN,
     _LOG_TIERS,
     _q_form,
-    carlitz_check,
+    carlitz_pair,
     central_binom_dichotomy,
     classify_prime,
     evaluate_terms,
@@ -21,9 +21,9 @@ from wilsonlab.congruences import (
     q_sum_via_bernoulli,
     q_tier_lhs,
     q_tier_rhs,
-    qsum_beta_identity_check,
-    reduction_chain_check,
-    remainder_term_check,
+    qsum_beta_identity_rhs,
+    reduction_chain_values,
+    remainder_term_sides,
     wilson_via_bernoulli,
 )
 from wilsonlab.modular import HypothesisViolated, bundle
@@ -253,7 +253,7 @@ def test_tiers_are_the_generated_forms_less_their_zero_keys():
 
 
 def test_prop_forms_equal_the_hand_constants():
-    """qsum_beta_identity_check adds the bar2 terms of Q_TIERS[(n, depth)]
+    """qsum_beta_identity_rhs adds the bar2 terms of Q_TIERS[(n, depth)]
     to (p-1) diff^(n-1) of the bars: those terms are the hand-typed
     alpha/beta/gamma forms of Prop. 3.6 (depth 3) and Prop. 3.7 (depth 4)."""
     want = {(n, 3): {C1: {2: Fraction(-P36_ALPHA[n - 1], n)}} for n in (1, 2, 3)}
@@ -462,12 +462,17 @@ def test_q_sum_via_bernoulli_recovers_direct(table):
             assert got.residue == want.residue
 
 
+def _carlitz_holds(p, mult, k, table):
+    lhs, rhs = carlitz_pair(p, mult, k, table)
+    return lhs.prec == rhs.prec == 1 and lhs.residue == rhs.residue
+
+
 def test_carlitz_examples(table):
-    assert carlitz_check(5, 1, 1, table).passed
-    assert carlitz_check(5, 1, 0, table).passed  # Glaisher/Beeger form
-    assert carlitz_check(7, 2, 0, table).passed  # Lehmer multiplier form
+    assert _carlitz_holds(5, 1, 1, table)
+    assert _carlitz_holds(5, 1, 0, table)  # Glaisher/Beeger form
+    assert _carlitz_holds(7, 2, 0, table)  # Lehmer multiplier form
     with pytest.raises(IndexOutOfTable):
-        carlitz_check(97, 1, 2, table)
+        carlitz_pair(97, 1, 2, table)
 
 
 def test_carlitz_sweep(table):
@@ -475,7 +480,7 @@ def test_carlitz_sweep(table):
         for mult, k in ((1, 0), (2, 0), (3, 0), (1, 1), (2, 1)):
             if mult * p ** k * (p - 1) > table.max_index:
                 continue
-            assert carlitz_check(p, mult, k, table).passed, (p, mult, k)
+            assert _carlitz_holds(p, mult, k, table), (p, mult, k)
 
 
 def test_classify_prime(table):
@@ -534,21 +539,28 @@ def test_irregular_primes_sees_a_planted_factor():
 def test_reduction_chain(table):
     def chain(p, engine, table=None):
         top = 4 if p >= 7 else 3
-        return reduction_chain_check(
+        values = reduction_chain_values(
             p, [bundle(p, t, engine, table) for t in range(1, top + 1)]
         )
+        assert [w.prec for w in values] == list(range(1, top + 1))
+        return all(values[-1].agrees_with(w, w.prec) for w in values)
 
-    assert chain(7, "modular").passed
-    assert chain(11, "modular").passed
-    assert chain(5, "exact", table).passed
-    assert chain(5, "modular").passed
+    assert chain(7, "modular")
+    assert chain(11, "modular")
+    assert chain(5, "exact", table)
+    assert chain(5, "modular")
+
+
+def _identity_holds(p, n, depth, bnd):
+    rhs = qsum_beta_identity_rhs(p, n, depth, bnd)
+    return rhs.prec == depth and rhs.residue == q_tier_lhs(p, n, depth).residue
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_qsum_beta_identity_depth3(table, p):
     b = bundle(p, 3, "exact", table)
     for n in (1, 2, 3):
-        assert qsum_beta_identity_check(p, n, 3, b).passed, (p, n)
+        assert _identity_holds(p, n, 3, b), (p, n)
 
 
 @pytest.mark.parametrize("p", (7, 11, 13))
@@ -556,10 +568,10 @@ def test_qsum_beta_identity_depth4(table, p):
     bm = bundle(p, 4, "modular")
     be = bundle(p, 4, "exact", table)
     for n in (1, 2, 3, 4):
-        assert qsum_beta_identity_check(p, n, 4, bm).passed, (p, n)
-        assert qsum_beta_identity_check(p, n, 4, be).passed, (p, n)
+        assert _identity_holds(p, n, 4, bm), (p, n)
+        assert _identity_holds(p, n, 4, be), (p, n)
     with pytest.raises(HypothesisViolated):
-        qsum_beta_identity_check(5, 1, 4, bundle(5, 4, "exact", table))
+        qsum_beta_identity_rhs(5, 1, 4, bundle(5, 4, "exact", table))
 
 
 def test_central_binom_dichotomy_examples():
@@ -582,9 +594,9 @@ def test_central_binom_dichotomy_matches_exact_valuation():
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_remainder_exact_identity(table, p):
-    assert remainder_term_check(p, 1, table).passed
-    assert remainder_term_check(p, 2, table).passed
-    assert remainder_term_check(p, 3, table).passed
+    for d in (1, 2, 3):
+        lhs, rhs, reason = remainder_term_sides(p, d, table)
+        assert lhs == rhs, reason
 
 
 def test_prop22_branches(table):

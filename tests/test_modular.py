@@ -22,13 +22,13 @@ from wilsonlab.modular import (
     beta_route,
     bundle,
     folklore_bernoulli_mod,
-    generalized_kummer_check,
-    kummer_check,
+    generalized_kummer_difference,
+    kummer_pair,
     power_sum_mod,
     sh_value,
 )
 from wilsonlab.padic import NotDivisible, PrimePowerContext, primes_up_to, reduce_rational
-from wilsonlab.registry import RunEnv, execute_check
+from wilsonlab.registry import REGISTRY, RunEnv, execute_check
 
 
 def test_power_sum_examples():
@@ -428,6 +428,46 @@ def test_only_the_exact_route_reduces_an_oracle_rational():
     assert callers == {("modular", "beta_route")}
 
 
+def test_only_the_registry_makes_rows_and_names_checks():
+    """modular and congruences import nothing from result; only registry
+    builds a row (CongruenceCheckResult or one of result's builders), while
+    suite and cli read rows; and no check id is a string literal outside
+    registry."""
+    src = Path(modular.__file__).parent
+    builders = {
+        node.name for node in ast.parse((src / "result.py").read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert builders >= {"CongruenceCheckResult", "from_residues", "from_values",
+                        "skipped", "error_fail"}
+    imports_result, builds, names_checks = set(), set(), set()
+    for path in sorted(src.glob("*.py")):
+        if path.stem in ("registry", "result"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.module in ("result", "wilsonlab.result")
+                or any(a.name == "result" for a in node.names)
+            ):
+                imports_result.add(path.stem)
+            elif isinstance(node, ast.Import) and any(
+                a.name == "wilsonlab.result" for a in node.names
+            ):
+                imports_result.add(path.stem)
+            elif isinstance(node, ast.Call):
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id in builders) or (
+                    isinstance(f, ast.Attribute) and f.attr in builders
+                    and isinstance(f.value, ast.Name) and f.value.id == "result"
+                ):
+                    builds.add(path.stem)
+            elif isinstance(node, ast.Constant) and node.value in REGISTRY:
+                names_checks.add((path.stem, node.value))
+    assert not imports_result & {"modular", "congruences"}
+    assert builds == set()
+    assert names_checks == set()
+
+
 def test_bundle_fixed_points(table):
     b7 = bundle(7, 4, "modular")
     assert b7[2, 1].residue % 49 == 20
@@ -499,17 +539,27 @@ def test_bundle_asserts_its_kummer_chains(monkeypatch):
     assert row.reason.startswith("AssertionError: Kummer chain violated at p=11: ")
 
 
+def _kummer_holds(n, m, p, table):
+    a, b = kummer_pair(n, m, p, table)
+    return a.prec == b.prec == 1 and a.residue == b.residue
+
+
 def test_kummer_examples(table):
-    assert kummer_check(2, 6, 5, table).passed
-    assert kummer_check(6, 6, 5, table).passed
+    assert _kummer_holds(2, 6, 5, table)
+    assert _kummer_holds(6, 6, 5, table)
     with pytest.raises(HypothesisViolated):
-        kummer_check(4, 8, 5, table)
+        kummer_pair(4, 8, 5, table)
 
 
 def test_kummer_sweep(table):
     for p in (5, 7, 11, 13):
         for n in range(2, p - 3 + 1, 2):
-            assert kummer_check(n, n + (p - 1), p, table).passed
+            assert _kummer_holds(n, n + (p - 1), p, table)
+
+
+def _vanishes(diff, r):
+    """The difference is known mod p^r and is 0 there."""
+    return diff.prec == r and diff.residue == 0
 
 
 def test_generalized_kummer_examples(table):
@@ -520,13 +570,13 @@ def test_generalized_kummer_examples(table):
         + beta_value(14, 5, table)
         == Fraction(50, 693)
     )
-    assert generalized_kummer_check(6, 5, 2, table).passed
-    assert generalized_kummer_check(4, 5, 1, table).passed
-    assert generalized_kummer_check(6, 5, 0, table).passed
+    assert _vanishes(generalized_kummer_difference(6, 5, 2, table), 2)
+    assert _vanishes(generalized_kummer_difference(4, 5, 1, table), 1)
+    assert _vanishes(generalized_kummer_difference(6, 5, 0, table), 0)
     with pytest.raises(HypothesisViolated):
-        generalized_kummer_check(2, 5, 2, table)  # n > r fails
+        generalized_kummer_difference(2, 5, 2, table)  # n > r fails
     with pytest.raises(HypothesisViolated):
-        generalized_kummer_check(4 * 4, 5, 2, table)  # p > r + n/(p-1) fails
+        generalized_kummer_difference(4 * 4, 5, 2, table)  # p > r + n/(p-1) fails
 
 
 @pytest.mark.parametrize("p", (7, 11, 13, 19))
@@ -538,7 +588,7 @@ def test_generalized_kummer_box(table, p, r):
         cond2 = n % (p - 1) == 0 and p > r + n // (p - 1)
         if not (cond1 or cond2) or n + r * (p - 1) > table.max_index:
             continue
-        assert generalized_kummer_check(n, p, r, table).passed, (p, r, n)
+        assert _vanishes(generalized_kummer_difference(n, p, r, table), r), (p, r, n)
 
 
 @pytest.mark.parametrize("p", (7, 11, 13))
@@ -548,6 +598,6 @@ def test_generalized_kummer_modular_matches_exact(table, p):
             if p <= r + d:
                 continue
             n = d * (p - 1)
-            a = generalized_kummer_check(n, p, r, table, "exact")
-            b = generalized_kummer_check(n, p, r, None, "modular")
-            assert a.passed and b.passed
+            a = generalized_kummer_difference(n, p, r, table, "exact")
+            b = generalized_kummer_difference(n, p, r, None, "modular")
+            assert _vanishes(a, r) and _vanishes(b, r)

@@ -405,6 +405,78 @@ def test_failure_rows_have_error_names(monkeypatch):
     )
 
 
+def _probe(monkeypatch, mod_exp, run):
+    """run registered as the check "probe" at modulus p^mod_exp, run at 7."""
+    monkeypatch.setitem(REGISTRY, "probe", CheckDef("probe", "prime", mod_exp, run))
+    return execute_check("probe", 7, RunEnv(engine="modular"))
+
+
+def _row(mod_exp, lhs, rhs, status, reason=""):
+    return CongruenceCheckResult("probe", 7, mod_exp, lhs, rhs, status, reason)
+
+
+_CTX7 = PrimePowerContext(7)
+
+
+def test_a_multi_case_row_is_its_first_failure(monkeypatch):
+    """The first failing sub-case is the row, whether a tuple or a finished
+    row; the sub-cases after it are never made, so one that would raise
+    cannot turn the failure into an error row."""
+    def run(p, env):
+        yield 1, _CTX7.from_int(3, 1), _CTX7.from_int(10, 1), "first"
+        yield 2, _CTX7.from_int(1, 2), _CTX7.from_int(8, 2), "second"
+        raise RuntimeError("made after the failure")
+
+    assert _probe(monkeypatch, 3, run) == _row(2, 1, 8, "fail", "second")
+
+    def finished(p, env):
+        yield _row(1, 4, 5, "fail", "cross-path mismatch (exact vs modular) at mult=2")
+        yield 1, _CTX7.from_int(3, 1), _CTX7.from_int(3, 1), "later"
+
+    assert _probe(monkeypatch, 3, finished) == _row(
+        1, 4, 5, "fail", "cross-path mismatch (exact vs modular) at mult=2"
+    )
+
+    def raises(p, env):
+        yield 1, _CTX7.from_int(3, 1), _CTX7.from_int(3, 1), "first"
+        raise RuntimeError("in a sub-case")
+
+    assert _probe(monkeypatch, 3, raises) == _row(3, None, None, "fail",
+                                                  "RuntimeError: in a sub-case")
+
+
+def test_a_multi_case_row_that_passes_is_its_last_sub_case(monkeypatch):
+    """With no failure the last passing sub-case is the row; a skipped one
+    is passed over."""
+    def run(p, env):
+        yield 1, _CTX7.from_int(3, 1), _CTX7.from_int(3, 1), "a"
+        yield 2, _CTX7.from_int(5, 2), _CTX7.from_int(54, 3), "b"
+        yield _row(4, None, None, "skipped", "no route")
+
+    assert _probe(monkeypatch, 3, run) == _row(2, 5, 5, "pass")
+
+
+def test_a_multi_case_check_with_no_sub_case_is_a_skip(monkeypatch):
+    """No sub-case, or skipped ones only: a skip at the registered mod_exp."""
+    want = _row(3, None, None, "skipped", "no admissible sub-case")
+    assert _probe(monkeypatch, 3, lambda p, env: iter(())) == want
+    assert _probe(monkeypatch, 3, lambda p, env: [_row(1, None, None, "skipped", "x")]) == want
+
+
+def test_sub_cases_compare_residues_mod_p_r_and_other_values_exactly(monkeypatch):
+    """3 and 10 agree mod 7 but not mod 49 as residues, and not at all as
+    plain values (prop22's orders, prop34's remainders)."""
+    def residues(r):
+        return lambda p, env: [(r, _CTX7.from_int(3, 2), _CTX7.from_int(10, 2), "at r")]
+
+    assert _probe(monkeypatch, 2, residues(1)) == _row(1, 3, 3, "pass")
+    assert _probe(monkeypatch, 2, residues(2)) == _row(2, 3, 10, "fail", "at r")
+    for lhs, rhs, status in ((3, 10, "fail"), (-1, 1, "fail"), (2, 2, "pass"),
+                             (Fraction(7 ** 5, 2), Fraction(7 ** 5, 2), "pass")):
+        row = _probe(monkeypatch, 0, lambda p, env: [(1, lhs, rhs, "plain")])
+        assert row == _row(1, lhs, rhs, status, "plain" if status == "fail" else "")
+
+
 def _skew_modular_engine(monkeypatch):
     """Make the modular divided value at every index d(p-1) wrong while the
     exact oracle and the left-hand sides stay right. One patch of
@@ -937,10 +1009,24 @@ def test_a_reason_every_engine_gives_is_said_once(capsys):
 def test_a_tier_no_bundle_supports_builds_no_table(monkeypatch, capsys, argv):
     """Below p = 5 only the exact engine runs, and past the table cap only
     the modular one; either way the refusal names no engine, and no table
-    is built for a value that no bundle can give."""
+    is built for a value that no bundle can give. The qsum value reads a
+    tier other than its r, which the refusal names."""
     builds = _count_table_builds(monkeypatch)
-    assert _outcome(capsys, argv) == (2, "", "error: bundle supports 1 <= r <= 4\n")
+    tier = "Q_3(300) mod 3^1 needs tier r = 300; " if argv[0] == "qsum" else ""
+    assert _outcome(capsys, argv) == (2, "", f"error: {tier}bundle supports 1 <= r <= 4\n")
     assert builds == []
+
+
+def test_a_qsum_refusal_names_the_tier_it_needs(capsys):
+    """qsum --n n --mod-exp r reads the tier r + n - 1; a refusal names it,
+    whether no bundle has that tier or no engine has it at p."""
+    for args, err in (
+        (("101", "3", "3"), "Q_101(3) mod 101^3 needs tier r = 5; bundle supports 1 <= r <= 4"),
+        (("3", "2", "2"), "Q_3(2) mod 3^2 needs tier r = 3; exact: r = 3 not defined at p = 3"),
+    ):
+        p, n, r = args
+        argv = ["qsum", "--p", p, "--n", n, "--mod-exp", r, "--method", "bernoulli"]
+        assert _outcome(capsys, argv) == (2, "", f"error: {err}\n")
 
 
 # primes to 240 lie on both sides of the auto-built table's reach at tiers
