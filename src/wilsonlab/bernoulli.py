@@ -35,13 +35,15 @@ class IndexOutOfTable(Exception):
 class BernoulliTable:
     """Exact Bernoulli numbers B_0..B_N.
 
-    ``reduced`` is the memo of modular.beta_route's exact engine: (p, m) ->
-    the divided value at index m reduced mod p^K, K the highest precision
-    asked. It belongs to the table, so it lives and dies with it.
+    ``divided`` is beta_value's memo, m -> B_m/m. ``reduced`` is the memo of
+    modular.beta_route's exact engine: (p, m) -> the divided value at index
+    m reduced mod p^K, K the highest precision asked. Both belong to the
+    table, so they live and die with it.
     """
 
     def __init__(self, values: list[Fraction]):
         self._values = list(values)
+        self.divided: dict[int, Fraction] = {}
         self.reduced: dict[tuple[int, int], TrackedResidue] = {}
 
     @classmethod
@@ -230,10 +232,17 @@ def adjusted_bernoulli(n: int, p: int, table: BernoulliTable) -> Fraction:
 
 
 def beta_value(n: int, p: int, table: BernoulliTable) -> Fraction:
-    """Divided adjusted Bernoulli number: adjusted B_n over n."""
+    """Divided adjusted Bernoulli number: adjusted B_n over n. Where (p-1)
+    does not divide n it is B_n/n at every p, divided once per table and
+    held in table.divided; at (p-1) | n it is made per call."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return adjusted_bernoulli(n, p, table) / n
+    if n % (p - 1) == 0:
+        return adjusted_bernoulli(n, p, table) / n
+    held = table.divided.get(n)
+    if held is None:
+        held = table.divided[n] = adjusted_bernoulli(n, p, table) / n
+    return held
 
 
 def bar_value(d: int, p: int, table: BernoulliTable) -> Fraction:

@@ -139,6 +139,7 @@ class _PowerSumMemo:
 
 
 _memo = _PowerSumMemo(0)
+_ctx = PrimePowerContext(2)  # the context of the last prime asked
 
 
 def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
@@ -156,17 +157,19 @@ def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
     multiplication per a, reduced at every other step of a column (see
     _step_powers); any other miss costs pow at the primes below p only,
     through a smallest-prime-factor sieve (see _sieve_powers). Values are a
-    pure function of (n, p, K) either way.
+    pure function of (n, p, K) either way. The residues of one prime share
+    one context, made when the prime changes.
     """
-    global _memo
+    global _memo, _ctx
     if n < 0 or K < 1:
         raise ValueError("need n >= 0 and K >= 1")
-    ctx = PrimePowerContext(p)
+    if _ctx.p != p:
+        _ctx = PrimePowerContext(p)
     if n == 0:
-        return ctx.from_int(p - 1, K)
+        return _ctx.from_int(p - 1, K)
     if _memo.p != p:
         _memo = _PowerSumMemo(p, _memo.asked)
-    return ctx.from_int(_memo.get(n, K), K)
+    return _ctx.from_int(_memo.get(n, K), K)
 
 
 def sh_value(n: int, p: int, r: int) -> TrackedResidue:

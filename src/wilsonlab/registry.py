@@ -201,26 +201,39 @@ def cross_checked(label: str, p: int, r: int, tier: int, value) -> CongruenceChe
 
 def _verdict(check_id, p, mod_exp, cases) -> CongruenceCheckResult:
     """The row of a multi-case check: its first failing sub-case, else its
-    last passing one, else a "no admissible sub-case" skip at mod_exp. A
-    sub-case is a finished row (a skip is passed over) or (r, lhs, rhs,
-    sub): residues are compared mod p^r, other values for equality, and
-    sub is the reason of a failure. The sub-cases after a failure are
-    never made."""
+    last passing one, else a skip at mod_exp that gives the distinct reasons
+    of its skipped sub-cases in order, or "no admissible sub-case" when it
+    has none. A sub-case is a finished row or (r, lhs, rhs, sub): residues
+    are compared mod p^r, other values for equality, and sub is the reason
+    of a failure. Only the returned row is made, and the sub-cases after a
+    failure are never made."""
     last = None
+    skips = {}
     for case in cases:
-        if not isinstance(case, CongruenceCheckResult):
-            r, lhs, rhs, sub = case
+        if isinstance(case, CongruenceCheckResult):
+            if case.status == SKIPPED:
+                skips[case.reason] = None
+                continue
+            same = case.passed
+        else:
+            r, lhs, rhs, _ = case
             if isinstance(lhs, TrackedResidue):
-                case = result.from_residues(check_id, p, r, lhs, rhs, sub)
-            else:
-                case = result.from_values(check_id, p, r, lhs, rhs, sub)
-        if case.status == FAIL:
-            return case
-        if case.passed:
-            last = case
+                lhs, rhs = lhs.truncate(r).residue, rhs.truncate(r).residue
+            same = lhs == rhs
+        if not same:
+            return _case_row(check_id, p, case)
+        last = case
     if last is None:
-        return result.skipped(check_id, p, mod_exp, "no admissible sub-case")
-    return last
+        return result.skipped(check_id, p, mod_exp, "; ".join(skips) or "no admissible sub-case")
+    return _case_row(check_id, p, last)
+
+
+def _case_row(check_id, p, case) -> CongruenceCheckResult:
+    """A finished sub-case as it is, else the row of (r, lhs, rhs, sub)."""
+    if isinstance(case, CongruenceCheckResult):
+        return case
+    make = result.from_residues if isinstance(case[1], TrackedResidue) else result.from_values
+    return make(check_id, p, *case)
 
 
 # -- classical mod-p congruences -------------------------------------------
@@ -433,9 +446,9 @@ def _prop_identity(depth: int, p: int, env: RunEnv):
 
 
 def run_lemma26_qdiff(p: int, env: RunEnv):
-    if p == 2:
-        return result.skipped("lemma26_qdiff", p, 0, "odd primes only")
     r = 4 if env.mod_exp is None else env.mod_exp
+    if p == 2:
+        return result.skipped("lemma26_qdiff", p, r, "odd primes only")
     # n = 4 first: its power sums are asked at the highest precision, r + 4,
     # so the smaller n reduce them instead of computing them again
     sides = {}

@@ -306,47 +306,34 @@ def _row(r: CongruenceCheckResult) -> dict:
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json(value, depth: int) -> str:
-    """json.dumps(value, indent=1) for a value nested depth levels deep, for
-    the dicts, lists and scalars of a report. Each string goes through the
-    C encoder and each container is joined once and copied once into its
-    brackets; the pure-Python encoder that an indent selects holds every
-    chunk of the document until its one join, tens of thousands for a suite
-    report."""
-    if isinstance(value, str):
-        return _json_str(value)
-    if type(value) is int:  # not bool, which json writes as true/false
-        return int.__repr__(value)
-    if isinstance(value, dict):
-        items = [f"{_json_str(k)}: {_json(v, depth + 1)}" for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, list):
-        items = [_json(v, depth + 1) for v in value]
-        brackets = "[]"
-    else:  # None, a float
-        return json.dumps(value)
-    if not items:
-        return brackets
-    pad = "\n" + " " * (depth + 1)
-    joined = ("," + pad).join(items)
-    return f"{brackets[0]}{pad}{joined}{pad[:-1]}{brackets[1]}"
-
-
 def report_to_json(report: SuiteReport) -> str:
-    """The report as json.dumps(doc, indent=1) writes it, byte for byte."""
-    doc = {
-        "suite": report.spec.suite_id,
-        "params": {
-            "p_min": report.spec.p_min,
-            "p_max": report.spec.p_max,
-            "mod_exp": report.spec.mod_exp,
-            "engine": report.spec.engine,
-        },
-        "results": [_row(r) for r in report.results],
-        "summary": dict(report.summary),
-        "wall_time": round(report.wall_time, 3),
-    }
-    return _json(doc, 0)
+    """The report as json.dumps(doc, indent=1) writes it, byte for byte,
+    doc being the suite id, the params, the rows as _row gives them, the
+    summary and the wall time; its ints are plain ints and its exponents
+    ints or None. The shape is fixed, so each row is written by one
+    f-string, each string through the C encoder; json.dumps with an indent
+    runs the pure-Python encoder, which holds every chunk of the document
+    until its one join."""
+    spec = report.spec
+    rows = ",\n  ".join(
+        f'{{\n   "check": {_json_str(r.check_id)},\n   "p": {r.p},\n'
+        f'   "mod_exp": {"null" if r.mod_exp is None else r.mod_exp},\n'
+        f'   "lhs": {_json_str("" if r.lhs is None else str(r.lhs))},\n'
+        f'   "rhs": {_json_str("" if r.rhs is None else str(r.rhs))},\n'
+        f'   "status": {_json_str(r.status_text())}\n  }}'
+        for r in report.results
+    )
+    counts = ",\n  ".join(f"{_json_str(k)}: {v}" for k, v in report.summary.items())
+    results = f"[\n  {rows}\n ]" if rows else "[]"
+    summary = f"{{\n  {counts}\n }}" if counts else "{}"
+    return (
+        f'{{\n "suite": {_json_str(spec.suite_id)},\n "params": {{\n'
+        f'  "p_min": {spec.p_min},\n  "p_max": {spec.p_max},\n'
+        f'  "mod_exp": {"null" if spec.mod_exp is None else spec.mod_exp},\n'
+        f'  "engine": {_json_str(spec.engine)}\n }},\n'
+        f' "results": {results},\n "summary": {summary},\n'
+        f' "wall_time": {json.dumps(round(report.wall_time, 3))}\n}}'
+    )
 
 
 def report_to_csv(report: SuiteReport) -> str:

@@ -190,6 +190,28 @@ def test_divided_examples(small_table):
         bar_value(2, 2, small_table)
 
 
+def test_each_held_divided_value_is_the_fresh_one():
+    """beta_value at every even n <= 450, the primes taking turns at each n,
+    equals a fresh adjusted B_n / n, the indices where (p-1) | n included:
+    a value held from one prime is never given to a prime where n is a
+    multiple of p - 1. The table holds B_n/n once per index, and only for
+    the indices that some prime asked off its multiples of p - 1."""
+    table = BernoulliTable.build(450)
+    primes = (3, 5, 7, 11, 13, 31, 89, 113)
+    held = set()
+    for n in range(2, 451, 2):
+        for p in primes:
+            assert beta_value(n, p, table) == adjusted_bernoulli(n, p, table) / n, (n, p)
+            if n % (p - 1):
+                held.add(n)
+    assert set(table.divided) == held
+    for n, value in table.divided.items():
+        assert value == table.bernoulli(n) / n
+    assert table.divided[88] is beta_value(88, 7, table)  # divided once
+    assert beta_value(88, 89, table) == table.divided[88] + Fraction(1, 89 * 88) - Fraction(1, 88)
+    assert BernoulliTable.build(450).divided == {}
+
+
 @given(st.integers(min_value=1, max_value=60), st.sampled_from((2, 3, 5, 7, 11)))
 @settings(max_examples=60, deadline=None)
 def test_tilde_denominator_is_dn(small_table, n, p):

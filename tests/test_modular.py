@@ -27,7 +27,9 @@ from wilsonlab.modular import (
     power_sum_mod,
     sh_value,
 )
-from wilsonlab.padic import NotDivisible, PrimePowerContext, primes_up_to, reduce_rational
+from wilsonlab.padic import (
+    NotDivisible, NotPrime, PrimePowerContext, primes_up_to, reduce_rational,
+)
 from wilsonlab.registry import REGISTRY, RunEnv, execute_check
 
 
@@ -35,6 +37,33 @@ def test_power_sum_examples():
     assert power_sum_mod(0, 5, 1).residue == 4
     assert power_sum_mod(4, 5, 4).residue == 354
     assert power_sum_mod(1, 7, 2).residue == 21
+
+
+def test_the_power_sums_of_one_prime_share_one_context(monkeypatch):
+    """A context is made when the prime changes, n = 0 included, and is
+    shared by every sum of that prime; a prime that is not one is refused
+    before the memo moves."""
+    made = []
+    check = PrimePowerContext.__post_init__
+
+    def counted(ctx):
+        made.append(ctx.p)
+        check(ctx)
+
+    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    monkeypatch.setattr(PrimePowerContext, "__post_init__", counted)
+    sums = [power_sum_mod(n, 13, K) for n in (12, 0, 24, 10, 12) for K in (1, 3)]
+    assert made == [13]
+    assert all(s.ctx is sums[0].ctx for s in sums)
+    assert [s.residue for s in sums] == [sum(a ** n for a in range(1, 13)) % 13 ** K
+                                         if n else 12 % 13 ** K
+                                         for n in (12, 0, 24, 10, 12) for K in (1, 3)]
+    other = power_sum_mod(0, 17, 2)
+    assert made == [13, 17] and other.ctx.p == 17 and modular._memo.p == 13
+    assert power_sum_mod(4, 13, 2).ctx.p == 13 and made == [13, 17, 13]
+    with pytest.raises(NotPrime):
+        power_sum_mod(4, 15, 2)
+    assert modular._memo.p == 13
 
 
 @given(

@@ -457,10 +457,46 @@ def test_a_multi_case_row_that_passes_is_its_last_sub_case(monkeypatch):
 
 
 def test_a_multi_case_check_with_no_sub_case_is_a_skip(monkeypatch):
-    """No sub-case, or skipped ones only: a skip at the registered mod_exp."""
+    """No sub-case, or skipped ones only: a skip at the registered mod_exp,
+    which gives the skipped sub-cases' reason."""
     want = _row(3, None, None, "skipped", "no admissible sub-case")
     assert _probe(monkeypatch, 3, lambda p, env: iter(())) == want
-    assert _probe(monkeypatch, 3, lambda p, env: [_row(1, None, None, "skipped", "x")]) == want
+    assert _probe(monkeypatch, 3, lambda p, env: [_row(1, None, None, "skipped", "x")]) == _row(
+        3, None, None, "skipped", "x"
+    )
+
+
+def test_a_multi_case_skip_gives_the_distinct_reasons_of_its_sub_cases(monkeypatch):
+    """Skipped sub-cases only: their distinct reasons in order, at the
+    registered mod_exp. lehmer at 227 on the exact engine skips both of its
+    sub-cases at the oracle cap."""
+    def run(p, env):
+        for why in ("x", "y", "x"):
+            yield _row(1, None, None, "skipped", why)
+
+    assert _probe(monkeypatch, 3, run) == _row(3, None, None, "skipped", "x; y")
+    row = execute_check("lehmer", 227, RunEnv(engine="exact"))
+    assert row == CongruenceCheckResult("lehmer", 227, 1, None, None, "skipped",
+                                        "exact oracle cap")
+
+
+@pytest.mark.parametrize("check_id,p", [("cor35_tiers", 11), ("folklore", 13), ("kummer", 17),
+                                        ("prop22", 7), ("carlitz", 13), ("lemma26_qdiff", 5)])
+def test_a_multi_case_check_makes_one_row(monkeypatch, check_id, p):
+    """Its sub-cases are compared, not made into rows: execute_check builds
+    the row it returns and no other, here a pass over many sub-cases."""
+    env = RunEnv()
+    want = execute_check(check_id, p, env)
+    made = []
+    init = CongruenceCheckResult.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(CongruenceCheckResult, "__init__", counted)
+    assert execute_check(check_id, p, env) == want
+    assert want.passed and len(made) == 1
 
 
 def test_sub_cases_compare_residues_mod_p_r_and_other_values_exactly(monkeypatch):
@@ -607,9 +643,9 @@ def test_reduction_chain_fails_per_engine(monkeypatch):
 
 # sha256 of the sorted-key JSON report without wall_time, first 16 hex digits
 REPORT_DIGESTS = {
-    (2, 97, "both"): "989070afd6fc586b",
-    (2, 97, "exact"): "30860697288a366a",
-    (2, 97, "modular"): "ea889bb8f7c12b03",
+    (2, 97, "both"): "91da1e421550b30b",
+    (2, 97, "exact"): "ec7f87da78ee67ff",
+    (2, 97, "modular"): "985e57e21747aabe",
     (100, 160, "both"): "188586b4c6178343",
     (100, 160, "exact"): "1ce376a9f4621a0f",
     (100, 160, "modular"): "0bea455b3678bd60",
@@ -908,6 +944,26 @@ def test_cli_verify_json(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["summary"]["fail"] == 0
     assert doc["suite"] == "lerch"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_cli_verify_calls_the_formatter_bound_in_its_module(monkeypatch, capsys, fmt):
+    """--format is looked up in the cli module's bindings when called, so a
+    wrapper bound there (a tracer's) sees the report being written."""
+    import wilsonlab.cli as cli
+
+    real = getattr(cli, f"report_to_{fmt}")
+    seen = []
+
+    def wrapped(report):
+        seen.append(report.spec.suite_id)
+        return real(report)
+
+    monkeypatch.setattr(cli, f"report_to_{fmt}", wrapped)
+    assert main(["verify", "--suite", "lerch", "--p-min", "3", "--p-max", "7",
+                 "--format", fmt]) == 0
+    assert seen == ["lerch"]
+    assert "lerch" in capsys.readouterr().out
 
 
 def test_cli_verify_usage_errors(capsys):
