@@ -1,21 +1,23 @@
 """The suite registry: every named check, engine dispatch, and gating.
 
 A check runs at one prime (or one index, for the index-domain checks) and
-gives exactly one result row: a single-row check returns it, a multi-case
-check gives its sub-cases and execute_check makes the row (_verdict).
-Hypothesis gates produce skipped rows so reports show what was not claimed
-rather than silently omitting it; a plain "p >= N" gate is declared as the
-check's p_min and applied by execute_check.
+gives its sub-cases, (r, lhs, rhs, sub) or a skipped one; execute_check
+makes the one result row from them (_verdict), and _verdict alone compares
+two values and builds a pass or fail row. Hypothesis gates produce skipped
+rows so reports show what was not claimed rather than silently omitting
+it: a gate over the whole check raises _NoRoute, and a plain "p >= N" gate
+is declared as the check's p_min and applied by execute_check.
 
 Engines are chosen in this module alone: _engines names the engines that
 run at p and _table the table each one reads, while every value comes from
 modular.beta_route, the one place where the engines differ. _per_engine runs
 a value function on each engine. The dual-path checks (the Wilson and
 power-sum tiers, glaisher_beeger, lehmer, lehmer_diff, bundle_kummer_chain)
-go through _dual_path on top of it: with engine 'both' any disagreement
-between the exact oracle and the modular engine is a loud failure, and where
-only one path is admissible that path alone is used. The CLI's wilson and
-qsum values by the Bernoulli route come through it as well (cross_checked).
+take their sub-cases from _dual_path on top of it: with engine 'both' any
+disagreement between the exact oracle and the modular engine is a loud
+failure, and where only one path is admissible that path alone is used.
+The CLI's wilson and qsum values by the Bernoulli route come through it as
+well (cross_checked).
 prop36, prop37 and reduction_chain check each engine's own bundles, and each
 gen_kummer_r* instance runs on the first engine with a route. cor35_tiers
 and folklore compare modular functions with the oracle whatever the
@@ -61,7 +63,7 @@ from .modular import (
 )
 from .padic import Frozen, NotDivisible, NotPIntegral, TrackedResidue, ord_p
 from .quotients import q_sum, wilson_quotient, wilson_via_psi
-from .result import FAIL, SKIPPED, CongruenceCheckResult
+from .result import FAIL, PASS, SKIPPED, CongruenceCheckResult
 
 CARLITZ_INDEX_CAP = 1200
 CARLITZ_PAIRS = ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (1, 2))
@@ -92,8 +94,8 @@ class RunEnv(Frozen):
 
 
 # One registered check: its id, its domain ("prime" | "index"), the
-# exponent r of its modulus p^r, and run(value, env) -> its result row or
-# its sub-cases (see _verdict).
+# exponent r of its modulus p^r, and run(value, env) -> its sub-cases (see
+# _verdict).
 # index_step and index_min pick an index-domain check's values; a prime
 # below p_min is a "p >= p_min" skip row; reads_mod_exp marks a check whose
 # precision the run's mod_exp sets.
@@ -106,8 +108,8 @@ CheckDef = namedtuple(
 
 class _NoRoute(Exception):
     """A value cannot be computed; the message is the skip reason. Within
-    the dual-path runner it rules out one engine; escaping a check, it makes
-    the check's row a skip."""
+    the dual-path runner it rules out one engine; yielded, it is a skipped
+    sub-case; escaping a check, it makes the check's row a skip."""
 
 
 def _engines(p: int, env: RunEnv) -> tuple[str, ...]:
@@ -136,21 +138,19 @@ def _per_engine(p: int, env: RunEnv, value):
     return values, "; ".join(why for _, why in reasons)
 
 
-def _dual_path(check_id, p, r, env, rhs, lhs=None, sub="") -> CongruenceCheckResult:
-    """Compare lhs() against rhs(engine), a residue at the row's precision,
-    from every engine. No engine is a skip; engines that disagree are a
-    failure in their own right. Without lhs the engines' values are compared
-    with each other."""
+def _dual_path(p, r, env, rhs, lhs=None, sub=""):
+    """The sub-cases of lhs() against rhs(engine), a residue mod p^r, from
+    every engine: first the engines' values against each other, then lhs()
+    against the first engine's value, the last engine's standing in for a
+    missing lhs. lhs() is not called after a mismatch. No engine is a
+    skipped sub-case."""
     values, why = _per_engine(p, env, rhs)
     if not values:
-        return result.skipped(check_id, p, r, why)
+        yield _NoRoute(why)
+        return
     first, last = values[0], values[-1]
-    if first.residue != last.residue:
-        return CongruenceCheckResult(
-            check_id, p, r, first.residue, last.residue, FAIL,
-            "cross-path mismatch (exact vs modular)" + (f" at {sub}" if sub else ""),
-        )
-    return result.from_residues(check_id, p, r, lhs() if lhs else last, first, sub)
+    yield r, first, last, "cross-path mismatch (exact vs modular)" + (f" at {sub}" if sub else "")
+    yield r, lhs() if lhs else last, first, sub
 
 
 def _table(eng: str, env: RunEnv, n: int = 0, why: str = "needs exact table"):
@@ -172,12 +172,13 @@ def _bundle(p: int, r: int, eng: str, env: RunEnv):
 
 def cross_checked(label: str, p: int, r: int, tier: int, value) -> CongruenceCheckResult:
     """value(bundle), a residue mod p^r, from the tier bundle of every engine
-    that runs at p, as _dual_path's row: a pass carries the value, a fail
-    says that the engines disagree, and a skip says why no engine has a
-    route. A division that the congruence guarantees but the bundle's
-    value does not allow is a fail as well. The exact side reads a table
-    built to tier*(p-1), the top index of the bundle, when that is at most
-    AUTO_ORACLE_CAP; beyond it the run is modular only and builds no
+    that runs at p, as the row of _dual_path's sub-cases: a pass carries the
+    value as rhs, a fail says that the engines disagree, and a skip says why
+    no engine has a route. A division that the congruence guarantees but
+    the bundle's value does not allow is a fail as well; the sub-cases are
+    made lazily, so it is raised within _verdict. The exact side reads a
+    table built to tier*(p-1), the top index of the bundle, when that is at
+    most AUTO_ORACLE_CAP; beyond it the run is modular only and builds no
     table. A tier that bundle refuses on every engine is a skip that builds
     no table and names no engine, whichever engines would have run. A
     skip names the tier where it is not r."""
@@ -190,7 +191,9 @@ def cross_checked(label: str, p: int, r: int, tier: int, value) -> CongruenceChe
         else:
             env = RunEnv(engine="modular")
         try:
-            row = _dual_path(label, p, r, env, lambda eng: value(_bundle(p, tier, eng, env)))
+            row = _verdict(label, p, r, _dual_path(
+                p, r, env, lambda eng: value(_bundle(p, tier, eng, env))
+            ))
         except NotDivisible as exc:
             return result.error_fail(label, p, r, exc)
     if row.status == SKIPPED and tier != r:
@@ -200,51 +203,37 @@ def cross_checked(label: str, p: int, r: int, tier: int, value) -> CongruenceChe
 
 
 def _verdict(check_id, p, mod_exp, cases) -> CongruenceCheckResult:
-    """The row of a multi-case check: its first failing sub-case, else its
-    last passing one, else a skip at mod_exp that gives the distinct reasons
-    of its skipped sub-cases in order, or "no admissible sub-case" when it
-    has none. A sub-case is a finished row or (r, lhs, rhs, sub): residues
-    are compared mod p^r, other values for equality, and sub is the reason
-    of a failure. Only the returned row is made, and the sub-cases after a
-    failure are never made."""
+    """The row of a check: its first failing sub-case, else its last passing
+    one, else a skip at mod_exp that gives the distinct reasons of its
+    skipped sub-cases in order, or "no admissible sub-case" when it has
+    none. A sub-case is (r, lhs, rhs, sub), or the _NoRoute that skips it:
+    residues are compared mod p^r, other values for equality, and sub is the
+    reason of a failure. Only the returned row is made, and the sub-cases
+    after a failure are never made."""
     last = None
     skips = {}
     for case in cases:
-        if isinstance(case, CongruenceCheckResult):
-            if case.status == SKIPPED:
-                skips[case.reason] = None
-                continue
-            same = case.passed
-        else:
-            r, lhs, rhs, _ = case
-            if isinstance(lhs, TrackedResidue):
-                lhs, rhs = lhs.truncate(r).residue, rhs.truncate(r).residue
-            same = lhs == rhs
-        if not same:
-            return _case_row(check_id, p, case)
-        last = case
+        if isinstance(case, _NoRoute):
+            skips[str(case)] = None
+            continue
+        r, lhs, rhs, sub = case
+        if isinstance(lhs, TrackedResidue):
+            lhs, rhs = lhs.truncate(r).residue, rhs.truncate(r).residue
+        if lhs != rhs:
+            return CongruenceCheckResult(check_id, p, r, lhs, rhs, FAIL, sub)
+        last = r, lhs, rhs
     if last is None:
         return result.skipped(check_id, p, mod_exp, "; ".join(skips) or "no admissible sub-case")
-    return _case_row(check_id, p, last)
-
-
-def _case_row(check_id, p, case) -> CongruenceCheckResult:
-    """A finished sub-case as it is, else the row of (r, lhs, rhs, sub)."""
-    if isinstance(case, CongruenceCheckResult):
-        return case
-    make = result.from_residues if isinstance(case[1], TrackedResidue) else result.from_values
-    return make(check_id, p, *case)
+    return CongruenceCheckResult(check_id, p, *last, PASS)
 
 
 # -- classical mod-p congruences -------------------------------------------
 
 
-def run_lerch(p: int, env: RunEnv) -> CongruenceCheckResult:
+def run_lerch(p: int, env: RunEnv):
     if p == 2:
-        return result.skipped("lerch", p, 1, "odd primes only")
-    return result.from_residues(
-        "lerch", p, 1, wilson_quotient(p, 1), q_sum(p, 1, 1)
-    )
+        raise _NoRoute("odd primes only")
+    return [(1, wilson_quotient(p, 1), q_sum(p, 1, 1), "")]
 
 
 def _bhat(eng: str, mult: int, p: int, env: RunEnv):
@@ -254,27 +243,22 @@ def _bhat(eng: str, mult: int, p: int, env: RunEnv):
     return beta_route(eng, p, _table(eng, env, m, "exact oracle cap"))(m, 1).scale(m)
 
 
-def run_glaisher_beeger(p: int, env: RunEnv) -> CongruenceCheckResult:
-    return _dual_path(
-        "glaisher_beeger", p, 1, env,
-        lambda eng: _bhat(eng, 1, p, env), lambda: wilson_quotient(p, 1),
-    )
+def run_glaisher_beeger(p: int, env: RunEnv):
+    return _dual_path(p, 1, env, lambda eng: _bhat(eng, 1, p, env), lambda: wilson_quotient(p, 1))
 
 
 def run_lehmer(p: int, env: RunEnv):
     w1 = wilson_quotient(p, 1)
     for mult in (2, 3):
-        yield _dual_path(
-            "lehmer", p, 1, env,
-            lambda eng: _bhat(eng, mult, p, env), lambda: w1.scale(mult),
+        yield from _dual_path(
+            p, 1, env, lambda eng: _bhat(eng, mult, p, env), lambda: w1.scale(mult),
             f"mult={mult}",
         )
 
 
-def run_lehmer_diff(p: int, env: RunEnv) -> CongruenceCheckResult:
+def run_lehmer_diff(p: int, env: RunEnv):
     return _dual_path(
-        "lehmer_diff", p, 1, env,
-        lambda eng: _bhat(eng, 2, p, env) - _bhat(eng, 1, p, env),
+        p, 1, env, lambda eng: _bhat(eng, 2, p, env) - _bhat(eng, 1, p, env),
         lambda: wilson_quotient(p, 1),
     )
 
@@ -289,22 +273,18 @@ def run_carlitz(p: int, env: RunEnv):
 # -- Wilson quotient and power-sum tiers ------------------------------------
 
 
-def _tier(check_id: str, lhs, rhs, args: tuple, p: int, env: RunEnv) -> CongruenceCheckResult:
+def _tier(lhs, rhs, args: tuple, p: int, env: RunEnv):
     """lhs(p, *args) by the direct oracle against rhs(p, *args, bnd) on each
     engine's bundle of the tier r = args[-1]."""
     r = args[-1]
     want = lhs(p, *args)
-    return _dual_path(
-        check_id, p, r, env, lambda eng: rhs(p, *args, _bundle(p, r, eng, env)), lambda: want
-    )
+    return _dual_path(p, r, env, lambda eng: rhs(p, *args, _bundle(p, r, eng, env)), lambda: want)
 
 
-def _psi_tier(r: int, check_id: str, p: int, env: RunEnv) -> CongruenceCheckResult:
+def _psi_tier(r: int, p: int, env: RunEnv):
     if p <= r or p == 2:
-        return result.skipped(check_id, p, r, f"needs odd p > {r}")
-    return result.from_residues(
-        check_id, p, r, wilson_quotient(p, r), wilson_via_psi(p, r)
-    )
+        raise _NoRoute(f"needs odd p > {r}")
+    return [(r, wilson_quotient(p, r), wilson_via_psi(p, r), "")]
 
 
 def run_reduction_chain(p: int, env: RunEnv):
@@ -355,14 +335,11 @@ def _gen_kummer(r: int, p: int, env: RunEnv):
             break
 
 
-def run_bundle_kummer_chain(p: int, env: RunEnv) -> CongruenceCheckResult:
+def run_bundle_kummer_chain(p: int, env: RunEnv):
     """The bundle's value (0, 1) mod p by each engine. Building a bundle
     already asserts its Kummer chains (the values of each nu congruent mod p)."""
     r = 4 if p >= 7 else 3
-    return _dual_path(
-        "bundle_kummer_chain", p, 1, env,
-        lambda eng: _bundle(p, r, eng, env)[0, 1].truncate(1),
-    )
+    return _dual_path(p, 1, env, lambda eng: _bundle(p, r, eng, env)[0, 1].truncate(1))
 
 
 # -- oracle-agreement checks --------------------------------------------------
@@ -422,17 +399,14 @@ def run_prop22(p: int, env: RunEnv):
 
 def run_prop34_remainder(p: int, env: RunEnv):
     if p > REMAINDER_P_CAP:
-        return result.skipped("prop34_remainder", p, 0, f"desk-scale gate p <= {REMAINDER_P_CAP}")
+        raise _NoRoute(f"desk-scale gate p <= {REMAINDER_P_CAP}")
     table = _table("exact", env, 3 * (p - 1), "needs exact table to 3(p-1)")
     return ((0, *remainder_term_sides(p, d, table)) for d in (1, 2, 3))
 
 
-def run_lemma33(p: int, env: RunEnv) -> CongruenceCheckResult:
-    check_id = "lemma33_binom"
+def run_lemma33(p: int, env: RunEnv):
     bad = [d for d in range(1, 3 * p + 1) if not central_binom_dichotomy(d, p)]
-    if bad:
-        return result.from_values(check_id, p, 0, bad[0], None, f"dichotomy fails at d={bad[0]}")
-    return result.from_values(check_id, p, 0, 0, 0)
+    return [(0, bad[0], None, f"dichotomy fails at d={bad[0]}") if bad else (0, 0, 0, "")]
 
 
 def _prop_identity(depth: int, p: int, env: RunEnv):
@@ -446,9 +420,9 @@ def _prop_identity(depth: int, p: int, env: RunEnv):
 
 
 def run_lemma26_qdiff(p: int, env: RunEnv):
-    r = 4 if env.mod_exp is None else env.mod_exp
     if p == 2:
-        return result.skipped("lemma26_qdiff", p, r, "odd primes only")
+        raise _NoRoute("odd primes only")
+    r = 4 if env.mod_exp is None else env.mod_exp
     # n = 4 first: its power sums are asked at the highest precision, r + 4,
     # so the smaller n reduce them instead of computing them again
     sides = {}
@@ -468,11 +442,9 @@ def run_denominators_dn(n: int, env: RunEnv):
     ]
 
 
-def run_vsc(n: int, env: RunEnv) -> CongruenceCheckResult:
+def run_vsc(n: int, env: RunEnv):
     table = _table("exact", env, n)
-    return result.from_values(
-        "vsc", n, 0, table.bernoulli(n).denominator, vsc_denominator(n)
-    )
+    return [(0, table.bernoulli(n).denominator, vsc_denominator(n), "")]
 
 
 # -- registry -----------------------------------------------------------------
@@ -485,15 +457,13 @@ _CHECKS = [
     CheckDef("lehmer", "prime", 1, run_lehmer, p_min=5),
     CheckDef("lehmer_diff", "prime", 1, run_lehmer_diff, p_min=5),
     CheckDef("carlitz", "prime", 1, run_carlitz, p_min=5),
-    *(CheckDef(cid, "prime", r, partial(_tier, cid, wilson_quotient, wilson_via_bernoulli, (r,)),
+    *(CheckDef(cid, "prime", r, partial(_tier, wilson_quotient, wilson_via_bernoulli, (r,)),
                p_min=WQ_TIER_PMIN[r])
       for r, cid in _WQ_TIER_IDS.items()),
-    *(CheckDef(f"thm_main3_q{n}_r{r}", "prime", r,
-               partial(_tier, f"thm_main3_q{n}_r{r}", q_tier_lhs, q_tier_rhs, (n, r)),
+    *(CheckDef(f"thm_main3_q{n}_r{r}", "prime", r, partial(_tier, q_tier_lhs, q_tier_rhs, (n, r)),
                p_min=Q_TIER_PMIN[(n, r)])
       for n, r in Q_TIER_PMIN),
-    *(CheckDef(f"thm_kel_psi_r{r}", "prime", r, partial(_psi_tier, r, f"thm_kel_psi_r{r}"))
-      for r in (1, 2, 3, 4)),
+    *(CheckDef(f"thm_kel_psi_r{r}", "prime", r, partial(_psi_tier, r)) for r in (1, 2, 3, 4)),
     CheckDef("reduction_chain", "prime", 4, run_reduction_chain, p_min=5),
     CheckDef("kummer", "prime", 1, run_kummer, p_min=5),
     *(CheckDef(f"gen_kummer_r{r}", "prime", r, partial(_gen_kummer, r), p_min=5)
@@ -520,18 +490,19 @@ def execute_check(check_id: str, value: int, env: RunEnv) -> CongruenceCheckResu
     """Run one (check, prime-or-index) task. A prime below the check's
     p_min, an exact table too short for the check and an oracle-cap
     overrun are skips; unexpected errors, in a sub-case too, become fail
-    rows carrying the error."""
+    rows carrying the error. Those rows carry the check's exponent: the
+    run's mod_exp for a check that reads it, else the registered one."""
     defn = REGISTRY[check_id]
+    mod_exp = defn.mod_exp
+    if defn.reads_mod_exp and env.mod_exp is not None:
+        mod_exp = env.mod_exp
     if value < defn.p_min:
-        return result.skipped(check_id, value, defn.mod_exp, f"p >= {defn.p_min}")
+        return result.skipped(check_id, value, mod_exp, f"p >= {defn.p_min}")
     try:
-        row = defn.run(value, env)
-        if isinstance(row, CongruenceCheckResult):
-            return row
-        return _verdict(check_id, value, defn.mod_exp, row)
+        return _verdict(check_id, value, mod_exp, defn.run(value, env))
     except _NoRoute as exc:
-        return result.skipped(check_id, value, defn.mod_exp, str(exc))
+        return result.skipped(check_id, value, mod_exp, str(exc))
     except IndexOutOfTable as exc:
-        return result.skipped(check_id, value, defn.mod_exp, f"exact oracle cap: {exc}")
+        return result.skipped(check_id, value, mod_exp, f"exact oracle cap: {exc}")
     except Exception as exc:  # noqa: BLE001 - must not kill a whole suite run
-        return result.error_fail(check_id, value, defn.mod_exp, exc)
+        return result.error_fail(check_id, value, mod_exp, exc)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import Frozen, TrackedResidue
+from .padic import Frozen
 
 Side = int | Fraction | None
 
@@ -45,39 +45,6 @@ class CongruenceCheckResult(Frozen):
         if self.reason and self.status != PASS:
             return f"{self.status}({self.reason})"
         return self.status
-
-
-def from_residues(
-    check_id: str,
-    p: int,
-    mod_exp: int,
-    lhs: TrackedResidue,
-    rhs: TrackedResidue,
-    reason_on_fail: str = "",
-) -> CongruenceCheckResult:
-    """Compare two tracked residues at precision mod_exp."""
-    a = lhs.truncate(mod_exp)
-    b = rhs.truncate(mod_exp)
-    ok = a.residue == b.residue
-    return CongruenceCheckResult(
-        check_id, p, mod_exp, a.residue, b.residue,
-        PASS if ok else FAIL, "" if ok else reason_on_fail,
-    )
-
-
-def from_values(
-    check_id: str,
-    p: int,
-    mod_exp: int,
-    lhs: Side,
-    rhs: Side,
-    reason_on_fail: str = "",
-) -> CongruenceCheckResult:
-    ok = lhs == rhs
-    return CongruenceCheckResult(
-        check_id, p, mod_exp, lhs, rhs, PASS if ok else FAIL,
-        "" if ok else reason_on_fail,
-    )
 
 
 def skipped(check_id: str, p: int, mod_exp: int, reason: str) -> CongruenceCheckResult:

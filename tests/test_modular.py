@@ -461,14 +461,26 @@ def test_only_the_registry_makes_rows_and_names_checks():
     """modular and congruences import nothing from result; only registry
     builds a row (CongruenceCheckResult or one of result's builders), while
     suite and cli read rows; and no check id is a string literal outside
-    registry."""
+    registry. Within registry, _verdict alone calls CongruenceCheckResult:
+    it makes every pass and fail row."""
     src = Path(modular.__file__).parent
     builders = {
         node.name for node in ast.parse((src / "result.py").read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    assert builders >= {"CongruenceCheckResult", "from_residues", "from_values",
-                        "skipped", "error_fail"}
+    assert builders == {"CongruenceCheckResult", "skipped", "error_fail"}
+    direct = set()
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "result":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name == "CongruenceCheckResult":
+                        direct.add((path.stem, getattr(top, "name", None)))
+    assert direct == {("registry", "_verdict")}
     imports_result, builds, names_checks = set(), set(), set()
     for path in sorted(src.glob("*.py")):
         if path.stem in ("registry", "result"):

@@ -19,7 +19,8 @@ from wilsonlab.congruences import classify_prime
 from wilsonlab.padic import PrimePowerContext, is_prime, primes_up_to, reduce_rational
 from wilsonlab.quotients import wilson_quotient
 from wilsonlab.registry import (
-    ALL_CHECK_IDS, AUTO_ORACLE_CAP, REGISTRY, CheckDef, RunEnv, execute_check, run_lerch,
+    ALL_CHECK_IDS, AUTO_ORACLE_CAP, REGISTRY, CheckDef, RunEnv, _dual_path, _NoRoute,
+    execute_check, run_lerch,
 )
 from wilsonlab.result import CongruenceCheckResult
 from wilsonlab.suite import (
@@ -419,9 +420,11 @@ _CTX7 = PrimePowerContext(7)
 
 
 def test_a_multi_case_row_is_its_first_failure(monkeypatch):
-    """The first failing sub-case is the row, whether a tuple or a finished
-    row; the sub-cases after it are never made, so one that would raise
-    cannot turn the failure into an error row."""
+    """The first failing sub-case is the row; the sub-cases after it are
+    never made, so one that would raise cannot turn the failure into an
+    error row. Engines that disagree are the dual-path runner's first
+    sub-case, exact value as lhs and modular as rhs, and its lhs() is then
+    never called."""
     def run(p, env):
         yield 1, _CTX7.from_int(3, 1), _CTX7.from_int(10, 1), "first"
         yield 2, _CTX7.from_int(1, 2), _CTX7.from_int(8, 2), "second"
@@ -429,11 +432,15 @@ def test_a_multi_case_row_is_its_first_failure(monkeypatch):
 
     assert _probe(monkeypatch, 3, run) == _row(2, 1, 8, "fail", "second")
 
-    def finished(p, env):
-        yield _row(1, 4, 5, "fail", "cross-path mismatch (exact vs modular) at mult=2")
+    def mismatch(p, env):
+        def lhs():
+            raise RuntimeError("lhs after a mismatch")
+
+        yield from _dual_path(p, 1, RunEnv(), lambda eng: _CTX7.from_int(
+            4 if eng == "exact" else 5, 1), lhs, "mult=2")
         yield 1, _CTX7.from_int(3, 1), _CTX7.from_int(3, 1), "later"
 
-    assert _probe(monkeypatch, 3, finished) == _row(
+    assert _probe(monkeypatch, 3, mismatch) == _row(
         1, 4, 5, "fail", "cross-path mismatch (exact vs modular) at mult=2"
     )
 
@@ -446,12 +453,12 @@ def test_a_multi_case_row_is_its_first_failure(monkeypatch):
 
 
 def test_a_multi_case_row_that_passes_is_its_last_sub_case(monkeypatch):
-    """With no failure the last passing sub-case is the row; a skipped one
-    is passed over."""
+    """With no failure the last passing sub-case is the row; a skipped one,
+    a yielded _NoRoute, is passed over."""
     def run(p, env):
         yield 1, _CTX7.from_int(3, 1), _CTX7.from_int(3, 1), "a"
         yield 2, _CTX7.from_int(5, 2), _CTX7.from_int(54, 3), "b"
-        yield _row(4, None, None, "skipped", "no route")
+        yield _NoRoute("no route")
 
     assert _probe(monkeypatch, 3, run) == _row(2, 5, 5, "pass")
 
@@ -461,7 +468,7 @@ def test_a_multi_case_check_with_no_sub_case_is_a_skip(monkeypatch):
     which gives the skipped sub-cases' reason."""
     want = _row(3, None, None, "skipped", "no admissible sub-case")
     assert _probe(monkeypatch, 3, lambda p, env: iter(())) == want
-    assert _probe(monkeypatch, 3, lambda p, env: [_row(1, None, None, "skipped", "x")]) == _row(
+    assert _probe(monkeypatch, 3, lambda p, env: [_NoRoute("x")]) == _row(
         3, None, None, "skipped", "x"
     )
 
@@ -472,7 +479,7 @@ def test_a_multi_case_skip_gives_the_distinct_reasons_of_its_sub_cases(monkeypat
     sub-cases at the oracle cap."""
     def run(p, env):
         for why in ("x", "y", "x"):
-            yield _row(1, None, None, "skipped", why)
+            yield _NoRoute(why)
 
     assert _probe(monkeypatch, 3, run) == _row(3, None, None, "skipped", "x; y")
     row = execute_check("lehmer", 227, RunEnv(engine="exact"))
@@ -481,10 +488,13 @@ def test_a_multi_case_skip_gives_the_distinct_reasons_of_its_sub_cases(monkeypat
 
 
 @pytest.mark.parametrize("check_id,p", [("cor35_tiers", 11), ("folklore", 13), ("kummer", 17),
-                                        ("prop22", 7), ("carlitz", 13), ("lemma26_qdiff", 5)])
+                                        ("prop22", 7), ("carlitz", 13), ("lemma26_qdiff", 5),
+                                        ("lehmer", 13), ("glaisher_beeger", 13),
+                                        ("thm_main_p2", 11), ("bundle_kummer_chain", 11)])
 def test_a_multi_case_check_makes_one_row(monkeypatch, check_id, p):
     """Its sub-cases are compared, not made into rows: execute_check builds
-    the row it returns and no other, here a pass over many sub-cases."""
+    the row it returns and no other, here a pass over many sub-cases. The
+    dual-path checks (lehmer's two included) make one row on both engines."""
     env = RunEnv()
     want = execute_check(check_id, p, env)
     made = []
@@ -511,6 +521,24 @@ def test_sub_cases_compare_residues_mod_p_r_and_other_values_exactly(monkeypatch
                              (Fraction(7 ** 5, 2), Fraction(7 ** 5, 2), "pass")):
         row = _probe(monkeypatch, 0, lambda p, env: [(1, lhs, rhs, "plain")])
         assert row == _row(1, lhs, rhs, status, "plain" if status == "fail" else "")
+
+
+def test_an_error_row_carries_the_runs_exponent(monkeypatch):
+    """lemma26_qdiff reads the run's mod_exp: its error rows carry it, as its
+    pass rows and its p = 2 skip do."""
+    import wilsonlab.registry as registry
+
+    env = RunEnv(mod_exp=3)
+    assert execute_check("lemma26_qdiff", 5, env).mod_exp == 3
+    assert execute_check("lemma26_qdiff", 2, env).mod_exp == 3
+
+    def boom(*args):
+        raise RuntimeError("synthetic")
+
+    monkeypatch.setattr(registry, "q_sum", boom)
+    assert execute_check("lemma26_qdiff", 5, env) == CongruenceCheckResult(
+        "lemma26_qdiff", 5, 3, None, None, "fail", "RuntimeError: synthetic"
+    )
 
 
 def _skew_modular_engine(monkeypatch):
