@@ -12,7 +12,7 @@ from collections.abc import Callable
 from math import comb, isqrt
 
 from .bernoulli import BernoulliTable, bar_value, beta_value
-from .padic import PrimePowerContext, TrackedResidue, forward_difference, is_prime, reduce_rational
+from .padic import TrackedResidue, context, forward_difference, is_prime, reduce_rational
 
 
 class InadmissibleCase(Exception):
@@ -139,7 +139,6 @@ class _PowerSumMemo:
 
 
 _memo = _PowerSumMemo(0)
-_ctx = PrimePowerContext(2)  # the context of the last prime asked
 
 
 def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
@@ -157,19 +156,18 @@ def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
     multiplication per a, reduced at every other step of a column (see
     _step_powers); any other miss costs pow at the primes below p only,
     through a smallest-prime-factor sieve (see _sieve_powers). Values are a
-    pure function of (n, p, K) either way. The residues of one prime share
-    one context, made when the prime changes.
+    pure function of (n, p, K) either way. The residues share the context
+    of p that padic.context hands out.
     """
-    global _memo, _ctx
+    global _memo
     if n < 0 or K < 1:
         raise ValueError("need n >= 0 and K >= 1")
-    if _ctx.p != p:
-        _ctx = PrimePowerContext(p)
+    ctx = context(p)
     if n == 0:
-        return _ctx.from_int(p - 1, K)
+        return ctx.from_int(p - 1, K)
     if _memo.p != p:
         _memo = _PowerSumMemo(p, _memo.asked)
-    return _ctx.from_int(_memo.get(n, K), K)
+    return ctx.from_int(_memo.get(n, K), K)
 
 
 def sh_value(n: int, p: int, r: int) -> TrackedResidue:
@@ -304,7 +302,7 @@ def beta_route(
         raise ValueError(f"unknown engine {engine!r}")
     if table is None:
         raise ValueError("exact engine needs a Bernoulli table")
-    memo, ctx = table.reduced, PrimePowerContext(p)
+    memo, ctx = table.reduced, context(p)
 
     def exact(m: int, K: int) -> TrackedResidue:
         held = memo.get((p, m))
@@ -400,6 +398,6 @@ def generalized_kummer_difference(
     if not (cond1 or cond2):
         raise HypothesisViolated(f"neither hypothesis holds for n={n}, p={p}, r={r}")
     if r == 0:
-        return PrimePowerContext(p).from_int(0, 0)
+        return context(p).from_int(0, 0)
     value = beta_route(engine, p, table)
     return forward_difference([value(n + k * (p - 1), r) for k in range(r + 1)])

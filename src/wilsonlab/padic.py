@@ -192,6 +192,20 @@ class PrimePowerContext(Frozen):
         return _reduced(self, prec, value % self.p ** prec)
 
 
+_context = PrimePowerContext(2)  # the context of the last prime asked
+
+
+def context(p: int) -> PrimePowerContext:
+    """The context of p from a one-slot cache: a run works through one prime
+    at a time, so its residues share one context per prime, made when the
+    prime changes. A p that is not prime raises NotPrime and leaves the
+    slot as it was."""
+    global _context
+    if _context.p != p:
+        _context = PrimePowerContext(p)
+    return _context
+
+
 class TrackedResidue(Frozen):
     """An integer known modulo p^prec. Immutable; all arithmetic is pure.
 

@@ -18,12 +18,7 @@ from collections.abc import Sequence
 from math import gcd, prod
 
 from .modular import HypothesisViolated, power_sum_mod
-from .padic import (
-    PrimePowerContext,
-    TrackedResidue,
-    forward_difference,
-    is_prime,
-)
+from .padic import TrackedResidue, context, forward_difference, is_prime
 
 
 class NotCoprime(Exception):
@@ -31,18 +26,30 @@ class NotCoprime(Exception):
 
 
 _FACTORIAL_CHUNK = 32
+_factorial = (0, 0, 0)  # (p, K, (p-1)! mod p^K) at the highest K asked at p
 
 
 def factorial_mod(p: int, K: int) -> TrackedResidue:
     """(p-1)! mod p^K by direct product, one reduction per chunk of
-    _FACTORIAL_CHUNK consecutive factors (math.prod of a range, no list)."""
+    _FACTORIAL_CHUNK consecutive factors (math.prod of a range, no list).
+
+    The product is memoised for one prime at the highest K asked, as
+    q_sum's direct side keeps its quotients: a K at or below it is the held
+    product reduced, a higher one computes it again at that K, and a call
+    at another prime starts afresh. So the Wilson tiers of one prime, asked
+    from the highest down, pay one product. The memo is this function's
+    own; it reads nothing of the other memos."""
+    global _factorial
     if K < 1:
         raise ValueError("K must be >= 1")
-    ctx = PrimePowerContext(p)
-    m = p**K
-    acc = 1
-    for lo in range(2, p, _FACTORIAL_CHUNK):
-        acc = acc * prod(range(lo, min(lo + _FACTORIAL_CHUNK, p))) % m
+    ctx = context(p)
+    held_p, held_K, acc = _factorial
+    if held_p != p or held_K < K:
+        m = p**K
+        acc = 1
+        for lo in range(2, p, _FACTORIAL_CHUNK):
+            acc = acc * prod(range(lo, min(lo + _FACTORIAL_CHUNK, p))) % m
+        _factorial = (p, K, acc)
     return ctx.from_int(acc, K)
 
 
@@ -129,7 +136,7 @@ def fermat_quotient(a: int, p: int, r: int) -> TrackedResidue:
         raise NotCoprime(f"gcd({a}, {p}) != 1")
     if r < 1:
         raise ValueError("r must be >= 1")
-    t = PrimePowerContext(p).from_int(pow(a, p - 1, p ** (r + 1)), r + 1)
+    t = context(p).from_int(pow(a, p - 1, p ** (r + 1)), r + 1)
     return (t - 1).divide_by_p(1)
 
 
@@ -235,7 +242,7 @@ def q_sum(p: int, n: int, r: int, method: str = "direct") -> TrackedResidue:
     if method == "direct":
         if _memo.p != p:
             _memo = _QuotientMemo(p)
-        return PrimePowerContext(p).from_int(_memo.get(n, r), r)
+        return context(p).from_int(_memo.get(n, r), r)
     if method == "difference":
         values = [power_sum_mod(k * (p - 1), p, r + n) for k in range(n + 1)]
         return forward_difference(values).divide_by_p(n)
@@ -269,7 +276,7 @@ def wilson_via_psi(p: int, r: int) -> TrackedResidue:
     """
     if r < 1 or p <= r or p == 2:
         raise HypothesisViolated(f"need r >= 1 and an odd prime p > r, got p={p}, r={r}")
-    ctx, m = PrimePowerContext(p), p ** (r + 1)
+    ctx, m = context(p), p ** (r + 1)
     L = sum((-1) ** (k - 1) * p**k * pow(k, -1, m) * q_sum(p, k, r).residue
             for k in range(1, r + 1))
     return wilson_series(ctx.from_int(L, r + 1), r)

@@ -486,16 +486,24 @@ REGISTRY: dict[str, CheckDef] = {defn.check_id: defn for defn in _CHECKS}
 ALL_CHECK_IDS = tuple(sorted(REGISTRY))
 
 
+def effective_mod_exp(check_id: str, mod_exp: int | None) -> int:
+    """The exponent a check works at in a run whose mod_exp is the given
+    one: the run's for a check that reads it, when the run sets one, else
+    the registered one."""
+    defn = REGISTRY[check_id]
+    if defn.reads_mod_exp and mod_exp is not None:
+        return mod_exp
+    return defn.mod_exp
+
+
 def execute_check(check_id: str, value: int, env: RunEnv) -> CongruenceCheckResult:
     """Run one (check, prime-or-index) task. A prime below the check's
     p_min, an exact table too short for the check and an oracle-cap
     overrun are skips; unexpected errors, in a sub-case too, become fail
-    rows carrying the error. Those rows carry the check's exponent: the
-    run's mod_exp for a check that reads it, else the registered one."""
+    rows carrying the error. Those rows carry the check's effective
+    exponent (effective_mod_exp)."""
     defn = REGISTRY[check_id]
-    mod_exp = defn.mod_exp
-    if defn.reads_mod_exp and env.mod_exp is not None:
-        mod_exp = env.mod_exp
+    mod_exp = effective_mod_exp(check_id, env.mod_exp)
     if value < defn.p_min:
         return result.skipped(check_id, value, mod_exp, f"p >= {defn.p_min}")
     try:

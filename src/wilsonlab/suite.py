@@ -1,13 +1,18 @@
 """Suite runner: prime-range scans with parallel fan-out and reports.
 
 The tasks of a run are its (check, prime-or-index) pairs, ordered by value
-and, within one value, in the spec's check order, so that each process
-works through one prime at a time and power_sum_mod's per-prime memo stays
-warm. With jobs > 1 the ordered list is cut into contiguous slices of about
-equal weight (a task weighs its value); the calling process runs the first
-slice and one process made by os.fork runs each other slice, sending its
-rows back pickled over an os.pipe (no process-pool library: its lazy
-imports made a pool pass's first fork cost several times a later one).
+and, within one value, from the highest effective exponent down
+(registry.effective_mod_exp; ties in the spec's check order), so that each
+process works through one prime at a time, the per-prime memos stay warm,
+and a prime's first tasks ask its power sums, quotients and factorial at
+the highest precision the prime needs, which the later tasks reduce. With
+jobs > 1 the ordered list is cut between values into contiguous slices of
+about equal weight (a task weighs its value), so no prime is split across
+processes and a run with fewer values than jobs forks fewer workers; the
+calling process runs the first slice and one process made by os.fork runs
+each other slice, sending its rows back pickled over an os.pipe (no
+process-pool library: its lazy imports made a pool pass's first fork cost
+several times a later one).
 Processes share nothing: each builds its own exact table the first time
 one of its tasks needs it, and the report is sorted after collection so
 the output is byte-identical for any worker count (apart from the
@@ -33,7 +38,7 @@ from .bernoulli import DESK_CAP, BernoulliTable, IndexOutOfTable
 from .congruences import irregular_primes
 from .padic import Frozen, is_prime, primes_up_to
 from .quotients import factorials_mod
-from .registry import ALL_CHECK_IDS, REGISTRY, RunEnv, execute_check
+from .registry import ALL_CHECK_IDS, REGISTRY, RunEnv, effective_mod_exp, execute_check
 from .result import FAIL, PASS, SKIPPED, CongruenceCheckResult
 
 
@@ -68,7 +73,7 @@ class SuiteSpec(Frozen):
                 raise UnknownCheck(f"check id {cid!r} named twice")
         try:
             has_values = any(_task_values(self).values())
-        except (OverflowError, ValueError) as exc:  # a range too large to list
+        except (OverflowError, ValueError, MemoryError) as exc:  # a range too large to list
             raise UnknownRange(f"p_max {self.p_max} is too large") from exc
         if not has_values:
             raise UnknownRange(
@@ -142,19 +147,23 @@ def _task_values(spec: SuiteSpec) -> dict[str, list[int]]:
 
 
 def _slices(tasks: list, n: int) -> list[list]:
-    """Cut tasks into n contiguous non-empty slices of about equal weight,
-    a task weighing max(value, 1). Needs 1 <= n <= max(1, len(tasks))."""
-    prefix = [0, *accumulate(max(v, 1) for _, v in tasks)]
+    """Cut tasks, ordered by value, into min(n, number of values) contiguous
+    non-empty slices of about equal weight, a task weighing max(value, 1),
+    cutting only between values, so that no value is split. Needs n >= 1."""
+    starts = [i for i, (_, v) in enumerate(tasks) if not i or v != tasks[i - 1][1]]
+    bounds = [*starts, len(tasks)]
+    n = min(n, len(starts))
+    prefix = [0, *accumulate((b - a) * max(tasks[a][1], 1) for a, b in zip(bounds, bounds[1:]))]
     cuts = [0]
     for k in range(1, n):
-        # the cut whose running weight is nearest to k/n of the total
+        # the value boundary whose running weight is nearest to k/n of the total
         target = prefix[-1] * k / n
         j = bisect_left(prefix, target)
         if target - prefix[j - 1] < prefix[j] - target:
             j -= 1
-        cuts.append(min(max(j, cuts[-1] + 1), len(tasks) - (n - k)))
-    cuts.append(len(tasks))
-    return [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
+        cuts.append(min(max(j, cuts[-1] + 1), len(starts) - (n - k)))
+    cuts.append(len(starts))
+    return [tasks[bounds[a]:bounds[b]] for a, b in zip(cuts, cuts[1:])]
 
 
 def _run_tasks(tasks, env: RunEnv) -> list[CongruenceCheckResult]:
@@ -210,22 +219,26 @@ def run_suite(
     The exact side reads the given table. Without one, the run builds a
     table to registry.AUTO_ORACLE_CAP the first time a check needs it, once
     per process, and never when no check does; exact comparisons past the
-    table appear as skipped rows. With jobs > 1 the calling process runs
-    one slice of the tasks and min(jobs, tasks) - 1 workers, each made by
-    os.fork, run the others and send their rows back pickled over an
-    os.pipe. The caller reads each pipe to EOF; a worker that exits
-    without sending its rows is a RuntimeError naming its exit code. On
-    any error the live workers get SIGTERM, and every worker is reaped
-    before run_suite returns or raises. Results are sorted by (check, p),
-    so reports do not depend on the worker count.
+    table appear as skipped rows. The tasks of one value run from the
+    highest effective exponent down. With jobs > 1 the tasks are cut
+    between values into min(jobs, values) slices, so a prime's tasks all
+    run in one process: the calling process runs the first slice, and one
+    worker made by os.fork runs each other slice and sends its rows back
+    pickled over an os.pipe; a one-value run forks none. The caller reads
+    each pipe to EOF; a worker that exits without sending its rows is a
+    RuntimeError naming its exit code. On any error the live workers get
+    SIGTERM, and every worker is reaped before run_suite returns or raises.
+    Results are sorted by (check, p), so reports do not depend on the
+    worker count.
     """
     t0 = time.monotonic()
     env = RunEnv(engine=spec.engine, table=table, mod_exp=spec.mod_exp)
+    rank = {cid: -effective_mod_exp(cid, spec.mod_exp) for cid in spec.check_ids}
     tasks = sorted(
         ((cid, v) for cid, values in _task_values(spec).items() for v in values),
-        key=lambda t: t[1],
+        key=lambda t: (t[1], rank[t[0]]),
     )
-    first, *rest = _slices(tasks, max(1, min(jobs, len(tasks))))
+    first, *rest = _slices(tasks, max(1, jobs))
     workers = {}  # pid -> read end, for every worker not yet reaped
     try:
         for part in rest:

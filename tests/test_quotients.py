@@ -40,6 +40,31 @@ def test_chunked_factorial_matches_factorial():
             assert (got.prec, got.residue) == (K, f % p**K), (p, K)
 
 
+def test_factorial_memo_equals_the_fresh_product(monkeypatch):
+    """factorial_mod holds one prime's product at the highest K asked: a K
+    at or below it makes no product, a higher K or another prime makes one,
+    and every value is (p-1)! mod p^K, K rising, falling and across primes."""
+    products = []
+    real = quotients.prod
+
+    def counted(factors):
+        products.append(factors)
+        return real(factors)
+
+    monkeypatch.setattr(quotients, "_factorial", (0, 0, 0))
+    monkeypatch.setattr(quotients, "prod", counted)
+    made = []
+    for p, K in [(1103, 5), (1103, 4), (1103, 1), (1103, 5), (1103, 6), (1103, 2),
+                 (101, 2), (101, 5), (101, 3), (1103, 3), (1103, 3)]:
+        before = len(products)
+        got = factorial_mod(p, K)
+        assert (got.prec, got.residue) == (K, factorial(p - 1) % p**K), (p, K)
+        made.append(len(products) > before)
+    assert made == [True, False, False, False, True, False,
+                    True, True, False, True, False]
+    assert quotients._factorial[:2] == (1103, 3)
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_remainder_tree_matches_factorial_oracle(K):
     primes = primes_up_to(2000)

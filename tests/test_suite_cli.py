@@ -147,7 +147,88 @@ def test_slices_are_contiguous_nonempty_and_balanced():
     weights = [sum(max(v, 1) for _, v in part) for part in _slices(tasks, 3)]
     assert weights == [140, 101, 103]
     assert [len(part) for part in _slices(tasks, 2)] == [9, 2]
-    assert _slices([("a", 1103)] * 36, 2) == [[("a", 1103)] * 18] * 2
+
+
+def test_slices_never_split_a_value():
+    """A cut falls only between values, so a prime's tasks run in one
+    process, and a run with fewer values than slices asked gets fewer."""
+    tasks = [(cid, v) for v in (5, 7, 11, 13, 1103) for cid in "abc"]
+    for n in range(1, 8):
+        parts = _slices(tasks, n)
+        assert len(parts) == min(n, 5) and all(parts)
+        assert [t for part in parts for t in part] == tasks
+        assert all(a[-1][1] != b[0][1] for a, b in zip(parts, parts[1:]))
+    assert _slices(tasks, 2) == [tasks[:12], tasks[12:]]
+    assert _slices([("a", 1103)] * 36, 2) == [[("a", 1103)] * 36]
+
+
+def test_a_value_runs_its_tasks_from_the_highest_exponent_down(monkeypatch):
+    """Within one value execute_check gets the tasks from the highest
+    effective exponent down, ties in the spec's order; the run's mod_exp
+    moves lemma26_qdiff, the one check that reads it."""
+    import wilsonlab.suite as suite
+    from wilsonlab.registry import effective_mod_exp
+
+    seen = []
+    real = suite.execute_check
+
+    def recording(check_id, value, env):
+        seen.append((check_id, value))
+        return real(check_id, value, env)
+
+    monkeypatch.setattr(suite, "execute_check", recording)
+    ids = "bundle_kummer_chain,thm_main_p3,lerch,thm_main2_p4,lemma26_qdiff,prop34_remainder"
+    for mod_exp, order in [
+        (None, "thm_main2_p4,lemma26_qdiff,thm_main_p3,bundle_kummer_chain,lerch,prop34_remainder"),
+        (6, "lemma26_qdiff,thm_main2_p4,thm_main_p3,bundle_kummer_chain,lerch,prop34_remainder"),
+        (2, "thm_main2_p4,thm_main_p3,lemma26_qdiff,bundle_kummer_chain,lerch,prop34_remainder"),
+    ]:
+        seen.clear()
+        rep = run_suite(make_spec(ids, 11, 13, mod_exp=mod_exp))
+        assert rep.ok
+        assert seen == [(cid, p) for p in (11, 13) for cid in order.split(",")]
+        assert {r.mod_exp for r in rep.results if r.check_id == "lemma26_qdiff"} == {
+            effective_mod_exp("lemma26_qdiff", mod_exp)}
+    assert [effective_mod_exp(cid, 6) for cid in ("lemma26_qdiff", "lerch", "vsc")] == [6, 1, 0]
+    assert effective_mod_exp("lemma26_qdiff", None) == 4
+
+
+def test_a_run_with_fewer_values_than_jobs_forks_fewer_workers(monkeypatch):
+    """A one-value run at jobs=2 runs in the calling process alone, and a
+    two-value run at jobs=3 forks one worker, which runs the second value."""
+    import wilsonlab.suite as suite
+
+    forked = []
+    real = suite._fork_worker
+
+    def counted(tasks, env):
+        forked.append(sorted({v for _, v in tasks}))
+        return real(tasks, env)
+
+    monkeypatch.setattr(suite, "_fork_worker", counted)
+    one = run_suite(make_spec("lerch,thm_main_p1,thm_kel_psi_r1", 13, 13), jobs=2)
+    assert forked == [] and one.summary["pass"] == 3
+    with _deadline():
+        two = run_suite(make_spec("lerch,thm_main_p1", 11, 13), jobs=3)
+    assert forked == [[13]] and two.summary["pass"] == 4
+
+
+def test_a_run_makes_one_context_per_prime(monkeypatch):
+    """Every residue of a run's prime shares the context that padic.context
+    hands out: a run makes one per prime, the first (2) already held."""
+    from wilsonlab import padic
+
+    made = []
+    check = PrimePowerContext.__post_init__
+
+    def counted(ctx):
+        made.append(ctx.p)
+        check(ctx)
+
+    monkeypatch.setattr(padic, "_context", PrimePowerContext(2))
+    monkeypatch.setattr(PrimePowerContext, "__post_init__", counted)
+    assert run_suite(make_spec("all", 2, 23)).ok
+    assert made == [3, 5, 7, 11, 13, 17, 19, 23]
 
 
 @contextmanager
@@ -330,6 +411,21 @@ def test_a_refusal_after_the_first_allocation_is_a_usage_error(monkeypatch, caps
     err = capsys.readouterr().err
     assert err == ("error: sieve limit 50 is too large\n"
                    "error: scan limit 50 is too large\n")
+
+
+def test_a_refused_list_of_values_is_a_usage_error(monkeypatch, capsys):
+    """A MemoryError while listing a run's index values, as under
+    `ulimit -v 1000000` at p_max = 10^9, exits 2 with one line on stderr."""
+    from wilsonlab import suite
+
+    def refuse(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(suite, "list", refuse, raising=False)
+    with pytest.raises(UnknownRange, match=r"^p_max 100000 is too large$"):
+        make_spec("denominators_dn", 0, 100000)
+    assert main(["verify", "--suite", "denominators_dn", "--p-max", "100000"]) == 2
+    assert capsys.readouterr().err == "error: p_max 100000 is too large\n"
 
 
 def test_summary_counts_match_rows():
@@ -879,15 +975,19 @@ TIER_CHECK_IDS = (
 
 def test_tier_checks_compute_each_power_sum_once_past_the_first_prime(power_sum_runs):
     """The twelve tier checks at 1103..1117 ask 36 distinct power sums. The
-    first prime raises some of them from K = 4 up to 8 and from 2 to 3; the
-    next two compute each at the precision the first one reached (81 kernel
-    runs when every rise recomputed). All but 9 are steps, one product per
-    a from the list p - 1 below (46 sieve passes without the step rule)."""
+    first prime runs its p^4 checks before thm_main_p3 and bundle_kummer_chain,
+    so it asks each sum at its final precision first and raises only
+    lemma26_qdiff's difference side, from K = 5 to 8: 16 power lists, 22
+    when thm_main_p3 ran first. The next two compute each sum at the
+    precision the first one reached, 12 lists each (81 kernel runs when
+    every rise recomputed). All but 7 are steps, one product per a from the
+    list p - 1 below (46 sieve passes without the step rule)."""
     rep = run_suite(make_spec(TIER_CHECK_IDS, 1103, 1117, engine="modular"))
     assert rep.summary == {"pass": 36, "fail": 0, "skipped": 0}
     assert len({(n, p) for _, n, p, _ in power_sum_runs}) == 36
     kinds = [kind for kind, *_ in power_sum_runs]
-    assert (kinds.count("sieve"), kinds.count("step")) == (9, 37)
+    assert (kinds.count("sieve"), kinds.count("step")) == (7, 33)
+    assert [p for _, _, p, _ in power_sum_runs].count(1103) == 16
 
 
 def test_power_sum_side_never_reads_the_quotient_memo(monkeypatch):
