@@ -89,6 +89,8 @@ def cmd_wilson(args) -> int:
             value = row.rhs
     except _BAD_VALUE as exc:
         return _usage_error(exc)
+    except MemoryError:  # past the sieve: a power list or the quotients
+        return _usage_error(f"p {p} is too large")
     print(f"W_{p} = {value} (mod {p}^{r})")
     return 0
 
@@ -109,6 +111,8 @@ def cmd_qsum(args) -> int:
             value = row.rhs
     except _BAD_VALUE as exc:
         return _usage_error(exc)
+    except MemoryError:  # past the sieve: a power list or the quotients
+        return _usage_error(f"p {p} is too large")
     print(f"Q_{p}({n}) = {value} (mod {p}^{r})")
     return 0
 

@@ -54,17 +54,27 @@ def _sieve_powers(n: int, m: int, spf: list[int]) -> list[int]:
     return pw
 
 
-def _step_powers(n: int, below: list[int], t: list[int], m: int) -> list[int]:
-    """pw[a] = a^n (mod m) from below[a] = a^(n-(p-1)) and t[a] = a^(p-1),
-    where p = len(t): one multiplication per a.
+# A power list is held unreduced while its entries fit in this many bits:
+# on entries of one to three machine digits a reduction costs more than the
+# product it reduces, and with no cap the entries of a long column grow with
+# it. On a 2-vCPU VM (Python 3.11), caps of 128, 256, 384 and 512 bits ran
+# perfbench's tiers_large_p pass in a median 0.0280, 0.0261, 0.0270 and
+# 0.0242 s (3 runs of 20 s each), and `wilson --p 1000003 --mod-exp 4
+# --method bernoulli` peaked at 253, 284, 315 and 345 MB RSS. 256 is the
+# fastest of those whose peak stays below the 322 MB that a reduction at
+# every other step of a column took.
+_UNREDUCED_BITS = 256
 
-    The list is reduced mod m when d = ceil(n/(p-1)) is odd. At even d the
-    products are left as they are: there the caller hands both lists
-    reduced mod m, so the entries stay below m^2, and the step to d + 1
-    reduces them. That halves the reductions of a column. At odd d the two
-    lists need only be held mod a multiple of m.
+
+def _step_powers(n: int, below: list[int], t: list[int], m: int, reduce: bool) -> list[int]:
+    """pw[a] = a^n (mod m) from below[a] = a^(n-(p-1)) and t[a] = a^(p-1),
+    both mod m, where p = len(t): one multiplication per a.
+
+    The products are reduced mod m when reduce is true and left as they are
+    when not; the caller decides by the size of the entries (see
+    _PowerSumMemo).
     """
-    if -(-n // (len(t) - 1)) % 2:
+    if reduce:
         return [x * y % m for x, y in zip(below, t)]
     return [x * y for x, y in zip(below, t)]
 
@@ -86,14 +96,16 @@ class _PowerSumMemo:
     memo holds the power list a -> a^((d-1)(p-1)+j) and t: a -> a^(p-1),
     both mod p^W or finer: a^(d(p-1)+j) = a^((d-1)(p-1)+j) * a^(p-1).
     columns maps j to the latest list of shape (d, j) computed, as (d,
-    precision, list), and t maps precisions to the list of shape (1, 0):
-    the one computed, at the highest, and its reductions to the lower
-    precisions that steps have worked at, each made once, so a step
-    multiplies by t at its own precision. Any other miss runs the sieve;
-    none runs only to make t. A step to even d leaves its products
-    unreduced (see _step_powers); its list at d - 1 is first reduced again
-    when held finer than W, so every list held has entries below the
-    square of its own modulus.
+    precision, list, bits), and t is the list of shape (1, 0) as (precision,
+    list, bits), kept only at the precision it was sieved at: a finer t is
+    congruent to a^(p-1) mod every coarser p^W, so a step multiplies by it
+    as it is. Any other miss runs the sieve; none runs only to make t.
+
+    bits bounds the bit length of a list's entries: a sieved list's is that
+    of its modulus, a step's is its list below's plus t's. A step leaves its
+    products unreduced while that bound is at most _UNREDUCED_BITS, and
+    reduces them mod p^W past it, so every list held has entries below
+    max(p^W, 2^_UNREDUCED_BITS). The sum of each list is reduced once.
     """
 
     def __init__(self, p: int, plan: dict[tuple[int, int], int] | None = None):
@@ -102,8 +114,8 @@ class _PowerSumMemo:
         self.spf: list[int] | None = None
         self.plan = plan or {}
         self.asked: dict[tuple[int, int], int] = {}
-        self.t: dict[int, list[int]] = {}
-        self.columns: dict[int, tuple[int, int, list[int]]] = {}
+        self.t: tuple[int, list[int], int] | None = None
+        self.columns: dict[int, tuple[int, int, list[int], int]] = {}
 
     def get(self, n: int, K: int) -> int:
         d = -(-n // (self.p - 1))
@@ -118,21 +130,20 @@ class _PowerSumMemo:
         M = self.p ** work
         below = self.columns.get(j)
         if (below is not None and below[0] == d - 1 and below[1] >= work
-                and self.t and max(self.t) >= work):
-            t = self.t.get(work)
-            if t is None:
-                t = self.t[work] = [y % M for y in self.t[max(self.t)]]
-            lower = below[2]
-            if d % 2 == 0 and below[1] > work:  # the step leaves it unreduced
-                lower = [x % M for x in lower]
-            pw = _step_powers(n, lower, t, M)
+                and self.t is not None and self.t[0] >= work):
+            bits = below[3] + self.t[2]
+            reduce = bits > _UNREDUCED_BITS
+            pw = _step_powers(n, below[2], self.t[1], M, reduce)
+            if reduce:
+                bits = M.bit_length()
         else:
             if self.spf is None:
                 self.spf = _smallest_prime_factors(self.p)
             pw = _sieve_powers(n, M, self.spf)
+            bits = M.bit_length()
         if (d, j) == (1, 0):
-            self.t = {work: pw}
-        self.columns[j] = (d, work, pw)
+            self.t = (work, pw, bits)
+        self.columns[j] = (d, work, pw, bits)
         value = sum(pw) % M
         self.sums[n] = (work, value)
         return value % m
@@ -153,8 +164,9 @@ def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
     same sums at rising K, each sum is computed once, from the second prime
     on. A miss one step of p - 1 above a power list that the memo holds,
     with t: a -> a^(p-1), at the miss's precision or finer costs one
-    multiplication per a, reduced at every other step of a column (see
-    _step_powers); any other miss costs pow at the primes below p only,
+    multiplication per a, reduced only once the list's entries outgrow
+    _UNREDUCED_BITS (see _PowerSumMemo); any other miss costs pow at the
+    primes below p only,
     through a smallest-prime-factor sieve (see _sieve_powers). Values are a
     pure function of (n, p, K) either way. The residues share the context
     of p that padic.context hands out.

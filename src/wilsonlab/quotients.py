@@ -167,20 +167,30 @@ def _fermat_quotients(p: int, R: int) -> list[int]:
     return [(x - 1) // p for x in pw[1:]]
 
 
+# A list of quotient powers is held unreduced while its entries fit in this
+# many bits. The same rule as modular's power lists, kept apart on purpose:
+# lemma26_qdiff compares the two kernels, so they share no code.
+_UNREDUCED_BITS = 256
+
+
 class _QuotientMemo:
     """The direct quotient power sums of one prime p: the Fermat quotients
     mod p^R at the highest precision R asked so far, n -> (r, Q_p(n) mod
-    p^r), and powers, (k, [q^k mod p^R]) for the highest k reached at R.
+    p^r), and powers, (k, [x_a]) with x_a = q_a^k mod p^R for the highest k
+    reached at R, its entries of at most bits bits.
 
     A miss at (n, r) with n <= r is a term of a p-adic series to precision
     r, which asks every lower n as well: the Wilson series, lemma 2.6 and
     the Q-tiers do, in rising or falling order. It steps powers up to q^n,
-    one reduced product mod p^R per a and step, and keeps the sum of every
-    list it passes at R. Since k only rises at one R, every n <= k is then
-    held, and the list is dropped once k = R, where no such miss is left
-    to step it. A miss at n > r, a lone sum that no series asks, takes one
-    pow(q, n, p^r) per a, so its cost grows with the bit length of n, not
-    with n.
+    one product per a and step, and keeps the sum of every list it passes
+    at R, reduced mod p^R. A step leaves its products unreduced while their
+    bound, the list's bits plus those of p^R, is at most _UNREDUCED_BITS,
+    and reduces them mod p^R past it, so the list's entries stay below
+    max(p^R, 2^_UNREDUCED_BITS). Since k only rises at one R, every n <= k
+    is then held, and the list is dropped once k = R, where no such miss is
+    left to step it. A miss at n > r, a lone sum that no series asks, takes
+    one pow(q, n, p^r) per a, so its cost grows with the bit length of n,
+    not with n.
     """
 
     def __init__(self, p: int):
@@ -189,6 +199,7 @@ class _QuotientMemo:
         self.quotients: list[int] = []
         self.sums: dict[int, tuple[int, int]] = {}
         self.powers: tuple[int, list[int] | None] = (0, None)
+        self.bits = 0
 
     def get(self, n: int, r: int) -> int:
         m = self.p ** r
@@ -199,6 +210,7 @@ class _QuotientMemo:
             self.quotients = _fermat_quotients(self.p, r)
             self.R = r
             self.powers = (1, self.quotients)
+            self.bits = (self.p**r).bit_length()
         qs = self.quotients
         if n > r:
             value = sum([pow(q, n, m) for q in qs]) % m
@@ -208,11 +220,18 @@ class _QuotientMemo:
         k, pw = self.powers
         if self.sums.get(k, (0, 0))[0] < R:  # q^1, just made at this R
             self.sums[k] = (R, sum(pw) % M)
+        bits, qbits = self.bits, M.bit_length()
         while k < n:
-            pw = [x * q % M for x, q in zip(pw, qs)]
+            if bits + qbits > _UNREDUCED_BITS:
+                pw = [x * q % M for x, q in zip(pw, qs)]
+                bits = qbits
+            else:
+                pw = [x * q for x, q in zip(pw, qs)]
+                bits += qbits
             k += 1
             self.sums[k] = (R, sum(pw) % M)
         self.powers = (k, pw if k < R else None)
+        self.bits = bits
         return self.sums[n][1] % m
 
 

@@ -2,17 +2,21 @@
 
 The tasks of a run are its (check, prime-or-index) pairs, ordered by value
 and, within one value, from the highest effective exponent down
-(registry.effective_mod_exp; ties in the spec's check order), so that each
-process works through one prime at a time, the per-prime memos stay warm,
-and a prime's first tasks ask its power sums, quotients and factorial at
-the highest precision the prime needs, which the later tasks reduce. With
-jobs > 1 the ordered list is cut between values into contiguous slices of
-about equal weight (a task weighs its value), so no prime is split across
-processes and a run with fewer values than jobs forks fewer workers; the
-calling process runs the first slice and one process made by os.fork runs
-each other slice, sending its rows back pickled over an os.pipe (no
-process-pool library: its lazy imports made a pool pass's first fork cost
-several times a later one).
+(registry.effective_mod_exp), so that each process works through one prime
+at a time, the per-prime memos stay warm, and a prime's first tasks ask its
+power sums, quotients and factorial at the highest precision the prime
+needs, which the later tasks reduce. A tie runs a check that reads the
+run's mod_exp first, then the spec's check order. That check is lemma 2.6
+(lemma26_qdiff): its difference side asks S_{k(p-1)} at p^(r+n), n up to
+4, above the p^(r+1) that every tier at the same r asks, so the first
+prime of a run, which has no plan yet, makes each power list once, at its
+final precision. With jobs > 1 the ordered list is cut between values
+into contiguous slices of about equal weight (a task weighs its value), so
+no prime is split across processes and a run with fewer values than jobs
+forks fewer workers; the calling process runs the first slice and one
+process made by os.fork runs each other slice, sending its rows back
+pickled over an os.pipe (no process-pool library: its lazy imports made a
+pool pass's first fork cost several times a later one).
 Processes share nothing: each builds its own exact table the first time
 one of its tasks needs it, and the report is sorted after collection so
 the output is byte-identical for any worker count (apart from the
@@ -220,7 +224,9 @@ def run_suite(
     table to registry.AUTO_ORACLE_CAP the first time a check needs it, once
     per process, and never when no check does; exact comparisons past the
     table appear as skipped rows. The tasks of one value run from the
-    highest effective exponent down. With jobs > 1 the tasks are cut
+    highest effective exponent down, a tie led by a check that reads the
+    run's mod_exp, since it asks its power sums the highest (see the module
+    docstring). With jobs > 1 the tasks are cut
     between values into min(jobs, values) slices, so a prime's tasks all
     run in one process: the calling process runs the first slice, and one
     worker made by os.fork runs each other slice and sends its rows back
@@ -233,7 +239,8 @@ def run_suite(
     """
     t0 = time.monotonic()
     env = RunEnv(engine=spec.engine, table=table, mod_exp=spec.mod_exp)
-    rank = {cid: -effective_mod_exp(cid, spec.mod_exp) for cid in spec.check_ids}
+    rank = {cid: (-effective_mod_exp(cid, spec.mod_exp), not REGISTRY[cid].reads_mod_exp)
+            for cid in spec.check_ids}
     tasks = sorted(
         ((cid, v) for cid, values in _task_values(spec).items() for v in values),
         key=lambda t: (t[1], rank[t[0]]),

@@ -28,9 +28,9 @@ def power_sum_runs(monkeypatch):
         runs.append(("sieve", n, len(spf), m))
         return sieve(n, m, spf)
 
-    def stepped(n, below, t, m):
+    def stepped(n, below, t, m, reduce):
         runs.append(("step", n, len(t), m))
-        return step(n, below, t, m)
+        return step(n, below, t, m, reduce)
 
     monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
     monkeypatch.setattr(modular, "_sieve_powers", sieved)

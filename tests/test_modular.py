@@ -218,27 +218,42 @@ def test_power_sum_steps_match_plain_loop(power_sum_runs):
     assert {kind for kind, *_ in power_sum_runs} == {"sieve", "step"}
 
 
+def _held_lists(memo):
+    """Every power list the memo holds, as (precision, list, bits)."""
+    held = [] if memo.t is None else [memo.t]
+    return held + [column[1:] for column in memo.columns.values()]
+
+
+def _bounded(lists, p):
+    """Whether every entry of every (precision, list, bits) lies below
+    max(p^precision, 2^_UNREDUCED_BITS) and has at most bits bits."""
+    cap = 2**modular._UNREDUCED_BITS
+    return all(0 <= x < max(p**prec, cap) and x.bit_length() <= bits
+               for prec, pw, bits in lists for x in pw)
+
+
 @pytest.mark.parametrize("finer", [None, "t", "below"])
-def test_long_column_leaves_half_its_reductions_out(monkeypatch, finer):
+def test_long_column_reduces_its_lists_by_size(monkeypatch, finer):
     """q_sum(101, 12, 2, "difference") asks S_{d(p-1)} mod p^14 for d = 1..12:
-    eleven steps up column 0 from t, the list at d = 1. The steps to even d
-    leave their products unreduced and the steps to odd d reduce them. The
-    column is asked once as it stands, once with t held finer (p^20), which
-    the steps use reduced to p^14, and once with d <= 3 held finer (p^16),
-    which the step to d = 4 reduces first. The value is the plain loop's,
-    and every list made or kept has entries below the square of its own
-    modulus."""
+    eleven steps up column 0 from t, the list at d = 1. The column is asked
+    once as it stands, once with t held finer (p^20), and once with d <= 3
+    held finer (p^16). A step leaves its products unreduced while their
+    bound, the list below's bits plus t's, fits in _UNREDUCED_BITS, and
+    reduces them mod p^14 past it: every list made or kept has entries below
+    max(p^W, 2^_UNREDUCED_BITS), W its own precision, within its bits; some
+    are held unreduced and some reduced; t is kept at the one precision it
+    was sieved at, and used there; and the value is the plain loop's."""
     from wilsonlab.quotients import q_sum
 
     p, M = 101, 101**14
-    made = []
+    made, kept = [], []
     step = modular._step_powers
 
-    def recorded(n, below, t, m):
-        assert max(t) < m, "t is handed at the step's precision"
-        pw = step(n, below, t, m)
-        made.append((n // (p - 1), m, pw))
-        return pw
+    def recorded(n, below, t, m, reduce):
+        assert t is modular._memo.t[1], "t is handed as it was sieved"
+        kept.extend(_held_lists(modular._memo))
+        made.append((n // (p - 1), m))
+        return step(n, below, t, m, reduce)
 
     monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
     if finer == "t":
@@ -249,13 +264,37 @@ def test_long_column_leaves_half_its_reductions_out(monkeypatch, finer):
     monkeypatch.setattr(modular, "_step_powers", recorded)
     qs = [(pow(a, p - 1, p**3) - 1) // p for a in range(1, p)]
     assert q_sum(p, 12, 2, "difference").residue == sum(q**12 for q in qs) % p**2
+    kept.extend(_held_lists(modular._memo))
     first = 4 if finer == "below" else 2
-    assert [(d, m) for d, m, _ in made] == [(d, M) for d in range(first, 13)]
-    assert [max(pw) < M for d, _, pw in made] == [d % 2 == 1 for d in range(first, 13)]
-    assert all(0 <= x < M * M for *_, pw in made for x in pw)
-    kept = list(modular._memo.t.items()) + [held[1:] for held in modular._memo.columns.values()]
-    assert all(0 <= x < p ** (2 * prec) for prec, pw in kept for x in pw)
-    assert sorted(modular._memo.t) == {None: [14], "t": [14, 20], "below": [14, 16]}[finer]
+    assert made == [(d, M) for d in range(first, 13)]
+    assert _bounded(kept, p)
+    assert {max(pw) < p**prec for prec, pw, _ in kept} == {True, False}
+    assert modular._memo.t[0] == {None: 14, "t": 20, "below": 16}[finer]
+    for d in range(1, 13):
+        assert power_sum_mod(d * (p - 1), p, 14).residue == _plain_power_sum(d * (p - 1), p, 14)
+
+
+def test_a_long_column_stays_bounded(monkeypatch):
+    """q_sum(1009, 60, 2, "difference") steps column 0 to d = 60 mod p^62.
+    p^62 has 619 bits, so the bound of every step, 1238 bits, is past
+    _UNREDUCED_BITS and each step reduces: every list made or kept has
+    entries below p^62, where a rule with no cap would let them grow with
+    d, and the value is the direct method's."""
+    from wilsonlab.quotients import q_sum
+
+    p, kept = 1009, []
+    step = modular._step_powers
+
+    def recorded(n, below, t, m, reduce):
+        kept.extend(_held_lists(modular._memo))
+        return step(n, below, t, m, reduce)
+
+    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    monkeypatch.setattr(modular, "_step_powers", recorded)
+    assert q_sum(p, 60, 2, "difference").residue == q_sum(p, 60, 2, "direct").residue
+    kept.extend(_held_lists(modular._memo))
+    assert len(kept) > 60 and _bounded(kept, p)
+    assert all(x < p**62 for _, pw, _ in kept for x in pw)
 
 
 def test_sh_value_examples():

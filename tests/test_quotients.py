@@ -243,6 +243,28 @@ def test_quotient_memo_steps_a_series_and_pows_a_lone_sum(monkeypatch):
     assert (pows, len(steps), held()) == ([], 11, dict.fromkeys(range(1, 13), 12))
 
 
+@pytest.mark.parametrize("R", (4, 40))
+def test_quotient_powers_are_reduced_by_size(monkeypatch, R):
+    """The steps of q_sum(101, n, R), n = 1..R, leave their products
+    unreduced while the list's bits plus those of p^R fit in
+    _UNREDUCED_BITS: at R = 4 the powers are held unreduced up to q^R, at
+    R = 40 (p^40 alone is past 256 bits) every step reduces. Either way
+    every list held has entries below max(p^R, 2^_UNREDUCED_BITS), within
+    its bits, and every sum is the plain loop's."""
+    p, cap = 101, 2**quotients._UNREDUCED_BITS
+    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    unreduced = []
+    for n in range(1, R + 1):
+        assert q_sum(p, n, R).residue == _plain_q_sum(p, n, R), (R, n)
+        k, pw = quotients._memo.powers
+        if pw is not None:
+            assert k == n
+            assert all(0 <= x < max(p**R, cap) for x in pw)
+            assert max(pw).bit_length() <= quotients._memo.bits
+            unreduced.append(max(pw) >= p**R)
+    assert unreduced == [n > 1 and R == 4 for n in range(1, R)]
+
+
 # the expansion polynomials Psi_1..Psi_4, typed by hand as plain expressions:
 # the reference that the log/exp series of wilson_via_psi is checked against
 _PSI_BY_HAND = {

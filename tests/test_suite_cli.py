@@ -164,8 +164,9 @@ def test_slices_never_split_a_value():
 
 def test_a_value_runs_its_tasks_from_the_highest_exponent_down(monkeypatch):
     """Within one value execute_check gets the tasks from the highest
-    effective exponent down, ties in the spec's order; the run's mod_exp
-    moves lemma26_qdiff, the one check that reads it."""
+    effective exponent down, a tie led by lemma26_qdiff, the one check that
+    reads the run's mod_exp, then in the spec's order; the run's mod_exp
+    moves lemma26_qdiff."""
     import wilsonlab.suite as suite
     from wilsonlab.registry import effective_mod_exp
 
@@ -179,7 +180,7 @@ def test_a_value_runs_its_tasks_from_the_highest_exponent_down(monkeypatch):
     monkeypatch.setattr(suite, "execute_check", recording)
     ids = "bundle_kummer_chain,thm_main_p3,lerch,thm_main2_p4,lemma26_qdiff,prop34_remainder"
     for mod_exp, order in [
-        (None, "thm_main2_p4,lemma26_qdiff,thm_main_p3,bundle_kummer_chain,lerch,prop34_remainder"),
+        (None, "lemma26_qdiff,thm_main2_p4,thm_main_p3,bundle_kummer_chain,lerch,prop34_remainder"),
         (6, "lemma26_qdiff,thm_main2_p4,thm_main_p3,bundle_kummer_chain,lerch,prop34_remainder"),
         (2, "thm_main2_p4,thm_main_p3,lemma26_qdiff,bundle_kummer_chain,lerch,prop34_remainder"),
     ]:
@@ -411,6 +412,25 @@ def test_a_refusal_after_the_first_allocation_is_a_usage_error(monkeypatch, caps
     err = capsys.readouterr().err
     assert err == ("error: sieve limit 50 is too large\n"
                    "error: scan limit 50 is too large\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["wilson", "--p", "1009", "--mod-exp", "4", "--method", "bernoulli"],
+    ["qsum", "--p", "1009", "--n", "3", "--mod-exp", "1", "--method", "difference"],
+    ["qsum", "--p", "1009", "--n", "2", "--mod-exp", "2", "--method", "bernoulli"],
+])
+def test_a_refused_power_list_is_a_usage_error(monkeypatch, capsys, argv):
+    """A MemoryError in a power-list step, past the sieve, as under
+    `ulimit -v 200000` at p = 1000003, exits 2 with one line on stderr."""
+    from wilsonlab import modular
+
+    def refuse(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    monkeypatch.setattr(modular, "_step_powers", refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: p 1009 is too large\n")
 
 
 def test_a_refused_list_of_values_is_a_usage_error(monkeypatch, capsys):
@@ -976,18 +996,20 @@ TIER_CHECK_IDS = (
 def test_tier_checks_compute_each_power_sum_once_past_the_first_prime(power_sum_runs):
     """The twelve tier checks at 1103..1117 ask 36 distinct power sums. The
     first prime runs its p^4 checks before thm_main_p3 and bundle_kummer_chain,
-    so it asks each sum at its final precision first and raises only
-    lemma26_qdiff's difference side, from K = 5 to 8: 16 power lists, 22
+    and lemma26_qdiff first among them, so it asks each sum at its final
+    precision first, its difference side's S_{d(p-1)} at p^8 included:
+    12 power lists, 16 when thm_main2_p4 asked them at p^5 first and 22
     when thm_main_p3 ran first. The next two compute each sum at the
     precision the first one reached, 12 lists each (81 kernel runs when
-    every rise recomputed). All but 7 are steps, one product per a from the
+    every rise recomputed). All but 6, two sieve passes a prime (its t and
+    the first list of column -2), are steps, one product per a from the
     list p - 1 below (46 sieve passes without the step rule)."""
     rep = run_suite(make_spec(TIER_CHECK_IDS, 1103, 1117, engine="modular"))
     assert rep.summary == {"pass": 36, "fail": 0, "skipped": 0}
     assert len({(n, p) for _, n, p, _ in power_sum_runs}) == 36
     kinds = [kind for kind, *_ in power_sum_runs]
-    assert (kinds.count("sieve"), kinds.count("step")) == (7, 33)
-    assert [p for _, _, p, _ in power_sum_runs].count(1103) == 16
+    assert (kinds.count("sieve"), kinds.count("step")) == (6, 30)
+    assert [p for _, _, p, _ in power_sum_runs].count(1103) == 12
 
 
 def test_power_sum_side_never_reads_the_quotient_memo(monkeypatch):
@@ -1030,7 +1052,8 @@ def test_a_skewed_power_sum_fails_lemma26(monkeypatch, power_sum_runs):
     monkeypatch.setattr(modular, "_sieve_powers",
                         lambda n, m, spf: skew(n, len(spf), sieve(n, m, spf)))
     monkeypatch.setattr(modular, "_step_powers",
-                        lambda n, below, t, m: skew(n, len(t), step(n, below, t, m)))
+                        lambda n, below, t, m, reduce:
+                        skew(n, len(t), step(n, below, t, m, reduce)))
     power_sum_runs.clear()
     monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
     assert [r.status for r in run_suite(spec).results] == ["fail"] * 4
