@@ -9,13 +9,18 @@ polynomial denominators are read from the table by integer gcds
 The table is built from the tangent numbers T_k, computed in integers by the
 in-place recurrence of Brent and Harvey ("Fast computation of Bernoulli,
 Tangent and Secant numbers", 2011), its row divided by (j-k)! so that each
-stage is one C-level prefix sum (``BernoulliTable.build``), and
-B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+stage is one C-level prefix sum (``tangent_rows``), and
+B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)). The recurrence only adds and
+multiplies integers, never divides, so it runs as well mod any modulus:
+``BernoulliTable.build`` reads its rows exact, and
+``congruences.irregular_primes`` reads them reduced mod a product of prime
+powers.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate, repeat, starmap
 from math import comb, gcd, lcm
@@ -30,6 +35,30 @@ DESK_CAP = 2400
 
 class IndexOutOfTable(Exception):
     pass
+
+
+def tangent_rows(m: int) -> Iterator[deque]:
+    """The rows of the tangent recurrence after stages k = 1..m; the first
+    entry of row k is T_k.
+
+    After stage k, t_j (j >= k) is divisible by (j-k)!, so the row holds
+    u_j = t_j / (j-k)!, j = k..m, from u = [1]*m (t_j = (j-1)!). Stage k+1,
+    t_j <- (j-k-1) t_{j-1} + (j-k+1) t_j, divided by i! (i = j-k-1), is the
+    prefix sum u'_j = u'_{j-1} + (i+1)(i+2) u_j. The row is one deque,
+    yielded at each stage and advanced in place when the reader asks for the
+    next. A reader may replace its entries by congruent ones mod any M
+    before then: the stages only add and multiply by integers, so every
+    later T_k comes out congruent to the exact one mod M.
+    """
+    weights = [(i + 1) * (i + 2) for i in range(m)]
+    row = deque([1] * m)
+    for _ in range(m):
+        yield row
+        row.popleft()
+        # the next stage pops each old entry as it appends the new one,
+        # so only one row is alive
+        pops = starmap(row.popleft, repeat((), len(row)))
+        row.extend(accumulate(map(mul, weights, pops)))
 
 
 class BernoulliTable:
@@ -48,34 +77,21 @@ class BernoulliTable:
 
     @classmethod
     def build(cls, n_max: int) -> "BernoulliTable":
-        """Build B_0..B_n_max from the tangent numbers T_1..T_m, m = n_max // 2.
-
-        After stage k of the recurrence, t_j (j >= k) is divisible by (j-k)!,
-        so the row holds u_j = t_j / (j-k)!, from u = [1]*m (t_j = (j-1)!).
-        Stage k+1, t_j <- (j-k-1) t_{j-1} + (j-k+1) t_j, divided by i!
-        (i = j-k-1), is the prefix sum u'_j = u'_{j-1} + (i+1)(i+2) u_j. T_k
-        is the row's first entry after stage k, and
-        B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) is made then.
-        """
+        """Build B_0..B_n_max from the tangent numbers T_1..T_m, m = n_max // 2,
+        each read off its row (tangent_rows) as
+        B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         if n_max > DESK_CAP:
             raise IndexOutOfTable(f"exact table capped at index {DESK_CAP}")
-        m = n_max // 2
         values = [Fraction(0)] * (n_max + 1)
         values[0] = Fraction(1)
         if n_max >= 1:
             values[1] = Fraction(-1, 2)
-        weights = [(i + 1) * (i + 2) for i in range(m)]
-        row = deque([1] * m)  # u_j = t_j / (j-k)!, j = k..m, after stage k
-        for k in range(1, m + 1):
+        for k, row in enumerate(tangent_rows(n_max // 2), 1):
             four_k = 4 ** k
             sign = 1 if k % 2 else -1
-            values[2 * k] = Fraction(sign * 2 * k * row.popleft(), four_k * (four_k - 1))
-            # the next stage pops each old entry as it appends the new one,
-            # so only one row is alive
-            pops = starmap(row.popleft, repeat((), len(row)))
-            row.extend(accumulate(map(mul, weights, pops)))
+            values[2 * k] = Fraction(sign * 2 * k * row[0], four_k * (four_k - 1))
         return cls(values)
 
     @property

@@ -283,11 +283,12 @@ def scan_primes(klass: str, limit: int) -> list[int]:
     'wilson' keeps the odd p with (p-1)! = -1 mod p^2, reading every
     (p-1)! mod p^2 off one accumulating remainder tree
     (quotients.factorials_mod), quasi-linear in the limit. 'irregular'
-    keeps the p >= 5 that divide a numerator of B_2..B_{p-3}: it builds
-    one exact table to q - 3, q the largest prime <= limit, and classifies
-    every p in one pass over its numerators (congruences.irregular_primes).
-    A q - 3 past bernoulli.DESK_CAP is refused with IndexOutOfTable before
-    the sieve runs.
+    keeps the p >= 5 that divide a numerator of B_2..B_{p-3}: it classifies
+    every p in one pass of the tangent recurrence mod a shrinking product of
+    prime powers, with no exact table (congruences.irregular_primes). A
+    q - 3 past bernoulli.DESK_CAP, q the largest prime <= limit, is still
+    refused with IndexOutOfTable before the sieve runs, so that every scan
+    accepted can be checked against the exact table.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
@@ -305,7 +306,7 @@ def scan_primes(klass: str, limit: int) -> list[int]:
                 f"past the exact table's cap at index {DESK_CAP}"
             )
         primes = [p for p in primes_up_to(q) if p >= 5]
-        return irregular_primes(primes, BernoulliTable.build(q - 3))
+        return irregular_primes(primes)
     raise ValueError(f"unknown class {klass!r}")
 
 

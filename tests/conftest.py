@@ -11,6 +11,13 @@ def table():
 
 
 @pytest.fixture(scope="session")
+def wieferich_table():
+    """B_0..B_1090: every B_{2k}, 2k <= p - 3, that decides the irregularity
+    of the primes to 1093, the base-2 Wieferich prime."""
+    return BernoulliTable.build(1090)
+
+
+@pytest.fixture(scope="session")
 def small_table():
     return BernoulliTable.build(60)
 

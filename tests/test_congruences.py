@@ -1,7 +1,7 @@
 import re
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,9 @@ from wilsonlab.congruences import (
     Q_TIERS,
     WQ_TIER_PMIN,
     _LOG_TIERS,
+    _classify,
     _q_form,
+    _tangent_residues,
     carlitz_pair,
     central_binom_dichotomy,
     classify_prime,
@@ -495,15 +497,63 @@ def test_classify_prime(table):
 def test_irregular_primes_matches_the_per_prime_reference(table):
     primes = [p for p in primes_up_to(table.max_index + 3) if p >= 3]
     reference = [p for p in primes if classify_prime(p, table).irregular]
-    assert irregular_primes(primes, table) == reference
+    assert irregular_primes(primes) == reference
     assert reference[:5] == [37, 59, 67, 101, 103]
     # the given order is kept, and a prime given twice is listed twice
-    assert irregular_primes([67, 11, 37, 67], table) == [67, 37, 67]
-    assert irregular_primes([3], table) == irregular_primes([], table) == []
+    assert irregular_primes([67, 11, 37, 67]) == [67, 37, 67]
+    assert irregular_primes([3]) == irregular_primes([]) == []
     with pytest.raises(ValueError):
-        irregular_primes([2, 37], table)
-    with pytest.raises(IndexOutOfTable):
-        irregular_primes([5, 37], BernoulliTable.build(32))
+        irregular_primes([2, 37])
+
+
+@pytest.mark.parametrize("given,named", [
+    ([5, 9, 25, 49, 121, 37, 169, 91, 203], 9),
+    ([5, 7, 6, 37], 6),
+    ([37, 1], 1),
+])
+def test_irregular_primes_refuses_a_composite(given, named):
+    """A composite can divide the running product without dividing any one
+    numerator (49, 121, 169, 91 and 203 were listed as irregular), and the
+    kernel's prime powers are only defined at primes."""
+    with pytest.raises(ValueError, match=rf"; {named} is not prime$"):
+        irregular_primes(given)
+
+
+def _tangent_number(k: int, table: BernoulliTable) -> int:
+    """T_k = (-1)^(k-1) B_{2k} 4^k (4^k - 1) / (2k), read off the exact table."""
+    t = (-1) ** (k - 1) * table.bernoulli(2 * k) * 4 ** k * (4 ** k - 1) / (2 * k)
+    assert t.denominator == 1
+    return t.numerator
+
+
+def _precision(p: int, k: int) -> int:
+    """p^(1 + v_p(4^k - 1)): the modulus to which t_k must agree with T_k
+    for the division by gcd(4^k - 1, t_k) to leave p's verdict intact."""
+    return p ** (1 + ord_p(Fraction(4 ** k - 1), p))
+
+
+def test_tangent_residues_hold_each_index_to_its_precision(table, wieferich_table):
+    """For every tested p and every k with 2k <= p - 3, the kernel's t_k is
+    T_k mod p^(1 + v_p(4^k - 1)). The stages past the first reduction are
+    the ones a coarser modulus would get wrong."""
+    tested = [p for p in primes_up_to(400) if p >= 5]
+    residues = list(_tangent_residues(tested))
+    assert len(residues) == (397 - 3) // 2
+    exact = [_tangent_number(k, table) for k in range(1, len(residues) + 1)]
+    squares = 0
+    for p in tested:
+        for k in range(1, (p - 1) // 2):
+            m = _precision(p, k)
+            assert (residues[k - 1] - exact[k - 1]) % m == 0, (p, k)
+            squares += m > p
+    assert squares > 100
+    # 1093 is the one prime below the cap whose square divides some 4^k - 1
+    # with 2k <= p - 3 (k = 182, 364): there t_k must hold T_k mod 1093^3
+    residues = list(_tangent_residues([1093]))
+    cubes = [k for k in range(1, 546) if _precision(1093, k) == 1093 ** 3]
+    assert cubes == [182, 364]
+    for k, t in enumerate(residues, 1):
+        assert (t - _tangent_number(k, wieferich_table)) % _precision(1093, k) == 0, k
 
 
 def _planted(ell: int, factor: int, n_max: int = 20) -> BernoulliTable:
@@ -520,20 +570,32 @@ def _planted(ell: int, factor: int, n_max: int = 20) -> BernoulliTable:
 
 def test_irregular_primes_sees_a_planted_factor():
     primes = [5, 7, 11, 13, 17, 19, 23]
-    assert irregular_primes(primes, BernoulliTable.build(20)) == []
+    # to k = 11 = (23-1)/2, one past what 23 needs, so that a classification
+    # that reads k = (p-1)/2 reads it and does not run out
+    exact = BernoulliTable.build(22)
+    tangent = [_tangent_number(k, exact) for k in range(1, 12)]
+
+    def planted(k, factor):
+        return tangent[:k - 1] + [factor * tangent[k - 1]] + tangent[k:]
+
+    assert _classify(primes, tangent) == set()
     # 10 <= 13 - 3: B_10 is one of the numerators that decide 13
+    assert _classify(primes, planted(5, 13)) == {13}
     t = _planted(10, 13)
-    assert irregular_primes(primes, t) == [13]
     assert classify_prime(13, t).irregular_indices == (10,)
-    # 12 > 13 - 3: B_12 is not, though 13 now divides its numerator
+    # 12 > 13 - 3: B_12 is not, though 13 now divides its numerator; 13
+    # divides 4^6 - 1 too, so it takes 13^2 in T_6 to put 13 there
+    t6 = 13 ** 2 * tangent[5]
+    assert t6 // gcd(4 ** 6 - 1, t6) % 13 == 0
+    assert _classify(primes, planted(6, 13 ** 2)) == set()
     t = _planted(12, 13)
     assert t.bernoulli(12).numerator % 13 == 0
-    assert irregular_primes(primes, t) == []
     assert not classify_prime(13, t).irregular
     # the same numerator does decide 17 and 19
+    assert _classify(primes, planted(6, 17 * 19)) == {17, 19}
     t = _planted(12, 17 * 19)
-    assert irregular_primes(primes, t) == [17, 19]
     assert [classify_prime(p, t).irregular_indices for p in (17, 19)] == [(12,), (12,)]
+    assert irregular_primes(primes) == []
 
 
 def test_reduction_chain(table):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wilsonlab.bernoulli import DESK_CAP, BernoulliTable, RationalPolynomial, beta_value
 from wilsonlab.cli import main
-from wilsonlab.congruences import classify_prime
+from wilsonlab.congruences import classify_prime, irregular_primes
 from wilsonlab.padic import PrimePowerContext, is_prime, primes_up_to, reduce_rational
 from wilsonlab.quotients import wilson_quotient
 from wilsonlab.registry import (
@@ -864,56 +864,37 @@ def test_wilson_scan_to_30000():
     assert scan_primes("wilson", 30000) == [5, 13, 563]
 
 
-def test_irregular_scan_matches_the_per_prime_reference(monkeypatch):
-    """scan_primes against a classify_prime loop at every limit to 800. Each
-    scan's table is a slice of one shared table, so that the test builds it
-    once; the slice's length is the index the scan asked for."""
-    shared = BernoulliTable.build(797 - 3)
-    irregular = {p for p in primes_up_to(800) if p >= 5 and classify_prime(p, shared).irregular}
-    sizes = []
-
-    def sliced(cls, n_max):
-        sizes.append(n_max)
-        return cls([shared.bernoulli(i) for i in range(n_max + 1)])
-
-    monkeypatch.setattr(BernoulliTable, "build", classmethod(sliced))
-    for limit in range(801):
-        primes = primes_up_to(limit)
-        assert scan_primes("irregular", limit) == [p for p in primes if p in irregular], limit
-        # one table per scan with a prime p >= 5, to the largest prime's p - 3
-        assert sizes == ([primes[-1] - 3] if limit >= 5 else []), limit
-        sizes.clear()
+def test_irregular_scan_matches_the_per_prime_reference(wieferich_table):
+    """One kernel call through 1093, the base-2 Wieferich prime, against a
+    classify_prime loop over the exact table: a prime's verdict does not
+    depend on the other primes given. Then scans at every limit to 60 and
+    at the limits around a few primes, against the same verdicts."""
+    primes = [p for p in primes_up_to(1093) if p >= 5]
+    irregular = [p for p in primes if classify_prime(p, wieferich_table).irregular]
+    assert irregular_primes(primes) == irregular
     # OEIS A000928: 47 irregular primes below 700, the last 691
-    below_700 = sorted(p for p in irregular if p < 700)
+    below_700 = [p for p in irregular if p < 700]
     assert len(below_700) == 47 and below_700[-1] == 691
+    limits = list(range(61)) + [n + d for n in (67, 101, 691, 1093) for d in (-1, 0, 1)]
+    for limit in limits:
+        assert scan_primes("irregular", limit) == [p for p in irregular if p <= limit], limit
 
 
-def test_irregular_scan_builds_its_table_to_the_largest_prime(monkeypatch):
+def test_irregular_scan_builds_no_table(monkeypatch):
     builds = _count_table_builds(monkeypatch)
     assert scan_primes("irregular", 10) == []
-    assert builds == [4]  # 7 - 3, not 10 - 3
     assert scan_primes("irregular", 700)[-1] == 691
-    assert builds == [4, 688]  # 691 - 3, not 697
+    assert builds == []
 
 
 @pytest.mark.parametrize("limit", [2404, 2410])
 def test_irregular_scan_below_the_cap_needs_only_its_largest_prime(monkeypatch, limit):
     """2399, the largest prime <= 2410, needs B up to 2396 <= DESK_CAP: the
-    scan builds that table (here refused before it is built) rather than
-    one to limit - 3."""
-    class Refused(Exception):
-        pass
-
-    sizes = []
-
-    def refused(cls, n_max):
-        sizes.append(n_max)
-        raise Refused  # stop before the two-second build
-
-    monkeypatch.setattr(BernoulliTable, "build", classmethod(refused))
-    with pytest.raises(Refused):
-        scan_primes("irregular", limit)
-    assert sizes == [2396] and 2396 <= DESK_CAP
+    scan runs rather than refusing limit - 3 > DESK_CAP, and builds no table."""
+    builds = _count_table_builds(monkeypatch)
+    out = scan_primes("irregular", limit)
+    assert len(out) == 143 and out[-1] == 2389 and 2399 - 3 <= DESK_CAP
+    assert builds == []
 
 
 @pytest.mark.parametrize("limit,q", [(2411, 2411), (2416, 2411), (10**23, 10**23 - 23)])
