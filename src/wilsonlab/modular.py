@@ -81,20 +81,15 @@ def _step_powers(n: int, below: list[int], t: list[int], m: int, reduce: bool) -
 
 class _PowerSumMemo:
     """The power sums of one prime p: n -> (K, S_n(p) mod p^K), and the
-    smallest-prime-factor sieve below p, built on the first sieve pass.
+    smallest-prime-factor sieve below p, built on the first sieve pass. A
+    miss computes its sum at the precision asked, so a sum asked at its
+    highest precision first is computed once.
 
-    Every request is also recorded by the shape (d, j) of its index,
-    n = d(p-1) + j with d = ceil(n/(p-1)) and -(p-1) < j <= 0: asked maps a
-    shape to the highest K asked for it at p. The memo of the next prime
-    takes that record as its plan, and a miss computes its sum at the
-    planned precision when that is higher than the one asked, since
-    consecutive primes of a run ask for the same shapes at the same
-    precisions. The plan changes only which precision a sum is held at,
-    never a returned value.
-
-    A miss at (d, j) and precision W is a step, not a sieve pass, when the
-    memo holds the power list a -> a^((d-1)(p-1)+j) and t: a -> a^(p-1),
-    both mod p^W or finer: a^(d(p-1)+j) = a^((d-1)(p-1)+j) * a^(p-1).
+    Write an index n = d(p-1) + j with d = ceil(n/(p-1)) and
+    -(p-1) < j <= 0. A miss at (d, j) and precision W is a step, not a
+    sieve pass, when the memo holds the power list a -> a^((d-1)(p-1)+j)
+    and t: a -> a^(p-1), both mod p^W or finer:
+    a^(d(p-1)+j) = a^((d-1)(p-1)+j) * a^(p-1).
     columns maps j to the latest list of shape (d, j) computed, as (d,
     precision, list, bits), and t is the list of shape (1, 0) as (precision,
     list, bits), kept only at the precision it was sieved at: a finer t is
@@ -108,45 +103,39 @@ class _PowerSumMemo:
     max(p^W, 2^_UNREDUCED_BITS). The sum of each list is reduced once.
     """
 
-    def __init__(self, p: int, plan: dict[tuple[int, int], int] | None = None):
+    def __init__(self, p: int):
         self.p = p
         self.sums: dict[int, tuple[int, int]] = {}
         self.spf: list[int] | None = None
-        self.plan = plan or {}
-        self.asked: dict[tuple[int, int], int] = {}
         self.t: tuple[int, list[int], int] | None = None
         self.columns: dict[int, tuple[int, int, list[int], int]] = {}
 
     def get(self, n: int, K: int) -> int:
         d = -(-n // (self.p - 1))
         j = n - d * (self.p - 1)
-        if self.asked.get((d, j), 0) < K:
-            self.asked[d, j] = K
         m = self.p ** K
         held = self.sums.get(n)
         if held is not None and held[0] >= K:
             return held[1] % m
-        work = max(K, self.plan.get((d, j), 0))
-        M = self.p ** work
         below = self.columns.get(j)
-        if (below is not None and below[0] == d - 1 and below[1] >= work
-                and self.t is not None and self.t[0] >= work):
+        if (below is not None and below[0] == d - 1 and below[1] >= K
+                and self.t is not None and self.t[0] >= K):
             bits = below[3] + self.t[2]
             reduce = bits > _UNREDUCED_BITS
-            pw = _step_powers(n, below[2], self.t[1], M, reduce)
+            pw = _step_powers(n, below[2], self.t[1], m, reduce)
             if reduce:
-                bits = M.bit_length()
+                bits = m.bit_length()
         else:
             if self.spf is None:
                 self.spf = _smallest_prime_factors(self.p)
-            pw = _sieve_powers(n, M, self.spf)
-            bits = M.bit_length()
+            pw = _sieve_powers(n, m, self.spf)
+            bits = m.bit_length()
         if (d, j) == (1, 0):
-            self.t = (work, pw, bits)
-        self.columns[j] = (d, work, pw, bits)
-        value = sum(pw) % M
-        self.sums[n] = (work, value)
-        return value % m
+            self.t = (K, pw, bits)
+        self.columns[j] = (d, K, pw, bits)
+        value = sum(pw) % m
+        self.sums[n] = (K, value)
+        return value
 
 
 _memo = _PowerSumMemo(0)
@@ -157,12 +146,10 @@ def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
 
     Sums are memoised for one prime at a time, so callers that keep to one
     prime reuse them: a sum held at precision K or higher is reduced, one
-    held lower is recomputed. A call at another prime starts a fresh memo
-    whose plan is what the previous prime asked for (see _PowerSumMemo): a
-    miss computes the sum at the higher of K and the precision the previous
-    prime asked for the same index shape. So when a run asks each prime the
-    same sums at rising K, each sum is computed once, from the second prime
-    on. A miss one step of p - 1 above a power list that the memo holds,
+    held lower is recomputed at K. A call at another prime starts an empty
+    memo, so nothing a prime asked moves the work of the next one, and a
+    caller that asks each sum at its highest precision first computes it
+    once. A miss one step of p - 1 above a power list that the memo holds,
     with t: a -> a^(p-1), at the miss's precision or finer costs one
     multiplication per a, reduced only once the list's entries outgrow
     _UNREDUCED_BITS (see _PowerSumMemo); any other miss costs pow at the
@@ -178,7 +165,7 @@ def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
     if n == 0:
         return ctx.from_int(p - 1, K)
     if _memo.p != p:
-        _memo = _PowerSumMemo(p, _memo.asked)
+        _memo = _PowerSumMemo(p)
     return ctx.from_int(_memo.get(n, K), K)
 
 

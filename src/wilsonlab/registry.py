@@ -29,6 +29,7 @@ which keeps one reduced residue per (p, m) in the table's memo.
 from __future__ import annotations
 
 from collections import namedtuple
+from contextlib import suppress
 from functools import cached_property, partial
 
 from . import result
@@ -209,7 +210,10 @@ def _verdict(check_id, p, mod_exp, cases) -> CongruenceCheckResult:
     none. A sub-case is (r, lhs, rhs, sub), or the _NoRoute that skips it:
     residues are compared mod p^r, other values for equality, and sub is the
     reason of a failure. Only the returned row is made, and the sub-cases
-    after a failure are never made."""
+    after a failure are never made. A check may make several sub-cases
+    before it gives the first: cor35_tiers and folklore make the values of
+    every precision at one index before the first of them is compared, so
+    a failure stops such a check before its next index."""
     last = None
     skips = {}
     for case in cases:
@@ -345,7 +349,19 @@ def run_bundle_kummer_chain(p: int, env: RunEnv):
 # -- oracle-agreement checks --------------------------------------------------
 
 
+def _top_first(value, top: int):
+    """(K, value(K)) for each K in 1..top that value admits, in ascending K,
+    computed from K = top down: a power sum that value asks at every K is
+    made once, at its top precision, and reduced for the rest."""
+    got = []
+    for K in range(top, 0, -1):
+        with suppress(InadmissibleCase):
+            got.append((K, value(K)))
+    return got[::-1]
+
+
 def run_cor35_tiers(p: int, env: RunEnv):
+    """adjusted_bernoulli_mod(d, p, r) against the oracle, r = 1..6 (_top_first)."""
     table = env.oracle
     oracle = beta_route("exact", p, table)
     for d in (1, 2, 3, 4):
@@ -353,11 +369,7 @@ def run_cor35_tiers(p: int, env: RunEnv):
         if n > table.max_index:
             continue
         want = oracle(n, 6).scale(n)  # the adjusted B_n, read at r <= 6
-        for r in (1, 2, 3, 4, 5, 6):
-            try:
-                got = adjusted_bernoulli_mod(d, p, r, table)
-            except InadmissibleCase:
-                continue
+        for r, got in _top_first(lambda r: adjusted_bernoulli_mod(d, p, r, table), 6):
             yield r, got, want, f"d={d}, r={r}"
 
 
@@ -365,6 +377,7 @@ _FOLKLORE_SAMPLE_EXTRA = (118, 242, 398)
 
 
 def run_folklore(p: int, env: RunEnv):
+    """folklore_bernoulli_mod(m, p, K) against the oracle, K = 1, 2 (_top_first)."""
     table = env.oracle
     cap = min(table.max_index, 400)
     sample = [m for m in range(4, 41, 2) if m <= cap]
@@ -372,11 +385,7 @@ def run_folklore(p: int, env: RunEnv):
     oracle = beta_route("exact", p, table)
     for m in sample:
         want = oracle(m, 2).scale(m)  # B_m, read at K <= 2
-        for K in (1, 2):
-            try:
-                got = folklore_bernoulli_mod(m, p, K)
-            except InadmissibleCase:
-                continue
+        for K, got in _top_first(lambda K: folklore_bernoulli_mod(m, p, K), 2):
             yield K, got, want, f"m={m}, K={K}"
 
 

@@ -8,15 +8,16 @@ power sums, quotients and factorial at the highest precision the prime
 needs, which the later tasks reduce. A tie runs a check that reads the
 run's mod_exp first, then the spec's check order. That check is lemma 2.6
 (lemma26_qdiff): its difference side asks S_{k(p-1)} at p^(r+n), n up to
-4, above the p^(r+1) that every tier at the same r asks, so the first
-prime of a run, which has no plan yet, makes each power list once, at its
-final precision. With jobs > 1 the ordered list is cut between values
-into contiguous slices of about equal weight (a task weighs its value), so
-no prime is split across processes and a run with fewer values than jobs
-forks fewer workers; the calling process runs the first slice and one
-process made by os.fork runs each other slice, sending its rows back
-pickled over an os.pipe (no process-pool library: its lazy imports made a
-pool pass's first fork cost several times a later one).
+4, above the p^(r+1) that every tier at the same r asks. The checks that
+ask one sum at several precisions, folklore and cor35_tiers, ask the top
+one first themselves, so every prime makes each power list once, at its
+final precision, whatever ran before it. With jobs > 1 the ordered list is
+cut between values into contiguous slices of about equal weight (a task
+weighs its value), so no prime is split across processes and a run with
+fewer values than jobs forks fewer workers; the calling process runs the
+first slice and one process made by os.fork runs each other slice, sending
+its rows back pickled over an os.pipe (no process-pool library: its lazy
+imports made a pool pass's first fork cost several times a later one).
 Processes share nothing: each builds its own exact table the first time
 one of its tasks needs it, and the report is sorted after collection so
 the output is byte-identical for any worker count (apart from the

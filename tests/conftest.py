@@ -25,7 +25,8 @@ def small_table():
 @pytest.fixture
 def power_sum_runs(monkeypatch):
     """Empty the power-sum memo and record every power list it computes,
-    as (kind, n, p, modulus) with kind "sieve" or "step"."""
+    as (kind, n, p, modulus) with kind "sieve" or "step". A call at another
+    prime starts an empty memo anyway; this empties the memo's own prime."""
     from wilsonlab import modular
 
     runs = []

@@ -106,16 +106,10 @@ def _requests(p, precisions):
     return [(n, p, K) for K in precisions for n in _memo_exponents(p)]
 
 
-def _shape(n, p):
-    """(d, j) with n = d(p-1) + j and -(p-1) < j <= 0."""
-    d = -(-n // (p - 1))
-    return d, n - d * (p - 1)
-
-
 def _kind(n, p):
     """How the memo makes a miss in these request orders: a step from the
-    list one column entry below when d >= 2, a sieve pass when d = 1."""
-    return "step" if _shape(n, p)[0] >= 2 else "sieve"
+    list one column entry below when n > p - 1, a sieve pass when not."""
+    return "step" if n > p - 1 else "sieve"
 
 
 @pytest.mark.parametrize("order", ["rising", "falling", "interleaved"])
@@ -131,20 +125,11 @@ def test_power_sum_memo_matches_plain_loop(power_sum_runs, order):
         assert (got.prec, got.residue) == (K, _plain_power_sum(n, p, K)), (n, p, K)
     computed = [(n, p, K) for n, p, K in requests if n > 0]
     if order == "rising":
-        # a sum whose shape the previous prime asked is computed once, at
-        # its first request and the previous prime's K = 8; the rest rise.
-        # Each index is asked after the one p - 1 below it, at the same K
-        # or the same plan, so every sum past d = 1 is a step
-        asked = {p: {_shape(n, p) for n in _memo_exponents(p) if n > 0} for p in MEMO_PRIMES}
-        planned = {(n, p) for prev, p in zip(MEMO_PRIMES, MEMO_PRIMES[1:])
-                   for n in _memo_exponents(p) if n > 0 and _shape(n, p) in asked[prev]}
-        assert power_sum_runs == [(_kind(n, p), n, p, p ** (8 if (n, p) in planned else K))
-                                  for n, p, K in computed if (n, p) not in planned or K == 1]
-        assert sum(kind == "step" for kind, *_ in power_sum_runs) == 589
-        # that is every d(p-1) and d(p-1) - 2 of a bundle from p = 7 on; the
-        # small n keep their shape only across a prime gap smaller than n
-        assert {(d * (p - 1) - j, p) for p in MEMO_PRIMES[3:]
-                for d in range(1, 7) for j in (0, 2)} <= planned
+        # every request rises, so each is computed at its own K, whatever
+        # an earlier prime asked; each index is asked after the one p - 1
+        # below it at the same K, so every sum past d = 1 is a step
+        assert power_sum_runs == [(_kind(n, p), n, p, p ** K) for n, p, K in computed]
+        assert sum(kind == "step" for kind, *_ in power_sum_runs) == 8 * 477
     if order == "falling":  # once per (p, n), at K = 8; the rest are reductions
         assert power_sum_runs == [(_kind(n, p), n, p, p ** 8)
                                   for n, p, K in computed if K == 8]
@@ -153,31 +138,26 @@ def test_power_sum_memo_matches_plain_loop(power_sum_runs, order):
         assert {kind for kind, *_ in power_sum_runs} == {"sieve"}
 
 
-def test_power_sum_plan_is_one_prime_deep(power_sum_runs):
-    """A prime's misses take the precisions the previous prime asked, and
-    only those: K = 8 at p1 plans p2's sum at p2^8, but p2 asked K = 2
-    alone, so p3 computes at p3^2. No prime holds S_{p-1}, so each is a
-    sieve pass."""
-    for p, K in ((1103, 8), (1109, 2), (1117, 2)):
+def test_a_new_prime_starts_from_an_empty_memo(power_sum_runs):
+    """Nothing a prime asked moves the work of the next one: after S_{2(p-1)}
+    at 1103^8, the sum of the same index shape at 1109 and K = 2 is sieved
+    at 1109^2 and held at 2."""
+    for p, K in ((1103, 8), (1109, 2)):
         got = power_sum_mod(2 * (p - 1), p, K)
         assert (got.prec, got.residue) == (K, _plain_power_sum(2 * (p - 1), p, K))
     assert power_sum_runs == [("sieve", 2 * 1102, 1103, 1103 ** 8),
-                              ("sieve", 2 * 1108, 1109, 1109 ** 8),
-                              ("sieve", 2 * 1116, 1117, 1117 ** 2)]
-    # a planned miss holds the sum at the plan's precision, and returns it mod p^K
-    memo = modular._PowerSumMemo(1109, {(2, 0): 8})
-    assert memo.get(2 * 1108, 2) == _plain_power_sum(2 * 1108, 1109, 2)
-    assert memo.sums[2 * 1108][0] == 8
+                              ("sieve", 2 * 1108, 1109, 1109 ** 2)]
+    assert modular._memo.sums[2 * 1108][0] == 2
 
 
 STEP_PRIMES = (2, 3, 5, 7, 11, 13)
 
-# runs of requests at one prime: a switch of prime starts a new memo with
-# the previous one's plan, and steps happen only within a run. A request
-# walks one column j: it names -j (the bundle's 0 and 2, or any other,
-# reduced mod p - 1) and a move of d from the column's last request, mostly
-# +1 so that the memo can step, or a jump (folklore's m = 398 at p = 7 is
-# d = 67); d starts at 0 and stays >= 1
+# runs of requests at one prime: a switch of prime starts an empty memo,
+# and steps happen only within a run. A request walks one column j: it
+# names -j (the bundle's 0 and 2, or any other, reduced mod p - 1) and a
+# move of d from the column's last request, mostly +1 so that the memo can
+# step, or a jump (folklore's m = 398 at p = 7 is d = 67); d starts at 0
+# and stays >= 1
 _step_requests = st.lists(
     st.tuples(
         st.sampled_from(STEP_PRIMES),

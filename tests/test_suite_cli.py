@@ -974,23 +974,51 @@ TIER_CHECK_IDS = (
 )
 
 
-def test_tier_checks_compute_each_power_sum_once_past_the_first_prime(power_sum_runs):
-    """The twelve tier checks at 1103..1117 ask 36 distinct power sums. The
-    first prime runs its p^4 checks before thm_main_p3 and bundle_kummer_chain,
+def test_tier_checks_compute_each_power_sum_once_at_every_prime(power_sum_runs):
+    """The twelve tier checks at 1103..1117 ask 36 distinct power sums. Each
+    prime runs its p^4 checks before thm_main_p3 and bundle_kummer_chain,
     and lemma26_qdiff first among them, so it asks each sum at its final
     precision first, its difference side's S_{d(p-1)} at p^8 included:
-    12 power lists, 16 when thm_main2_p4 asked them at p^5 first and 22
-    when thm_main_p3 ran first. The next two compute each sum at the
-    precision the first one reached, 12 lists each (81 kernel runs when
-    every rise recomputed). All but 6, two sieve passes a prime (its t and
-    the first list of column -2), are steps, one product per a from the
-    list p - 1 below (46 sieve passes without the step rule)."""
+    12 power lists a prime, 16 when thm_main2_p4 asked them at p^5 first
+    and 22 when thm_main_p3 ran first. All but 6, two sieve passes a prime
+    (its t and the first list of column -2), are steps, one product per a
+    from the list p - 1 below (46 sieve passes without the step rule)."""
     rep = run_suite(make_spec(TIER_CHECK_IDS, 1103, 1117, engine="modular"))
     assert rep.summary == {"pass": 36, "fail": 0, "skipped": 0}
     assert len({(n, p) for _, n, p, _ in power_sum_runs}) == 36
     kinds = [kind for kind, *_ in power_sum_runs]
     assert (kinds.count("sieve"), kinds.count("step")) == (6, 30)
-    assert [p for _, _, p, _ in power_sum_runs].count(1103) == 12
+    for p in (1103, 1109, 1117):
+        assert [q for _, _, q, _ in power_sum_runs].count(p) == 12
+
+
+@pytest.mark.parametrize("lo,hi,engine,lists", [(2, 97, "both", 650), (100, 160, "modular", 502)])
+def test_each_power_list_is_made_once_per_prime(power_sum_runs, lo, hi, engine, lists):
+    """Every check of a prime asks its power sums at their top precision
+    first: the run order puts the highest exponents first, and folklore and
+    cor35_tiers ask K = 2 and r = 6 before the lower ones. So a run makes
+    each (n, p) once. At 100..160 folklore's m = 118 and 242 pass p - 1."""
+    run_suite(make_spec("all", lo, hi, engine=engine))
+    made = [(n, p) for _, n, p, _ in power_sum_runs]
+    assert len(made) == lists
+    assert len(set(made)) == len(made)
+
+
+def test_a_runs_kernel_work_does_not_depend_on_earlier_calls(power_sum_runs):
+    """No power-sum state crosses primes: a run makes the same power lists,
+    (kind, n, p, modulus) in order, and the same rows from an empty memo as
+    after other sums at another prime, the state that a forked worker
+    inherits from its parent."""
+    from wilsonlab import modular
+
+    spec = make_spec("folklore,cor35_tiers,lemma26_qdiff", 5, 31, engine="modular")
+    cold = run_suite(spec).results
+    cold_runs = list(power_sum_runs)
+    for n in range(2, 60, 2):
+        modular.power_sum_mod(n, 3, 9)
+    power_sum_runs.clear()
+    assert run_suite(spec).results == cold and power_sum_runs == cold_runs
+    assert len(cold_runs) == 217
 
 
 def test_power_sum_side_never_reads_the_quotient_memo(monkeypatch):
