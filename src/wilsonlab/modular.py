@@ -12,7 +12,7 @@ from collections.abc import Callable
 from math import comb, isqrt
 
 from .bernoulli import BernoulliTable, bar_value, beta_value
-from .padic import TrackedResidue, context, forward_difference, is_prime, reduce_rational
+from .padic import TrackedResidue, forward_difference, is_prime, reduce_rational, work
 
 
 class InadmissibleCase(Exception):
@@ -81,9 +81,11 @@ def _step_powers(n: int, below: list[int], t: list[int], m: int, reduce: bool) -
 
 class _PowerSumMemo:
     """The power sums of one prime p: n -> (K, S_n(p) mod p^K), and the
-    smallest-prime-factor sieve below p, built on the first sieve pass. A
-    miss computes its sum at the precision asked, so a sum asked at its
-    highest precision first is computed once.
+    smallest-prime-factor sieve below p, built on the first sieve pass. It
+    lives in padic.work(p).power_sums, which only power_sum_mod reads or
+    writes, and goes when the slot moves to another prime. A miss computes
+    its sum at the precision asked, so a sum asked at its highest precision
+    first is computed once.
 
     Write an index n = d(p-1) + j with d = ceil(n/(p-1)) and
     -(p-1) < j <= 0. A miss at (d, j) and precision W is a step, not a
@@ -138,35 +140,31 @@ class _PowerSumMemo:
         return value
 
 
-_memo = _PowerSumMemo(0)
-
-
 def power_sum_mod(n: int, p: int, K: int) -> TrackedResidue:
     """1^n + ... + (p-1)^n mod p^K, with the convention that n = 0 gives p - 1.
 
-    Sums are memoised for one prime at a time, so callers that keep to one
-    prime reuse them: a sum held at precision K or higher is reduced, one
-    held lower is recomputed at K. A call at another prime starts an empty
-    memo, so nothing a prime asked moves the work of the next one, and a
-    caller that asks each sum at its highest precision first computes it
-    once. A miss one step of p - 1 above a power list that the memo holds,
-    with t: a -> a^(p-1), at the miss's precision or finer costs one
-    multiplication per a, reduced only once the list's entries outgrow
-    _UNREDUCED_BITS (see _PowerSumMemo); any other miss costs pow at the
-    primes below p only,
-    through a smallest-prime-factor sieve (see _sieve_powers). Values are a
-    pure function of (n, p, K) either way. The residues share the context
-    of p that padic.context hands out.
+    Sums are memoised in work(p).power_sums, which the first call at p
+    fills, so callers that keep to one prime reuse them: a sum held at
+    precision K or higher is reduced, one held lower is recomputed at K. A
+    call at another prime, by any kernel, drops the memo with the rest of
+    padic.work's slot, so nothing a prime asked moves the work of the next
+    one, and a caller that asks each sum at its highest precision first
+    computes it once. A miss one step of p - 1 above a power list that the
+    memo holds, with t: a -> a^(p-1), at the miss's precision or finer
+    costs one multiplication per a, reduced only once the list's entries
+    outgrow _UNREDUCED_BITS (see _PowerSumMemo); any other miss costs pow
+    at the primes below p only, through a smallest-prime-factor sieve (see
+    _sieve_powers). Values are a pure function of (n, p, K) either way.
+    The residues share work(p).ctx.
     """
-    global _memo
     if n < 0 or K < 1:
         raise ValueError("need n >= 0 and K >= 1")
-    ctx = context(p)
+    w = work(p)
     if n == 0:
-        return ctx.from_int(p - 1, K)
-    if _memo.p != p:
-        _memo = _PowerSumMemo(p)
-    return ctx.from_int(_memo.get(n, K), K)
+        return w.ctx.from_int(p - 1, K)
+    if w.power_sums is None:
+        w.power_sums = _PowerSumMemo(p)
+    return w.ctx.from_int(w.power_sums.get(n, K), K)
 
 
 def sh_value(n: int, p: int, r: int) -> TrackedResidue:
@@ -301,7 +299,7 @@ def beta_route(
         raise ValueError(f"unknown engine {engine!r}")
     if table is None:
         raise ValueError("exact engine needs a Bernoulli table")
-    memo, ctx = table.reduced, context(p)
+    memo, ctx = table.reduced, work(p).ctx
 
     def exact(m: int, K: int) -> TrackedResidue:
         held = memo.get((p, m))
@@ -397,6 +395,6 @@ def generalized_kummer_difference(
     if not (cond1 or cond2):
         raise HypothesisViolated(f"neither hypothesis holds for n={n}, p={p}, r={r}")
     if r == 0:
-        return context(p).from_int(0, 0)
+        return work(p).ctx.from_int(0, 0)
     value = beta_route(engine, p, table)
     return forward_difference([value(n + k * (p - 1), r) for k in range(r + 1)])

@@ -192,18 +192,30 @@ class PrimePowerContext(Frozen):
         return _reduced(self, prec, value % self.p ** prec)
 
 
-_context = PrimePowerContext(2)  # the context of the last prime asked
+class PrimeWork:
+    """One prime's work: its context, and three memos that their owners
+    fill on first use and keep apart: power_sums (modular.power_sum_mod),
+    quotients (quotients.q_sum's direct side) and factorial
+    (quotients.factorial_mod). Made only by work(p)."""
+
+    __slots__ = ("p", "ctx", "power_sums", "quotients", "factorial")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.ctx = PrimePowerContext(p)
+        self.power_sums = self.quotients = self.factorial = None
 
 
-def context(p: int) -> PrimePowerContext:
-    """The context of p from a one-slot cache: a run works through one prime
-    at a time, so its residues share one context per prime, made when the
-    prime changes. A p that is not prime raises NotPrime and leaves the
-    slot as it was."""
-    global _context
-    if _context.p != p:
-        _context = PrimePowerContext(p)
-    return _context
+@lru_cache(maxsize=1)
+def work(p: int) -> PrimeWork:
+    """The work of p, from one slot: a run works through one prime at a
+    time, so its residues share one context per prime and its kernels one
+    memo each. A call at another prime, by any kernel and n = 0 included,
+    drops the held prime's context and all three memos at once; a p that
+    is not prime raises NotPrime and leaves the slot as it was. The last
+    prime's work stays held until another prime is asked or
+    work.cache_clear() is called."""
+    return PrimeWork(p)
 
 
 class TrackedResidue(Frozen):

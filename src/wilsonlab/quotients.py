@@ -5,11 +5,11 @@ Wilson quotient through them by the log/exp series of
 The quotient power sums Q_p(n) come by two independent methods that must
 agree exactly: direct summation of n-th powers of Fermat quotients, and an
 n-th forward difference of integer power sums followed by n backward shifts.
-The direct side keeps its own memo for one prime: the Fermat quotients,
-from a linear sieve of its own, the latest list of their powers, stepped
-from one n to the next, and the sums built from them. It reads nothing of
-modular's power-sum memo or sieve, so a fault there cannot make the two
-methods agree.
+The direct side keeps its own memo of one prime in padic.work's slot: the
+Fermat quotients, from a linear sieve of its own, the latest list of their
+powers, stepped from one n to the next, and the sums built from them. It
+reads nothing of modular's power-sum memo or sieve, so a fault there cannot
+make the two methods agree.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from math import gcd, prod
 
 from .modular import HypothesisViolated, power_sum_mod
-from .padic import TrackedResidue, context, forward_difference, is_prime
+from .padic import TrackedResidue, forward_difference, is_prime, work
 
 
 class NotCoprime(Exception):
@@ -26,31 +26,28 @@ class NotCoprime(Exception):
 
 
 _FACTORIAL_CHUNK = 32
-_factorial = (0, 0, 0)  # (p, K, (p-1)! mod p^K) at the highest K asked at p
 
 
 def factorial_mod(p: int, K: int) -> TrackedResidue:
     """(p-1)! mod p^K by direct product, one reduction per chunk of
     _FACTORIAL_CHUNK consecutive factors (math.prod of a range, no list).
 
-    The product is memoised for one prime at the highest K asked, as
-    q_sum's direct side keeps its quotients: a K at or below it is the held
-    product reduced, a higher one computes it again at that K, and a call
-    at another prime starts afresh. So the Wilson tiers of one prime, asked
-    from the highest down, pay one product. The memo is this function's
-    own; it reads nothing of the other memos."""
-    global _factorial
+    The product is memoised as (K, (p-1)! mod p^K) in work(p).factorial at
+    the highest K asked: a K at or below it is the held product reduced, a
+    higher one computes it again at that K, and a call at another prime, by
+    any kernel, drops it with the rest of padic.work's slot. So the Wilson
+    tiers of one prime, asked from the highest down, pay one product. The
+    memo is this function's own; it reads nothing of the other memos."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    ctx = context(p)
-    held_p, held_K, acc = _factorial
-    if held_p != p or held_K < K:
+    w = work(p)
+    if w.factorial is None or w.factorial[0] < K:
         m = p**K
         acc = 1
         for lo in range(2, p, _FACTORIAL_CHUNK):
             acc = acc * prod(range(lo, min(lo + _FACTORIAL_CHUNK, p))) % m
-        _factorial = (p, K, acc)
-    return ctx.from_int(acc, K)
+        w.factorial = (K, acc)
+    return w.ctx.from_int(w.factorial[1], K)
 
 
 def factorials_mod(primes: Sequence[int], K: int) -> dict[int, int]:
@@ -136,7 +133,7 @@ def fermat_quotient(a: int, p: int, r: int) -> TrackedResidue:
         raise NotCoprime(f"gcd({a}, {p}) != 1")
     if r < 1:
         raise ValueError("r must be >= 1")
-    t = context(p).from_int(pow(a, p - 1, p ** (r + 1)), r + 1)
+    t = work(p).ctx.from_int(pow(a, p - 1, p ** (r + 1)), r + 1)
     return (t - 1).divide_by_p(1)
 
 
@@ -177,7 +174,9 @@ class _QuotientMemo:
     """The direct quotient power sums of one prime p: the Fermat quotients
     mod p^R at the highest precision R asked so far, n -> (r, Q_p(n) mod
     p^r), and powers, (k, [x_a]) with x_a = q_a^k mod p^R for the highest k
-    reached at R, its entries of at most bits bits.
+    reached at R, its entries of at most bits bits. It lives in
+    padic.work(p).quotients, which only q_sum's direct side reads or
+    writes, and goes when the slot moves to another prime.
 
     A miss at (n, r) with n <= r is a term of a p-adic series to precision
     r, which asks every lower n as well: the Wilson series, lemma 2.6 and
@@ -235,33 +234,31 @@ class _QuotientMemo:
         return self.sums[n][1] % m
 
 
-_memo = _QuotientMemo(0)
-
-
 def q_sum(p: int, n: int, r: int, method: str = "direct") -> TrackedResidue:
     """Sum of n-th powers of the Fermat quotients q_p(1..p-1), mod p^r.
 
     method 'direct' sums q_p(a)^n, with q_p(a) = (a^(p-1) - 1)/p from a
     linear sieve that calls pow at the primes a only. The quotients, the
-    latest list of their powers and the sums are memoised for one prime at
-    a time (a call at another prime starts the memo afresh): a sum held at
-    precision r or higher is reduced, a higher r recomputes the quotients at
-    that r, and a miss at n <= r steps the held powers to n, keeping every
-    sum on the way (see _QuotientMemo), so callers that keep to one prime
-    pay one sieve per new precision. method 'difference' computes the same
-    value as the n-th forward difference (step p-1) of nu -> S_nu(p) at
-    nu = 0, shifted back by p^n; it needs the power sums at precision
-    r + n. Both methods agree exactly, and neither reads the other's memo.
+    latest list of their powers and the sums are memoised in
+    work(p).quotients (a call at another prime, by any kernel, drops them
+    with the rest of padic.work's slot): a sum held at precision r or
+    higher is reduced, a higher r recomputes the quotients at that r, and a
+    miss at n <= r steps the held powers to n, keeping every sum on the way
+    (see _QuotientMemo), so callers that keep to one prime pay one sieve
+    per new precision. method 'difference' computes the same value as the
+    n-th forward difference (step p-1) of nu -> S_nu(p) at nu = 0, shifted
+    back by p^n; it needs the power sums at precision r + n. Both methods
+    agree exactly, and neither reads the other's memo.
     """
-    global _memo
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
     if method == "direct":
-        if _memo.p != p:
-            _memo = _QuotientMemo(p)
-        return context(p).from_int(_memo.get(n, r), r)
+        w = work(p)
+        if w.quotients is None:
+            w.quotients = _QuotientMemo(p)
+        return w.ctx.from_int(w.quotients.get(n, r), r)
     if method == "difference":
         values = [power_sum_mod(k * (p - 1), p, r + n) for k in range(n + 1)]
         return forward_difference(values).divide_by_p(n)
@@ -295,7 +292,7 @@ def wilson_via_psi(p: int, r: int) -> TrackedResidue:
     """
     if r < 1 or p <= r or p == 2:
         raise HypothesisViolated(f"need r >= 1 and an odd prime p > r, got p={p}, r={r}")
-    ctx, m = context(p), p ** (r + 1)
+    ctx, m = work(p).ctx, p ** (r + 1)
     L = sum((-1) ** (k - 1) * p**k * pow(k, -1, m) * q_sum(p, k, r).residue
             for k in range(1, r + 1))
     return wilson_series(ctx.from_int(L, r + 1), r)

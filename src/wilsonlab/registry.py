@@ -124,19 +124,15 @@ def _engines(p: int, env: RunEnv) -> tuple[str, ...]:
 
 def _per_engine(p: int, env: RunEnv, value):
     """value(engine) for every engine that runs at p, and the joined reasons
-    of those that raised _NoRoute. A reason that every engine gives, once
-    each engine's own "eng: " prefix is dropped, is said once."""
+    of those that raised _NoRoute."""
     values = []
     reasons = []
     for eng in _engines(p, env):
         try:
             values.append(value(eng))
         except _NoRoute as exc:
-            reasons.append((eng, str(exc)))
-    shared = {why.removeprefix(f"{eng}: ") for eng, why in reasons}
-    if len(reasons) > 1 and len(shared) == 1:
-        return values, shared.pop()
-    return values, "; ".join(why for _, why in reasons)
+            reasons.append(str(exc))
+    return values, "; ".join(reasons)
 
 
 def _dual_path(p, r, env, rhs, lhs=None, sub=""):

@@ -3,9 +3,10 @@
 The tasks of a run are its (check, prime-or-index) pairs, ordered by value
 and, within one value, from the highest effective exponent down
 (registry.effective_mod_exp), so that each process works through one prime
-at a time, the per-prime memos stay warm, and a prime's first tasks ask its
-power sums, quotients and factorial at the highest precision the prime
-needs, which the later tasks reduce. A tie runs a check that reads the
+at a time, the prime's work in padic.work's one slot stays warm until the
+next prime drops it, and a prime's first tasks ask its power sums,
+quotients and factorial at the highest precision the prime needs, which
+the later tasks reduce. A tie runs a check that reads the
 run's mod_exp first, then the spec's check order. That check is lemma 2.6
 (lemma26_qdiff): its difference side asks S_{k(p-1)} at p^(r+n), n up to
 4, above the p^(r+1) that every tier at the same r asks. The checks that

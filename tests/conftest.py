@@ -24,10 +24,11 @@ def small_table():
 
 @pytest.fixture
 def power_sum_runs(monkeypatch):
-    """Empty the power-sum memo and record every power list it computes,
-    as (kind, n, p, modulus) with kind "sieve" or "step". A call at another
-    prime starts an empty memo anyway; this empties the memo's own prime."""
-    from wilsonlab import modular
+    """Empty padic.work's slot and record every power list the power-sum
+    memo computes, as (kind, n, p, modulus) with kind "sieve" or "step". A
+    call at another prime drops the slot anyway; this empties the held
+    prime's too."""
+    from wilsonlab import modular, padic
 
     runs = []
     sieve, step = modular._sieve_powers, modular._step_powers
@@ -40,7 +41,7 @@ def power_sum_runs(monkeypatch):
         runs.append(("step", n, len(t), m))
         return step(n, below, t, m, reduce)
 
-    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    padic.work.cache_clear()
     monkeypatch.setattr(modular, "_sieve_powers", sieved)
     monkeypatch.setattr(modular, "_step_powers", stepped)
     return runs

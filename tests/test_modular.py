@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wilsonlab import modular
+from wilsonlab import modular, quotients
 from wilsonlab.bernoulli import (
     BernoulliTable,
     adjusted_bernoulli,
@@ -28,8 +28,9 @@ from wilsonlab.modular import (
     sh_value,
 )
 from wilsonlab.padic import (
-    NotDivisible, NotPrime, PrimePowerContext, primes_up_to, reduce_rational,
+    NotDivisible, NotPrime, PrimePowerContext, primes_up_to, reduce_rational, work,
 )
+from wilsonlab.quotients import factorial_mod, q_sum
 from wilsonlab.registry import REGISTRY, RunEnv, execute_check
 
 
@@ -41,29 +42,45 @@ def test_power_sum_examples():
 
 def test_the_power_sums_of_one_prime_share_one_context(monkeypatch):
     """A context is made when the prime changes, n = 0 included, and is
-    shared by every sum of that prime; a prime that is not one is refused
-    before the memo moves."""
+    shared by every sum of that prime, and by the quotient sums and the
+    factorial. padic.work(p) holds the three memos as distinct objects; a
+    call at another prime by any one kernel drops all three, and a prime
+    that is not one is refused before the slot moves."""
     made = []
     check = PrimePowerContext.__post_init__
 
-    def counted(ctx):
-        made.append(ctx.p)
+    def counted(ctx):  # a context that is made, not one refused
         check(ctx)
+        made.append(ctx.p)
 
-    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
     monkeypatch.setattr(PrimePowerContext, "__post_init__", counted)
-    sums = [power_sum_mod(n, 13, K) for n in (12, 0, 24, 10, 12) for K in (1, 3)]
-    assert made == [13]
-    assert all(s.ctx is sums[0].ctx for s in sums)
-    assert [s.residue for s in sums] == [sum(a ** n for a in range(1, 13)) % 13 ** K
-                                         if n else 12 % 13 ** K
-                                         for n in (12, 0, 24, 10, 12) for K in (1, 3)]
-    other = power_sum_mod(0, 17, 2)
-    assert made == [13, 17] and other.ctx.p == 17 and modular._memo.p == 13
-    assert power_sum_mod(4, 13, 2).ctx.p == 13 and made == [13, 17, 13]
-    with pytest.raises(NotPrime):
-        power_sum_mod(4, 15, 2)
-    assert modular._memo.p == 13
+    for kernel in (lambda p: power_sum_mod(0, p, 2), lambda p: q_sum(p, 1, 1, "direct"),
+                   lambda p: factorial_mod(p, 1)):
+        work.cache_clear()
+        made.clear()
+        sums = [power_sum_mod(n, 13, K) for n in (12, 0, 24, 10, 12) for K in (1, 3)]
+        assert made == [13]
+        assert all(s.ctx is sums[0].ctx for s in sums)
+        assert [s.residue for s in sums] == [sum(a ** n for a in range(1, 13)) % 13 ** K
+                                             if n else 12 % 13 ** K
+                                             for n in (12, 0, 24, 10, 12) for K in (1, 3)]
+        held = work(13)
+        residues = sums + [q_sum(13, 2, 3, "direct"), factorial_mod(13, 2)]
+        assert made == [13] and all(x.ctx is held.ctx for x in residues)
+        assert isinstance(held.power_sums, modular._PowerSumMemo)
+        assert isinstance(held.quotients, quotients._QuotientMemo)
+        assert held.factorial == (2, 479001600 % 13**2)
+        other = kernel(17)
+        assert made == [13, 17] and other.ctx.p == 17 and work(17).ctx is other.ctx
+        assert power_sum_mod(4, 13, 2).ctx.p == 13 and made == [13, 17, 13]
+        fresh = work(13)
+        assert fresh is not held and fresh.power_sums is not held.power_sums
+        assert (fresh.quotients, fresh.factorial) == (None, None)
+        for refused in (lambda: power_sum_mod(4, 15, 2), lambda: factorial_mod(15, 1),
+                        lambda: work(15)):
+            with pytest.raises(NotPrime):
+                refused()
+        assert work(13) is fresh and made == [13, 17, 13]
 
 
 @given(
@@ -147,7 +164,7 @@ def test_a_new_prime_starts_from_an_empty_memo(power_sum_runs):
         assert (got.prec, got.residue) == (K, _plain_power_sum(2 * (p - 1), p, K))
     assert power_sum_runs == [("sieve", 2 * 1102, 1103, 1103 ** 8),
                               ("sieve", 2 * 1108, 1109, 1109 ** 2)]
-    assert modular._memo.sums[2 * 1108][0] == 2
+    assert work(1109).power_sums.sums[2 * 1108][0] == 2
 
 
 STEP_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -184,7 +201,7 @@ def test_power_sum_steps_match_plain_loop(power_sum_runs):
     @given(_step_requests)
     @settings(max_examples=300, deadline=None)
     def check(requests):
-        modular._memo = modular._PowerSumMemo(0)
+        work.cache_clear()
         for p, run in requests:
             last_d = {}
             for minus_j, move, K in run:
@@ -223,19 +240,17 @@ def test_long_column_reduces_its_lists_by_size(monkeypatch, finer):
     max(p^W, 2^_UNREDUCED_BITS), W its own precision, within its bits; some
     are held unreduced and some reduced; t is kept at the one precision it
     was sieved at, and used there; and the value is the plain loop's."""
-    from wilsonlab.quotients import q_sum
-
     p, M = 101, 101**14
     made, kept = [], []
     step = modular._step_powers
 
     def recorded(n, below, t, m, reduce):
-        assert t is modular._memo.t[1], "t is handed as it was sieved"
-        kept.extend(_held_lists(modular._memo))
+        assert t is work(p).power_sums.t[1], "t is handed as it was sieved"
+        kept.extend(_held_lists(work(p).power_sums))
         made.append((n // (p - 1), m))
         return step(n, below, t, m, reduce)
 
-    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    work.cache_clear()
     if finer == "t":
         modular.power_sum_mod(p - 1, p, 20)
     if finer == "below":
@@ -244,12 +259,12 @@ def test_long_column_reduces_its_lists_by_size(monkeypatch, finer):
     monkeypatch.setattr(modular, "_step_powers", recorded)
     qs = [(pow(a, p - 1, p**3) - 1) // p for a in range(1, p)]
     assert q_sum(p, 12, 2, "difference").residue == sum(q**12 for q in qs) % p**2
-    kept.extend(_held_lists(modular._memo))
+    kept.extend(_held_lists(work(p).power_sums))
     first = 4 if finer == "below" else 2
     assert made == [(d, M) for d in range(first, 13)]
     assert _bounded(kept, p)
     assert {max(pw) < p**prec for prec, pw, _ in kept} == {True, False}
-    assert modular._memo.t[0] == {None: 14, "t": 20, "below": 16}[finer]
+    assert work(p).power_sums.t[0] == {None: 14, "t": 20, "below": 16}[finer]
     for d in range(1, 13):
         assert power_sum_mod(d * (p - 1), p, 14).residue == _plain_power_sum(d * (p - 1), p, 14)
 
@@ -260,19 +275,17 @@ def test_a_long_column_stays_bounded(monkeypatch):
     _UNREDUCED_BITS and each step reduces: every list made or kept has
     entries below p^62, where a rule with no cap would let them grow with
     d, and the value is the direct method's."""
-    from wilsonlab.quotients import q_sum
-
     p, kept = 1009, []
     step = modular._step_powers
 
     def recorded(n, below, t, m, reduce):
-        kept.extend(_held_lists(modular._memo))
+        kept.extend(_held_lists(work(p).power_sums))
         return step(n, below, t, m, reduce)
 
-    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    work.cache_clear()
     monkeypatch.setattr(modular, "_step_powers", recorded)
     assert q_sum(p, 60, 2, "difference").residue == q_sum(p, 60, 2, "direct").residue
-    kept.extend(_held_lists(modular._memo))
+    kept.extend(_held_lists(work(p).power_sums))
     assert len(kept) > 60 and _bounded(kept, p)
     assert all(x < p**62 for _, pw, _ in kept for x in pw)
 
@@ -474,6 +487,31 @@ def test_only_the_exact_route_reduces_an_oracle_rational():
                     if name == "reduce_rational":
                         callers.add((path.stem, getattr(top, "name", None)))
     assert callers == {("modular", "beta_route")}
+
+
+def test_per_prime_state_has_one_home():
+    """A prime's work lives in padic.work's slot alone: no module of the
+    package has a global statement, PrimeWork is made in padic.work only,
+    and each memo of the slot has one owner: modular reads and writes
+    power_sums, quotients the quotients and the factorial."""
+    src = Path(modular.__file__).parent
+    globals_, makers, owners = [], set(), {}
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if getattr(top, "name", None) == "PrimeWork":  # the slot's own class
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Global):
+                    globals_.append((path.stem, node.names))
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PrimeWork":
+                    makers.add((path.stem, getattr(top, "name", None)))
+                elif isinstance(node, ast.Attribute) and node.attr in (
+                        "power_sums", "quotients", "factorial"):
+                    owners.setdefault(node.attr, set()).add(path.stem)
+    assert globals_ == []
+    assert makers == {("padic", "work")}
+    assert owners == {"power_sums": {"modular"}, "quotients": {"quotients"},
+                      "factorial": {"quotients"}}
 
 
 def test_only_the_registry_makes_rows_and_names_checks():

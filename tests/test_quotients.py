@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wilsonlab import quotients
 from wilsonlab.modular import HypothesisViolated
-from wilsonlab.padic import PrimePowerContext, primes_up_to
+from wilsonlab.padic import PrimePowerContext, primes_up_to, work
 from wilsonlab.quotients import (
     NotCoprime,
     factorial_mod,
@@ -51,7 +51,7 @@ def test_factorial_memo_equals_the_fresh_product(monkeypatch):
         products.append(factors)
         return real(factors)
 
-    monkeypatch.setattr(quotients, "_factorial", (0, 0, 0))
+    work.cache_clear()
     monkeypatch.setattr(quotients, "prod", counted)
     made = []
     for p, K in [(1103, 5), (1103, 4), (1103, 1), (1103, 5), (1103, 6), (1103, 2),
@@ -62,7 +62,7 @@ def test_factorial_memo_equals_the_fresh_product(monkeypatch):
         made.append(len(products) > before)
     assert made == [True, False, False, False, True, False,
                     True, True, False, True, False]
-    assert quotients._factorial[:2] == (1103, 3)
+    assert work(1103).factorial[0] == 3
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -169,7 +169,7 @@ def _q_requests(p, precisions):
 
 @pytest.mark.parametrize("order", ["rising", "falling", "interleaved"])
 def test_quotient_memo_matches_plain_loop(monkeypatch, order):
-    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    work.cache_clear()
     real = quotients._fermat_quotients
     loops = []
 
@@ -213,38 +213,38 @@ def test_quotient_memo_steps_a_series_and_pows_a_lone_sum(monkeypatch):
         return zip(*args)
 
     def held():
-        return {n: r for n, (r, _) in quotients._memo.sums.items()}
+        return {n: r for n, (r, _) in work(p).quotients.sums.items()}
 
     monkeypatch.setattr(quotients, "pow", counted_pow, raising=False)
     monkeypatch.setattr(quotients, "zip", counted_zip, raising=False)
     for order in ((1, 2, 3, 4), (4, 3, 2, 1)):
-        monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+        work.cache_clear()
         steps.clear()
         for n in order:
             assert q_sum(p, n, 4).residue == _plain_q_sum(p, n, 4), (order, n)
             if order[0] == 1:
-                assert (quotients._memo.powers[0], len(steps)) == (n, n - 1)
-        assert len(steps) == 3 and quotients._memo.powers == (4, None)
+                assert (work(p).quotients.powers[0], len(steps)) == (n, n - 1)
+        assert len(steps) == 3 and work(p).quotients.powers == (4, None)
         assert held() == dict.fromkeys(range(1, 5), 4)
     q_sum(p, 6, 6)  # a new R: the steps start again from q^1
     q_sum(p, 3, 2)  # held finer: a reduction
     assert len(steps) == 8 and held() == dict.fromkeys(range(1, 7), 6)
     assert pows == []
 
-    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    work.cache_clear()
     steps.clear()
     got = q_sum(p, 60, 9)
     assert (got.prec, got.residue) == (9, _plain_q_sum(p, 60, 9))
     assert (pows, steps, held()) == ([60] * (p - 1), [], {60: 9})
 
     pows.clear()
-    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    work.cache_clear()
     assert wilson_via_psi(p, 12) == wilson_quotient(p, 12)
     assert (pows, len(steps), held()) == ([], 11, dict.fromkeys(range(1, 13), 12))
 
 
 @pytest.mark.parametrize("R", (4, 40))
-def test_quotient_powers_are_reduced_by_size(monkeypatch, R):
+def test_quotient_powers_are_reduced_by_size(R):
     """The steps of q_sum(101, n, R), n = 1..R, leave their products
     unreduced while the list's bits plus those of p^R fit in
     _UNREDUCED_BITS: at R = 4 the powers are held unreduced up to q^R, at
@@ -252,15 +252,15 @@ def test_quotient_powers_are_reduced_by_size(monkeypatch, R):
     every list held has entries below max(p^R, 2^_UNREDUCED_BITS), within
     its bits, and every sum is the plain loop's."""
     p, cap = 101, 2**quotients._UNREDUCED_BITS
-    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    work.cache_clear()
     unreduced = []
     for n in range(1, R + 1):
         assert q_sum(p, n, R).residue == _plain_q_sum(p, n, R), (R, n)
-        k, pw = quotients._memo.powers
+        k, pw = work(p).quotients.powers
         if pw is not None:
             assert k == n
             assert all(0 <= x < max(p**R, cap) for x in pw)
-            assert max(pw).bit_length() <= quotients._memo.bits
+            assert max(pw).bit_length() <= work(p).quotients.bits
             unreduced.append(max(pw) >= p**R)
     assert unreduced == [n > 1 and R == 4 for n in range(1, R)]
 

@@ -215,8 +215,8 @@ def test_a_run_with_fewer_values_than_jobs_forks_fewer_workers(monkeypatch):
 
 
 def test_a_run_makes_one_context_per_prime(monkeypatch):
-    """Every residue of a run's prime shares the context that padic.context
-    hands out: a run makes one per prime, the first (2) already held."""
+    """Every residue of a run's prime shares the context of padic.work's
+    slot: a run from an empty slot makes one per prime."""
     from wilsonlab import padic
 
     made = []
@@ -226,10 +226,10 @@ def test_a_run_makes_one_context_per_prime(monkeypatch):
         made.append(ctx.p)
         check(ctx)
 
-    monkeypatch.setattr(padic, "_context", PrimePowerContext(2))
+    padic.work.cache_clear()
     monkeypatch.setattr(PrimePowerContext, "__post_init__", counted)
     assert run_suite(make_spec("all", 2, 23)).ok
-    assert made == [3, 5, 7, 11, 13, 17, 19, 23]
+    assert made == [2, 3, 5, 7, 11, 13, 17, 19, 23]
 
 
 @contextmanager
@@ -422,12 +422,12 @@ def test_a_refusal_after_the_first_allocation_is_a_usage_error(monkeypatch, caps
 def test_a_refused_power_list_is_a_usage_error(monkeypatch, capsys, argv):
     """A MemoryError in a power-list step, past the sieve, as under
     `ulimit -v 200000` at p = 1000003, exits 2 with one line on stderr."""
-    from wilsonlab import modular
+    from wilsonlab import modular, padic
 
     def refuse(*args):
         raise MemoryError
 
-    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    padic.work.cache_clear()
     monkeypatch.setattr(modular, "_step_powers", refuse)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: p 1009 is too large\n")
@@ -930,7 +930,7 @@ def test_oracles_never_read_the_power_sum_memo(monkeypatch):
     smallest-prime-factor list and its step patched to raise, they and the
     checks built on them alone still run, and a memo holding a wrong
     t: a -> a^(p-1) does not move them."""
-    from wilsonlab import modular, quotients
+    from wilsonlab import modular, padic
     from wilsonlab.quotients import factorial_mod, fermat_quotient, q_sum
 
     def boom(*args):
@@ -940,7 +940,7 @@ def test_oracles_never_read_the_power_sum_memo(monkeypatch):
     monkeypatch.setattr(modular, "_sieve_powers", boom)
     monkeypatch.setattr(modular, "_smallest_prime_factors", boom)
     monkeypatch.setattr(modular, "_step_powers", boom)
-    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    padic.work.cache_clear()
     for p in (5, 7, 101, 1103):
         assert (factorial_mod(p, 3).residue + 1) % p == 0
         assert wilson_quotient(p, 2).residue % p == q_sum(p, 1, 1, "direct").residue
@@ -958,10 +958,10 @@ def test_oracles_never_read_the_power_sum_memo(monkeypatch):
 
     monkeypatch.setattr(modular, "_sieve_powers", wrong_t)
     monkeypatch.setattr(modular, "_smallest_prime_factors", spf)
-    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
     p = 101
     modular.power_sum_mod(p - 1, p, 8)  # the memo now holds t mod p^8
-    assert modular._memo.p == p
+    padic.work(p).quotients = None
+    assert padic.work(p).power_sums.t[0] == 8
     for n in (1, 2, 3):
         qs = [(pow(a, p - 1, p ** 4) - 1) // p for a in range(1, p)]
         assert q_sum(p, n, 3, "direct").residue == sum(q ** n for q in qs) % p ** 3
@@ -1025,14 +1025,14 @@ def test_power_sum_side_never_reads_the_quotient_memo(monkeypatch):
     """The difference method, bundle and the power-sum checks are the
     right-hand sides: with the Fermat-quotient memo emptied and its kernel
     patched to raise, they still run, and q_sum(..., "direct") does not."""
-    from wilsonlab import quotients
+    from wilsonlab import padic, quotients
     from wilsonlab.modular import bundle
 
     def boom(p, R):
         raise AssertionError("Fermat-quotient kernel called")
 
     monkeypatch.setattr(quotients, "_fermat_quotients", boom)
-    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    padic.work.cache_clear()
     assert quotients.q_sum(1103, 2, 3, "difference").prec == 3
     assert len(bundle(1103, 4, "modular")) == 6
     rep = run_suite(make_spec("thm_main_p3,thm_main2_p4,gen_kummer_r4", 5, 60, engine="modular"))
@@ -1045,7 +1045,7 @@ def test_a_skewed_power_sum_fails_lemma26(monkeypatch, power_sum_runs):
     """lemma26_qdiff compares the direct q_sum with the difference method,
     which reads the memo: one wrong sum, S_{2(p-1)}, must fail it, whether
     the memo sieves or steps it."""
-    from wilsonlab import modular
+    from wilsonlab import modular, padic
 
     spec = make_spec("lemma26_qdiff", 5, 13)
     assert run_suite(spec).ok
@@ -1064,7 +1064,7 @@ def test_a_skewed_power_sum_fails_lemma26(monkeypatch, power_sum_runs):
                         lambda n, below, t, m, reduce:
                         skew(n, len(t), step(n, below, t, m, reduce)))
     power_sum_runs.clear()
-    monkeypatch.setattr(modular, "_memo", modular._PowerSumMemo(0))
+    padic.work.cache_clear()
     assert [r.status for r in run_suite(spec).results] == ["fail"] * 4
     assert {kind for kind, n, p, _ in power_sum_runs if n == 2 * (p - 1)} == {"step"}
 
@@ -1073,7 +1073,7 @@ def test_a_skewed_fermat_quotient_fails_the_direct_checks(monkeypatch):
     """The direct q_sum feeds these verdicts through the quotient memo (prop37
     through its left-hand side p^(n-1) Q_p(n) / n): one wrong Fermat
     quotient, q_p(2) + 1, must fail every row of each."""
-    from wilsonlab import quotients
+    from wilsonlab import padic, quotients
 
     real = quotients._fermat_quotients
 
@@ -1083,11 +1083,11 @@ def test_a_skewed_fermat_quotient_fails_the_direct_checks(monkeypatch):
         return qs
 
     spec = make_spec("lemma26_qdiff,prop37,thm_main3_q1_r4,thm_kel_psi_r4", 11, 23)
-    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    padic.work.cache_clear()
     rep = run_suite(spec)
     assert len(rep.results) == 20 and rep.summary["pass"] == 20
     monkeypatch.setattr(quotients, "_fermat_quotients", skewed)
-    monkeypatch.setattr(quotients, "_memo", quotients._QuotientMemo(0))
+    padic.work.cache_clear()
     assert [r.status for r in run_suite(spec).results] == ["fail"] * 20
 
 
