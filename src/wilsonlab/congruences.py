@@ -37,7 +37,7 @@ from .bernoulli import (
     tangent_rows,
 )
 from .modular import Bundle, HypothesisViolated, beta_route
-from .padic import TrackedResidue, forward_difference, is_prime, ord_p
+from .padic import TrackedResidue, combine, forward_difference, is_prime, ord_p
 from .quotients import q_sum, wilson_quotient, wilson_series
 
 
@@ -103,6 +103,15 @@ Q_TIERS = {
 }
 
 
+# The nu = 2 terms of each Q tier of depth 3 or 4, which
+# qsum_beta_identity_rhs adds to its forward difference; read-only.
+_Q_NU2_TIERS = {
+    (n, r): (den, {key: coeffs for key, coeffs in form.items() if key[0] == 2})
+    for (n, r), (den, form) in Q_TIERS.items()
+    if r in (3, 4)
+}
+
+
 # Wilson quotient mod p^r: prime bounds per tier.
 WQ_TIER_PMIN = {1: 2, 2: 5, 3: 5, 4: 7}
 
@@ -132,20 +141,21 @@ def evaluate_terms(
     prec: int,
 ) -> TrackedResidue:
     """A tier at p as a tracked residue, truncated to prec: the sum of each
-    bundle value times its coefficient at p over den. A coefficient is an
-    int where den divides it, so that evaluating it builds no Fraction. A
-    key the bundle lacks is a ValueError."""
+    bundle value times its coefficient at p over den, as one combine (so at
+    its precision rule, with no Fraction). A key the bundle lacks is a
+    ValueError."""
     den, form = tier
-    acc = None
-    for key, coeffs in form.items():
+    coeffs, values = [], []
+    for key, poly in form.items():
         value = bnd.get(key)
         if value is None:
             raise ValueError(f"the bundle has no value (nu, d) = {key}")
         c = 0
-        for a in reversed(coeffs):
+        for a in reversed(poly):
             c = c * p + a
-        term = value.scale_fraction(c // den if c % den == 0 else Fraction(c, den))
-        acc = term if acc is None else acc + term
+        coeffs.append(c)
+        values.append(value)
+    acc = combine(coeffs, values, den)
     if acc.prec < prec:
         raise AssertionError(
             f"tier lost precision: have {acc.prec}, need {prec} (p={p})"
@@ -357,9 +367,7 @@ def qsum_beta_identity_rhs(p: int, n: int, depth: int, bnd: Bundle) -> TrackedRe
     if p < 2 * depth - 1:
         raise HypothesisViolated(f"need p >= {2 * depth - 1}")
     diff = forward_difference([bnd[0, d] for d in range(1, n + 1)])
-    den, form = Q_TIERS[n, depth]
-    nu2 = den, {key: coeffs for key, coeffs in form.items() if key[0] == 2}
-    return diff.scale(p - 1) + evaluate_terms(nu2, p, bnd, depth)
+    return diff.scale(p - 1) + evaluate_terms(_Q_NU2_TIERS[n, depth], p, bnd, depth)
 
 
 # -- valuation facts --------------------------------------------------------

@@ -12,7 +12,7 @@ from collections.abc import Callable
 from math import comb, isqrt
 
 from .bernoulli import BernoulliTable, bar_value, beta_value
-from .padic import TrackedResidue, forward_difference, is_prime, reduce_rational, work
+from .padic import TrackedResidue, combine, forward_difference, is_prime, reduce_rational, work
 
 
 class InadmissibleCase(Exception):
@@ -113,12 +113,12 @@ class _PowerSumMemo:
         self.columns: dict[int, tuple[int, int, list[int], int]] = {}
 
     def get(self, n: int, K: int) -> int:
-        d = -(-n // (self.p - 1))
-        j = n - d * (self.p - 1)
         m = self.p ** K
         held = self.sums.get(n)
         if held is not None and held[0] >= K:
             return held[1] % m
+        d = -(-n // (self.p - 1))
+        j = n - d * (self.p - 1)
         below = self.columns.get(j)
         if (below is not None and below[0] == d - 1 and below[1] >= K
                 and self.t is not None and self.t[0] >= K):
@@ -235,15 +235,17 @@ def adjusted_bernoulli_mod(
     if 3 <= r <= 4:
         # C(n, 3) B_{n-2}/(n-2) = n(n-1)/6 B_{n-2}; 6 is a unit mod p^r
         b2 = folklore_bernoulli_mod(n - 2, p, r - 2)
-        acc = acc - b2.scale(n * (n - 1) * pow(6, -1, p ** r)).scale(p ** 2)
+        acc = combine((6, -n * (n - 1) * p ** 2), (acc, b2), 6)
     elif r >= 5:
         if table is None or table.max_index < n - 2:
             raise InadmissibleCase(
                 f"r = {r} needs exact correction inputs up to index {n - 2}"
             )
         oracle = beta_route("exact", p, table)
-        for nu, prec in ((2, r - 2), (4, r - 4)):
-            acc = acc - oracle(n - nu, prec).scale(comb(n, nu + 1) * p ** nu)
+        acc = combine(
+            (1, -comb(n, 3) * p ** 2, -comb(n, 5) * p ** 4),
+            (acc, oracle(n - 2, r - 2), oracle(n - 4, r - 4)),
+        )
     return acc.truncate(r)
 
 

@@ -12,6 +12,13 @@ so it is an error here, never a truncation.
 A residue is stored in three slots: its context, its precision K and its
 integer in [0, p^K). It stays immutable: assigning to a slot raises, and
 every operation returns a new residue.
+
+The paper's results are linear forms in such residues with exact rational
+coefficients. combine evaluates one, sum_k c_k x_k / den, as a single
+residue: its precision is the least of x_k.prec + ord_p(c_k) - ord_p(den),
+which is what scaling each term and adding them one by one gives, and its
+total is reduced once. The tiers, forward differences and the modular
+engine's Bernoulli corrections are evaluated through it.
 """
 
 from __future__ import annotations
@@ -418,18 +425,60 @@ def reduce_rational(x: Fraction, ctx: PrimePowerContext, K: int) -> TrackedResid
     return _reduced(ctx, K, x.numerator * pow(x.denominator, -1, m) % m)
 
 
+def combine(
+    coeffs: Sequence[int], values: Sequence[TrackedResidue], den: int = 1
+) -> TrackedResidue:
+    """sum_k coeffs[k] * values[k] / den as one residue, the coefficients
+    and den exact ints: what folding x.scale_fraction(Fraction(c, den)) with
+    + over the terms gives, in precision and residue, without a residue or
+    a Fraction per term.
+
+    The precision is the least over k of values[k].prec + ord_p(coeffs[k])
+    - ord_p(den), a zero coefficient counting as values[k].prec (as scale(0)
+    keeps it). The total is reduced once and divided by the p-free part of
+    den once. A nonzero coeffs[k] / den with p in its denominator raises
+    NotPIntegral, values at two primes MixedContext.
+    """
+    if not values:
+        raise ValueError("need at least one value")
+    if not den:
+        raise ZeroDivisionError("den must be nonzero")
+    ctx = values[0].ctx
+    p = ctx.p
+    unit, pv = den, 1  # den = unit * pv, pv = p^ord_p(den)
+    while unit % p == 0:
+        unit //= p
+        pv *= p
+    prec = None
+    total = 0
+    for c, x in zip(coeffs, values, strict=True):
+        if x.ctx is not ctx and x.ctx.p != p:
+            raise MixedContext(f"mixed primes {p} and {x.ctx.p}")
+        K = x.prec
+        if c:
+            if pv != 1:
+                if c % pv:
+                    raise NotPIntegral(f"denominator of {Fraction(c, den)} divisible by {p}")
+                c //= pv
+            total += c * x.residue
+            while c % p == 0:
+                c //= p
+                K += 1
+        if prec is None or K < prec:
+            prec = K
+    m = p ** prec
+    if unit != 1:
+        total *= pow(unit, -1, m)
+    return _reduced(ctx, prec, total % m)
+
+
 def forward_difference(values: Sequence[TrackedResidue]) -> TrackedResidue:
     """n-th forward difference of n+1 equally spaced samples.
 
     The samples are the caller-evaluated f(s), f(s+h), ..., f(s+nh); the
     step h is the caller's business. Returns sum C(n,k) (-1)^(n-k) values[k]
-    at the minimum precision of the inputs.
+    as one combine: at the least precision of the inputs, each raised by
+    ord_p of its binomial.
     """
-    if not values:
-        raise ValueError("need at least one value")
     n = len(values) - 1
-    acc = None
-    for k, v in enumerate(values):
-        term = v.scale(comb(n, k) * (-1) ** (n - k))
-        acc = term if acc is None else acc + term
-    return acc
+    return combine([comb(n, k) * (-1) ** (n - k) for k in range(n + 1)], values)

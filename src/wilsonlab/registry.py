@@ -29,7 +29,6 @@ which keeps one reduced residue per (p, m) in the table's memo.
 from __future__ import annotations
 
 from collections import namedtuple
-from contextlib import suppress
 from functools import cached_property, partial
 
 from . import result
@@ -351,8 +350,10 @@ def _top_first(value, top: int):
     made once, at its top precision, and reduced for the rest."""
     got = []
     for K in range(top, 0, -1):
-        with suppress(InadmissibleCase):
+        try:
             got.append((K, value(K)))
+        except InadmissibleCase:
+            pass
     return got[::-1]
 
 

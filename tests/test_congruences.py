@@ -29,7 +29,14 @@ from wilsonlab.congruences import (
     wilson_via_bernoulli,
 )
 from wilsonlab.modular import HypothesisViolated, bundle
-from wilsonlab.padic import PrimePowerContext, ord_p, primes_up_to, reduce_rational
+from wilsonlab import padic
+from wilsonlab.padic import (
+    PrimePowerContext,
+    forward_difference,
+    ord_p,
+    primes_up_to,
+    reduce_rational,
+)
 from wilsonlab.quotients import q_sum, wilson_quotient
 
 
@@ -416,6 +423,31 @@ def test_evaluate_terms_refuses_an_unknown_family(table):
             evaluate_terms((1, {key: [0, 0, 0, 0, 1]}), 7, bnd, 4)  # p^4 value
     with pytest.raises(ValueError, match=re.escape("(4, 1)")):
         evaluate_terms(HIGH_TIERS[1, 5][0], 7, bnd, 4)
+
+
+def test_a_tier_and_a_difference_build_one_residue_each(monkeypatch):
+    """evaluate_terms folds a tier's terms into one residue (padic.combine)
+    and then truncates it, which builds a second one only below combine's
+    precision; forward_difference builds one residue for any number of
+    samples. The per-term fold built two or three per term."""
+    bnd = bundle(1103, 4)
+    samples = [bnd[0, d] for d in range(1, 5)] + [bnd[2, 1]]
+    built = []
+    real = padic._reduced
+
+    def counted(ctx, prec, residue):
+        built.append(prec)
+        return real(ctx, prec, residue)
+
+    monkeypatch.setattr(padic, "_reduced", counted)
+    assert evaluate_terms(_LOG_TIERS[4], 1103, bnd, 5).prec == 5
+    assert built == [5]  # combine lands on 5, so the truncation keeps it
+    built.clear()
+    assert evaluate_terms(_LOG_TIERS[4], 1103, bnd, 3).prec == 3
+    assert built == [5, 3]
+    built.clear()
+    forward_difference(samples)
+    assert len(built) == 1
 
 
 def test_wilson_tier1_smallest_primes(table):

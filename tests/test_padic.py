@@ -13,6 +13,7 @@ from wilsonlab.padic import (
     PrecisionExhausted,
     PrimePowerContext,
     TrackedResidue,
+    combine,
     forward_difference,
     is_prime,
     ord_p,
@@ -177,6 +178,12 @@ def test_forward_difference_mixed_context():
     b = PrimePowerContext(7).from_int(1, 2)
     with pytest.raises(MixedContext):
         forward_difference([a, b])
+    # a zero coefficient still joins its value's prime, as the fold's + did
+    for coeffs, den in (([1, 1], 1), ([1, 0], 3), ([0, 2], 5)):
+        with pytest.raises(MixedContext):
+            combine(coeffs, [a, b], den)
+    with pytest.raises(ValueError):
+        combine([], [])
 
 
 def test_precision_rules():
@@ -336,4 +343,43 @@ def test_ring_operations_agree_with_integer_arithmetic(p, K, L, a, b, c, d):
         same(z.divide_by_p(j), K, a)
     for T in range(0, K + 1):
         same(x.truncate(T), T, a)
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7, 1009)),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6),
+            st.integers(min_value=-10**12, max_value=10**12),
+            st.one_of(st.just(0), st.integers(min_value=-10**6, max_value=10**6)),
+            st.integers(min_value=0, max_value=4),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(min_value=-10**4, max_value=10**4).filter(bool),
+    st.integers(min_value=0, max_value=3),
+)
+def test_combine_equals_the_per_term_fold(p, terms, unit, e):
+    """combine(coeffs, values, den) has the precision and residue of
+    folding x.scale_fraction(Fraction(c, den)) with + over the terms, zero
+    coefficients and a den with factors of p included, and raises
+    NotPIntegral, with the fold's message, exactly where the fold does."""
+    ctx = PrimePowerContext(p)
+    values = [ctx.from_int(a, K) for K, a, _, _ in terms]
+    coeffs = [c * p**j for _, _, c, j in terms]
+    den = unit * p**e
+    try:
+        acc = None
+        for c, x in zip(coeffs, values):
+            term = x.scale_fraction(Fraction(c, den))
+            acc = term if acc is None else acc + term
+    except NotPIntegral as exc:
+        with pytest.raises(NotPIntegral) as refused:
+            combine(coeffs, values, den)
+        assert str(refused.value) == str(exc)
+        return
+    got = combine(coeffs, values, den)
+    assert got.__class__ is TrackedResidue
+    assert (got.ctx, got.prec, got.residue) == (acc.ctx, acc.prec, acc.residue)
 
